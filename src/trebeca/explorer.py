@@ -21,7 +21,6 @@ from .model import (
     Message,
     SystemState,
     TraceEvent,
-    canon_value,
 )
 from .parser import CheckedModel
 from .scheduler import (
@@ -42,15 +41,8 @@ from .scheduler import (
 END_TRUNCATED = "truncated"
 
 # Canonical identity of a message, JSON-friendly: the explorer's decisions
-# and the trace's msg_selected events both reduce to this.
+# (``Message.key``) and the trace's msg_selected events both reduce to this.
 MessageKey = tuple  # (tt, receiver, method, (args...), sender, dl)
-
-
-def message_key(msg: Message) -> MessageKey:
-    return (
-        msg.tt.ticks, msg.receiver, msg.method,
-        tuple(canon_value(a) for a in msg.args), msg.sender, str(msg.dl),
-    )
 
 
 def event_message_key(ev: TraceEvent) -> MessageKey:
@@ -78,21 +70,13 @@ def state_key(state: SystemState) -> str:
     """Canonical serialization: equal keys iff structurally equal states.
 
     Rebec ids are assigned deterministically by creation order, so the fresh
-    counter is implied by the live rebecs and stays out of the key.
+    counter is implied by the live rebecs and stays out of the key. The key
+    joins the fragments each rebec record and each message caches, so it
+    costs a sort of the ids and of the bag, not a rendering of every value.
     """
-    parts = []
-    for rid in sorted(state.envs):
-        env = state.envs[rid]
-        decls = state.checked.classes[env.class_name].definition.state_decls
-        svs = ",".join(f"{d.name}={canon_value(env.state_vars[d.name])}" for d in decls)
-        kns = ",".join(f"{k}=@{v.rebec_id}" for k, v in sorted(env.knowns.items()))
-        parts.append(f"{rid}:{env.class_name}:{env.now.ticks}:{svs}:{kns}")
-    bag = ";".join(
-        f"{m.tt.ticks}>{m.receiver}.{m.method}({','.join(canon_value(a) for a in m.args)})"
-        f"<{m.sender}!{m.dl}"
-        for m in state.sorted_bag()
-    )
-    return "|".join(parts) + "#" + bag
+    envs = state.envs
+    return ("|".join([envs[rid].key() for rid in sorted(envs)]) + "#"
+            + ";".join([m.text for m in state.sorted_bag()]))
 
 
 @dataclass
@@ -232,7 +216,7 @@ def _enumerate_decisions(base: SystemState, msg: Message):
             _site, arity, idx = taken[p]
             for alt in range(idx + 1, arity):
                 pending.append([t[2] for t in taken[:p]] + [alt])
-        decision = Decision(message=message_key(msg), choices=tuple(taken))
+        decision = Decision(message=msg.key, choices=tuple(taken))
         if error is not None:
             yield decision, None, error
         else:
@@ -242,14 +226,12 @@ def _enumerate_decisions(base: SystemState, msg: Message):
 def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             deadline_check: str = CHECK_LITERAL, workers: int = 1,
             stop_on: Optional[Callable[[TraceEvent], bool]] = None,
-            order: str = "bfs",
             guide: Optional[list[Decision]] = None,
             _tie_permute: Optional[Callable[[list], list]] = None) -> ExploreResult:
     """Enumerate every reachable state within the bounds.
 
     ``stop_on`` cuts the search as soon as an edge emits a matching event
     (useful for pure existence checks; the result is marked truncated).
-    ``order`` picks frontier discipline: bfs explores by depth, dfs dives.
     ``guide`` restricts expansion to the states along one decision path
     (plus their one-step fringe): a cheap way to certify a witness found by
     simulation inside a sound, truncation-flagged subgraph.
@@ -340,13 +322,15 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
 
     if guide is not None:
         cur = root_id
+        steps: dict[int, dict[Decision, int]] = {}  # out-edges of the expanded path states
         for decision in guide:
             if stop_hit[0] or over_budget():
                 break
             if cur in states:
+                first = len(edges)
                 expand(cur)
-            nxt = next((e.dst for e in edges if e.src == cur and e.decision == decision),
-                       None)
+                steps[cur] = {e.decision: e.dst for e in edges[first:]}
+            nxt = steps.get(cur, {}).get(decision)
             if nxt is None:
                 raise StalePathError(f"guide decision not available: {decision}")
             cur = nxt
@@ -366,8 +350,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
                             states.pop(nid, None)
                     break
                 if pool is None:
-                    nid = frontier.popleft() if order == "bfs" else frontier.pop()
-                    expand(nid)
+                    expand(frontier.popleft())
                 else:
                     batch = []
                     while frontier and len(batch) < workers * 4:
@@ -377,7 +360,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             if pool is not None:
                 pool.shutdown(wait=True)
 
-    # Unexpanded leftovers (dfs stop, exact budget hits) become truncated terminals.
+    # Unexpanded leftovers (guide fringe, exact budget hits) become truncated terminals.
     for nid in list(states):
         nodes[nid].terminal = END_TRUNCATED
         truncated[0] = True
@@ -450,7 +433,7 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
     last_time = 0
     for decision in path:
         purge_events = purge_expired(state, result.deadline_check)
-        candidates = {message_key(m): m for m in min_tt_candidates(state)}
+        candidates = {m.key: m for m in min_tt_candidates(state)}
         msg = candidates.get(decision.message)
         if msg is None:
             raise StalePathError(f"no eligible message matches {decision.message}")

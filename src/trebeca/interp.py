@@ -274,7 +274,7 @@ def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
         info = state.checked.classes[env.class_name]
         declared = info.state_types.get(stmt.name)
         if declared is not None:
-            env.state_vars[stmt.name] = coerce_value(value, declared)
+            env.set_var(stmt.name, coerce_value(value, declared))
         else:
             env.locals[stmt.name] = value
         return
@@ -364,7 +364,7 @@ def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
     effects.events.append(TraceEvent(
         kind=EV_SENT, time=env.now.ticks, rebec=receiver_id, method=msg.method,
         sender=msg.sender, tt=msg.tt.ticks, dl=str(msg.dl),
-        args=tuple(canon_value(a) for a in msg.args),
+        args=msg.canon_args,
     ))
 
 
@@ -383,7 +383,7 @@ def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
 
     new_id = state.fresh_rebec_id(stmt.class_name)
     new_env = make_rebec_env(new_id, info, now=env.now)
-    state.envs[new_id] = new_env
+    state.add_rebec(new_env)
     effects.new_envs.append(new_env)
     env.locals[stmt.name] = RebecRef(new_id)
     effects.events.append(TraceEvent(
@@ -397,7 +397,7 @@ def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
     effects.events.append(TraceEvent(
         kind=EV_SENT, time=env.now.ticks, rebec=new_id, method="initial",
         sender=env.rebec_id, tt=msg.tt.ticks, dl=str(msg.dl),
-        args=tuple(canon_value(a) for a in msg.args),
+        args=msg.canon_args,
     ))
 
 
@@ -407,7 +407,7 @@ _DEFAULTS = {"int": IntV(0), "boolean": BoolV(False), "time": IntV(0)}
 def make_rebec_env(rebec_id: str, class_info, now: TimeValue) -> RebecEnv:
     env = RebecEnv(rebec_id, class_info.definition.name, now)
     for decl in class_info.definition.state_decls:
-        env.state_vars[decl.name] = _DEFAULTS[decl.type]
+        env.set_var(decl.name, _DEFAULTS[decl.type])
     return env
 
 
@@ -423,9 +423,9 @@ def exec_method(msg: Message, state: SystemState,
     The receiver's clock becomes max(msg.tt, clock) before the body runs
     and keeps its final value afterwards; sender and locals are discarded.
     """
-    env = state.envs.get(msg.receiver)
-    if env is None:
+    if msg.receiver not in state.envs:
         raise ExecError(f"message receiver {msg.receiver!r} does not exist")
+    env = state.own(msg.receiver)  # the body writes to its receiver only
     info = state.checked.classes[env.class_name]
     method = info.methods.get(msg.method)
     if method is None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Optional, Union
 
 # Reserved rebec id used as the sender of messages that originate from the
@@ -352,6 +354,12 @@ class Message:
 
     ``tt`` and ``dl`` are absolute: the sender's clock plus the relative
     after/deadline offsets, fixed at send time.
+
+    The canonical forms are derived once, when the message is made, and
+    every module reads them instead of re-rendering the arguments:
+    ``canon_args`` (the trace events' ``args``), ``sort_key`` (canonical
+    bag order), ``key`` (the JSON-friendly identity in explorer decisions)
+    and ``text`` (the message's part of a state key).
     """
 
     receiver: str
@@ -360,16 +368,25 @@ class Message:
     sender: str
     tt: TimeValue
     dl: Deadline
+    canon_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    key: tuple = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
-    def sort_key(self):
-        return (
-            self.tt.ticks,
-            self.receiver,
-            self.method,
-            tuple(canon_value(a) for a in self.args),
-            self.sender,
-            MAX_TICKS + 1 if self.dl.is_infinite else self.dl.ticks,
-        )
+    def __post_init__(self) -> None:
+        canon_args = tuple([canon_value(a) for a in self.args])
+        tt, dl = self.tt.ticks, str(self.dl)
+        head = (tt, self.receiver, self.method, canon_args, self.sender)
+        init = object.__setattr__
+        init(self, "canon_args", canon_args)
+        init(self, "sort_key", head + (MAX_TICKS + 1 if self.dl.is_infinite else self.dl.ticks,))
+        init(self, "key", head + (dl,))
+        init(self, "text", f"{tt}>{self.receiver}.{self.method}({','.join(canon_args)})"
+                           f"<{self.sender}!{dl}")
+
+
+# Canonical bag order, as a ``sorted`` key.
+message_sort_key = attrgetter("sort_key")
 
 
 class RebecEnv:
@@ -377,42 +394,85 @@ class RebecEnv:
 
     ``sender`` and ``locals`` only carry meaning while a method of this rebec
     executes; between executions they are cleared and ``now`` is frozen.
+
+    ``key()`` caches the rebec's part of a state key. Every change to
+    ``now``, the state variables or the known rebecs goes through the
+    ``now`` setter, ``set_var`` or ``set_known`` and drops that cache;
+    ``state_vars`` and ``knowns`` are read-only views.
     """
 
-    __slots__ = ("rebec_id", "class_name", "now", "state_vars", "knowns", "sender", "locals")
+    __slots__ = ("rebec_id", "class_name", "_now", "_vars", "_knowns",
+                 "state_vars", "knowns", "sender", "locals", "_key")
 
-    def __init__(self, rebec_id: str, class_name: str, now: TimeValue):
+    def __init__(self, rebec_id: str, class_name: str, now: TimeValue,
+                 state_vars: Optional[dict] = None, knowns: Optional[dict] = None):
         self.rebec_id = rebec_id
         self.class_name = class_name
-        self.now = now
-        self.state_vars: dict[str, Value] = {}
-        self.knowns: dict[str, RebecRef] = {}
+        self._now = now
+        self._vars: dict[str, Value] = {} if state_vars is None else state_vars
+        self._knowns: dict[str, RebecRef] = {} if knowns is None else knowns
+        self.state_vars = MappingProxyType(self._vars)
+        self.knowns = MappingProxyType(self._knowns)
         self.sender: Optional[str] = None
         self.locals: dict[str, Value] = {}
+        self._key: Optional[str] = None
 
     @property
     def self_id(self) -> str:
         return self.rebec_id
 
-    def clone(self) -> "RebecEnv":
-        env = RebecEnv(self.rebec_id, self.class_name, self.now)
-        env.state_vars = dict(self.state_vars)
-        env.knowns = dict(self.knowns)
+    @property
+    def now(self) -> TimeValue:
+        return self._now
+
+    @now.setter
+    def now(self, value: TimeValue) -> None:
+        self._now = value
+        self._key = None
+
+    def set_var(self, name: str, value: Value) -> None:
+        self._vars[name] = value
+        self._key = None
+
+    def set_known(self, name: str, ref: RebecRef) -> None:
+        self._knowns[name] = ref
+        self._key = None
+
+    def key(self) -> str:
+        """``id:class:now:vars:knowns``. State variables keep declaration
+        order (``make_rebec_env`` fills them in that order), knowns sort by
+        name."""
+        key = self._key
+        if key is None:
+            svs = ",".join([f"{name}={canon_value(v)}" for name, v in self._vars.items()])
+            kns = ",".join([f"{name}=@{ref.rebec_id}"
+                            for name, ref in sorted(self._knowns.items())])
+            key = self._key = f"{self.rebec_id}:{self.class_name}:{self._now.ticks}:{svs}:{kns}"
+        return key
+
+    def copy(self) -> "RebecEnv":
+        env = RebecEnv(self.rebec_id, self.class_name, self._now,
+                       dict(self._vars), dict(self._knowns))
+        env._key = self._key
         return env
 
     def __repr__(self) -> str:
-        return f"RebecEnv({self.rebec_id}:{self.class_name} now={self.now.ticks})"
+        return f"RebecEnv({self.rebec_id}:{self.class_name} now={self._now.ticks})"
 
 
 class SystemState:
     """A pair of rebec environments and the message bag, plus bookkeeping.
 
-    Owned by exactly one executor at a time; ``clone`` produces an
-    independent state so distinct simulations and explorer branches never
-    share mutable parts.
+    Owned by exactly one executor at a time. ``clone`` copies the ``envs``
+    dict and the bag list but shares the rebec records with the original,
+    so a clone costs O(rebecs + bag) pointer copies. A shared record is never
+    mutated: a state writes to a rebec only through ``own``, which first
+    replaces a record the state did not create or copy since its last clone
+    with a private copy. Method execution writes only to its receiver, so
+    each step copies one record.
     """
 
-    __slots__ = ("envs", "bag", "fresh", "env_bindings", "checked")
+    __slots__ = ("envs", "bag", "fresh", "env_bindings", "checked", "_owned")
 
     def __init__(self, checked, env_bindings: dict[str, Value]):
         self.envs: dict[str, RebecEnv] = {}
@@ -420,13 +480,27 @@ class SystemState:
         self.fresh = 0
         self.env_bindings = env_bindings
         self.checked = checked
+        self._owned: set[str] = set()  # ids of the records no other state holds
 
     def clone(self) -> "SystemState":
         st = SystemState(self.checked, self.env_bindings)
-        st.envs = {rid: env.clone() for rid, env in self.envs.items()}
+        st.envs = dict(self.envs)
         st.bag = list(self.bag)
         st.fresh = self.fresh
+        self._owned = set()  # every record is now shared with the clone
         return st
+
+    def add_rebec(self, env: RebecEnv) -> None:
+        self.envs[env.rebec_id] = env
+        self._owned.add(env.rebec_id)
+
+    def own(self, rebec_id: str) -> RebecEnv:
+        """The record of ``rebec_id``, made private to this state first."""
+        env = self.envs[rebec_id]
+        if rebec_id not in self._owned:
+            env = self.envs[rebec_id] = env.copy()
+            self._owned.add(rebec_id)
+        return env
 
     def fresh_rebec_id(self, class_name: str) -> str:
         rid = f"{class_name.lower()}#{self.fresh}"
@@ -436,7 +510,7 @@ class SystemState:
         return rid
 
     def sorted_bag(self) -> list[Message]:
-        return sorted(self.bag, key=Message.sort_key)
+        return sorted(self.bag, key=message_sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,13 @@ from .model import (
     UnaryOp,
     Value,
     VarRef,
-    canon_value,
     coerce_value,
+    message_sort_key,
 )
 from .parser import CheckedModel
 
 TIE_SEEDED = "seeded-uniform"
 TIE_FIXED = "fixed-order"
-TIE_EXPLORER = "controlled-by-explorer"
 
 CHECK_LITERAL = "literal"
 CHECK_EFFECTIVE = "effective"
@@ -139,17 +138,20 @@ def eligible(msg: Message, state: SystemState, mode: str = CHECK_LITERAL) -> boo
 
 def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
     """Drop every ineligible message, in canonical bag order."""
+    if mode not in (CHECK_LITERAL, CHECK_EFFECTIVE):
+        raise ValueError(f"unknown deadline check mode {mode!r}")
     events: list[TraceEvent] = []
     keep: list[Message] = []
     expired = []
     for msg in state.bag:
-        (keep if eligible(msg, state, mode) else expired).append(msg)
-    for msg in sorted(expired, key=Message.sort_key):
+        # A message without a deadline is eligible in every mode.
+        (keep if msg.dl.ticks is None or eligible(msg, state, mode) else expired).append(msg)
+    for msg in sorted(expired, key=message_sort_key):
         receiver = state.envs[msg.receiver]
         events.append(TraceEvent(
             kind=EV_PURGED, time=receiver.now.ticks, rebec=msg.receiver,
             method=msg.method, sender=msg.sender, tt=msg.tt.ticks, dl=str(msg.dl),
-            args=tuple(canon_value(a) for a in msg.args),
+            args=msg.canon_args,
         ))
     state.bag = keep
     return events
@@ -163,12 +165,11 @@ def min_tt_candidates(state: SystemState) -> list[Message]:
     """
     if not state.bag:
         return []
-    lowest = min(msg.tt for msg in state.bag)
-    seen = set()
-    out = []
-    for msg in sorted((m for m in state.bag if m.tt == lowest), key=Message.sort_key):
-        if msg not in seen:
-            seen.add(msg)
+    lowest = min([msg.tt.ticks for msg in state.bag])
+    out: list[Message] = []
+    # Equal messages have equal sort keys, so sorting makes duplicates adjacent.
+    for msg in sorted([m for m in state.bag if m.tt.ticks == lowest], key=message_sort_key):
+        if not out or msg.sort_key != out[-1].sort_key:
             out.append(msg)
     return out
 
@@ -220,7 +221,7 @@ def execute_selected(state: SystemState, msg: Message,
     selected_event = TraceEvent(
         kind=EV_SELECTED, time=exec_time.ticks, rebec=msg.receiver,
         method=msg.method, sender=msg.sender, tt=msg.tt.ticks, dl=str(msg.dl),
-        args=tuple(canon_value(a) for a in msg.args),
+        args=msg.canon_args,
         choices=tuple(recorder.taken),
     )
     return exec_events, selected_event
@@ -275,11 +276,11 @@ def build_initial_state(checked: CheckedModel,
         info = checked.classes[inst.class_name]
         env = make_rebec_env(inst.name, info, now=T0)
         for decl, arg in zip(info.definition.known_decls, inst.known_args):
-            env.knowns[decl.name] = RebecRef(arg)
+            env.set_known(decl.name, RebecRef(arg))
         for decl, arg in zip(info.definition.state_decls, inst.init_args):
-            env.state_vars[decl.name] = coerce_value(
-                _init_arg_value(arg, env_bindings), decl.type)
-        state.envs[inst.name] = env
+            env.set_var(decl.name, coerce_value(
+                _init_arg_value(arg, env_bindings), decl.type))
+        state.add_rebec(env)
         events.append(TraceEvent(
             kind=EV_CREATED, time=0, rebec=inst.name, sender=EXTERNAL_ID,
         ))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -13,8 +14,16 @@ from trebeca.explorer import (
     state_key,
     trace_decisions,
 )
+from trebeca.interp import PrefixResolver
+from trebeca.model import IntV
 from trebeca.parser import load_model
-from trebeca.scheduler import SchedulePolicy, build_initial_state, normalize_env_bindings, run
+from trebeca.scheduler import (
+    SchedulePolicy,
+    build_initial_state,
+    execute_selected,
+    normalize_env_bindings,
+    run,
+)
 
 
 def test_deterministic_model_is_a_single_path():
@@ -171,3 +180,64 @@ def test_state_key_distinguishes_clock_and_values(choice_delay_model):
     assert state_key(a) == state_key(b)
     b.envs["w"].now = b.envs["w"].now.advanced(1)
     assert state_key(a) != state_key(b)
+
+
+COW_SRC = (
+    "reactiveclass A { knownrebecs { B peer; } statevars { int n; }"
+    " msgsrv initial() { n = n + 1; delay(2); c = new B(); peer.poke(n); } }"
+    " reactiveclass B { knownrebecs {} statevars { int hits; }"
+    " msgsrv initial() {} msgsrv poke(int v) { hits = hits + v; } }"
+    " main { A a(b):(); B b():(); }")
+
+
+def _records(state):
+    return {rid: (env, env.now, dict(env.state_vars), dict(env.knowns))
+            for rid, env in state.envs.items()}
+
+
+def test_clone_copies_only_the_receiver_it_executes():
+    checked = load_model(COW_SRC)
+    original, _ = build_initial_state(checked, normalize_env_bindings(checked, {}))
+    key = state_key(original)  # caches every fragment, as interning does
+    records, bag = _records(original), list(original.bag)
+
+    work = original.clone()
+    (msg,) = [m for m in work.bag if m.receiver == "a"]
+    execute_selected(work, msg, PrefixResolver([]))
+
+    assert state_key(original) == key
+    assert _records(original) == records
+    assert original.bag == bag
+    assert set(work.envs) == {"a", "b", "b#0"}
+    assert work.envs["a"] is not original.envs["a"]
+    assert work.envs["b"] is original.envs["b"]  # untouched records stay shared
+    assert (work.envs["a"].now.ticks, work.envs["a"].state_vars["n"]) == (2, IntV(1))
+    assert state_key(work) != key
+
+
+def test_rebec_key_never_goes_stale(choice_delay_model):
+    bindings = normalize_env_bindings(choice_delay_model, {})
+    state, _ = build_initial_state(choice_delay_model, bindings)
+    env = state.envs["w"]
+    keys = [env.key()]
+    env.set_var("finished", IntV(3))
+    keys.append(env.key())
+    env.now = env.now.advanced(2)
+    keys.append(env.key())
+    assert keys == ["w:Waiter:0:finished=0:", "w:Waiter:0:finished=3:", "w:Waiter:2:finished=3:"]
+    with pytest.raises(TypeError):
+        env.state_vars["finished"] = IntV(4)  # read-only view: no write can bypass the cache
+
+
+def test_shared_records_survive_thread_switches(ticket_model):
+    # Worker threads expand states whose unexecuted rebec records are shared;
+    # switching threads every few bytecodes must not change the graph.
+    bounds = ExploreBounds(horizon=12)
+    solo = explore(ticket_model, TICKET_ENV, bounds)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = explore(ticket_model, TICKET_ENV, bounds, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.to_json() == solo.to_json()
