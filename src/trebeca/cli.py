@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import erlgen, monitors
 from .explorer import ExploreBounds, explore
+from .interp import ExecError
 from .parser import CheckedModel, SourceError, load_model
 from .scheduler import (
     CHECK_EFFECTIVE,
@@ -167,6 +168,9 @@ def cmd_run(args) -> int:
         trace = run(checked, _collect_env(args), args.seed, policy)
     except ValueError as exc:
         raise _Usage(str(exc))
+    except ExecError as exc:
+        print(f"{args.model}: runtime error: {exc}", file=sys.stderr)
+        return EXIT_MODEL_ERROR
     if args.trace:
         _write_file(args.trace, trace.to_jsonl())
     print(f"run ended: reason={trace.end_reason} events={len(trace.events)}",

@@ -289,7 +289,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
                 nodes[nid].terminal_events = tuple(purge_events)
             return
         candidates = min_tt_candidates(work)
-        if bounds.horizon is not None and candidates[0].tt.ticks > bounds.horizon:
+        if bounds.horizon is not None and candidates[0].tt > bounds.horizon:
             with lock:
                 nodes[nid].terminal = END_HORIZON
                 nodes[nid].terminal_events = tuple(purge_events)
@@ -458,6 +458,6 @@ def _termination_status(state: SystemState, result: ExploreResult, last_time: in
     if not probe.bag:
         return END_EXPIRED, purge_events, (purge_events[-1].time if purge_events else last_time)
     horizon = result.bounds.horizon
-    if horizon is not None and min(m.tt.ticks for m in probe.bag) > horizon:
+    if horizon is not None and min(m.tt for m in probe.bag) > horizon:
         return END_HORIZON, purge_events, horizon
     return END_PARTIAL, [], last_time

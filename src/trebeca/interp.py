@@ -17,7 +17,6 @@ from .model import (
     BoolLit,
     BoolV,
     ChoiceExpr,
-    Deadline,
     DelayStmt,
     EV_CREATED,
     EV_DELAY,
@@ -27,7 +26,9 @@ from .model import (
     IfStmt,
     IntLit,
     IntV,
+    MAX_TICKS,
     Message,
+    NEVER,
     NewStmt,
     NowExpr,
     NowStmt,
@@ -38,15 +39,12 @@ from .model import (
     SenderExpr,
     Stmt,
     SystemState,
-    TimeV,
-    TimeValue,
     TraceEvent,
     UnaryOp,
     Value,
     VarRef,
     canon_value,
-    coerce_value,
-    value_ticks,
+    deadline_text,
 )
 
 
@@ -54,6 +52,7 @@ class ExecError(Exception):
     """A runtime fault inside a method body, with enough context to blame it."""
 
     def __init__(self, message: str, rebec: str = "?", method: str = "?", pos=None):
+        self.detail = message
         self.rebec = rebec
         self.method = method
         self.pos = pos
@@ -154,7 +153,7 @@ def eval_expr(expr: Expr, env: RebecEnv, state: SystemState,
     if isinstance(expr, BoolLit):
         return BoolV(expr.value)
     if isinstance(expr, NowExpr):
-        return TimeV(env.now)
+        return IntV(env.now)
     if isinstance(expr, SelfExpr):
         return RebecRef(env.rebec_id)
     if isinstance(expr, SenderExpr):
@@ -189,8 +188,8 @@ def eval_expr(expr: Expr, env: RebecEnv, state: SystemState,
 
 
 def _num(v: Value, env: RebecEnv, expr: Expr) -> int:
-    if isinstance(v, (IntV, TimeV)):
-        return value_ticks(v)
+    if isinstance(v, IntV):
+        return v.value
     raise ExecError(f"expected a numeric value, got {canon_value(v)}",
                     env.rebec_id, pos=getattr(expr, "pos", None))
 
@@ -240,8 +239,8 @@ def _eval_binary(expr: BinaryOp, env: RebecEnv, state: SystemState,
 
 
 def _values_equal(a: Value, b: Value, env: RebecEnv, expr: BinaryOp) -> bool:
-    if isinstance(a, (IntV, TimeV)) and isinstance(b, (IntV, TimeV)):
-        return value_ticks(a) == value_ticks(b)
+    if isinstance(a, IntV) and isinstance(b, IntV):
+        return a.value == b.value
     if isinstance(a, BoolV) and isinstance(b, BoolV):
         return a.value == b.value
     if isinstance(a, RebecRef) and isinstance(b, RebecRef):
@@ -258,13 +257,17 @@ def exec_stmt(stmt: Stmt, env: RebecEnv, state: SystemState,
               resolver: ChoiceResolver, effects: ExecEffects,
               method_name: str = "?") -> None:
     """Execute one statement; new messages and rebecs land in ``state``/
-    ``effects``, the clock and stores of ``env`` are updated in place."""
+    ``effects``, the clock and stores of ``env`` are updated in place.
+
+    A fault raised without its method (by expression evaluation or a
+    resolver) is blamed on this rebec and method, at its own position if it
+    has one, else at the statement's."""
     try:
         _dispatch_stmt(stmt, env, state, resolver, effects, method_name)
     except ExecError as err:
-        if err.rebec == "?":
-            raise ExecError(str(err), env.rebec_id, method_name,
-                            getattr(stmt, "pos", None)) from err
+        if err.method == "?":
+            raise ExecError(err.detail, env.rebec_id, method_name,
+                            err.pos or getattr(stmt, "pos", None)) from err
         raise
 
 
@@ -274,7 +277,7 @@ def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
         info = state.checked.classes[env.class_name]
         declared = info.state_types.get(stmt.name)
         if declared is not None:
-            env.set_var(stmt.name, coerce_value(value, declared))
+            env.set_var(stmt.name, value)
         else:
             env.locals[stmt.name] = value
         return
@@ -283,9 +286,9 @@ def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
         if amount < 0:
             raise ExecError(f"negative delay amount {amount}",
                             env.rebec_id, method_name, stmt.pos)
-        env.now = env.now.advanced(amount)
+        env.now = _advance(env, amount, method_name, stmt)
         effects.events.append(TraceEvent(
-            kind=EV_DELAY, time=env.now.ticks, rebec=env.rebec_id, method=method_name,
+            kind=EV_DELAY, time=env.now, rebec=env.rebec_id, method=method_name,
         ))
         return
     if isinstance(stmt, NowStmt):
@@ -305,6 +308,14 @@ def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
             exec_block(branch, env, state, resolver, effects, method_name)
         return
     raise ExecError(f"cannot execute {stmt!r}", env.rebec_id, method_name)
+
+
+def _advance(env: RebecEnv, amount: int, method_name: str, stmt: Stmt) -> int:
+    """``env.now + amount``; a tick past MAX_TICKS is a fault at ``stmt``."""
+    ticks = env.now + amount
+    if ticks > MAX_TICKS:
+        raise ExecError("logical time overflow", env.rebec_id, method_name, stmt.pos)
+    return ticks
 
 
 def exec_block(stmts: list[Stmt], env: RebecEnv, state: SystemState,
@@ -339,8 +350,7 @@ def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
         raise ExecError(f"{receiver_env.class_name} has no message server {stmt.method!r}",
                         env.rebec_id, method_name, stmt.pos)
 
-    args = [eval_expr(a, env, state, resolver) for a in stmt.args]
-    args = tuple(coerce_value(v, t) for v, t in zip(args, target_method.param_types))
+    args = tuple([eval_expr(a, env, state, resolver) for a in stmt.args])
 
     after = 0
     if stmt.after is not None:
@@ -353,17 +363,17 @@ def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
         if rel <= 0:
             raise ExecError(f"deadline offset must be positive, got {rel}",
                             env.rebec_id, method_name, stmt.pos)
-        dl = Deadline.finite(env.now.advanced(rel))
+        dl = _advance(env, rel, method_name, stmt)
     else:
-        dl = Deadline.infinite()
+        dl = NEVER
 
     msg = Message(receiver=receiver_id, method=stmt.method, args=args,
-                  sender=env.rebec_id, tt=env.now.advanced(after), dl=dl)
+                  sender=env.rebec_id, tt=_advance(env, after, method_name, stmt), dl=dl)
     state.bag.append(msg)
     effects.messages.append(msg)
     effects.events.append(TraceEvent(
-        kind=EV_SENT, time=env.now.ticks, rebec=receiver_id, method=msg.method,
-        sender=msg.sender, tt=msg.tt.ticks, dl=str(msg.dl),
+        kind=EV_SENT, time=env.now, rebec=receiver_id, method=msg.method,
+        sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
         args=msg.canon_args,
     ))
 
@@ -378,8 +388,7 @@ def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
     if initial is None:
         raise ExecError(f"class {stmt.class_name!r} has no initial message server",
                         env.rebec_id, method_name, stmt.pos)
-    args = [eval_expr(a, env, state, resolver) for a in stmt.args]
-    args = tuple(coerce_value(v, t) for v, t in zip(args, initial.param_types))
+    args = tuple([eval_expr(a, env, state, resolver) for a in stmt.args])
 
     new_id = state.fresh_rebec_id(stmt.class_name)
     new_env = make_rebec_env(new_id, info, now=env.now)
@@ -387,16 +396,16 @@ def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
     effects.new_envs.append(new_env)
     env.locals[stmt.name] = RebecRef(new_id)
     effects.events.append(TraceEvent(
-        kind=EV_CREATED, time=env.now.ticks, rebec=new_id, sender=env.rebec_id,
+        kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
     ))
 
     msg = Message(receiver=new_id, method="initial", args=args,
-                  sender=env.rebec_id, tt=env.now, dl=Deadline.infinite())
+                  sender=env.rebec_id, tt=env.now, dl=NEVER)
     state.bag.append(msg)
     effects.messages.append(msg)
     effects.events.append(TraceEvent(
-        kind=EV_SENT, time=env.now.ticks, rebec=new_id, method="initial",
-        sender=env.rebec_id, tt=msg.tt.ticks, dl=str(msg.dl),
+        kind=EV_SENT, time=env.now, rebec=new_id, method="initial",
+        sender=env.rebec_id, tt=msg.tt, dl=deadline_text(msg.dl),
         args=msg.canon_args,
     ))
 
@@ -404,7 +413,7 @@ def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
 _DEFAULTS = {"int": IntV(0), "boolean": BoolV(False), "time": IntV(0)}
 
 
-def make_rebec_env(rebec_id: str, class_info, now: TimeValue) -> RebecEnv:
+def make_rebec_env(rebec_id: str, class_info, now: int) -> RebecEnv:
     env = RebecEnv(rebec_id, class_info.definition.name, now)
     for decl in class_info.definition.state_decls:
         env.set_var(decl.name, _DEFAULTS[decl.type])
@@ -437,10 +446,7 @@ def exec_method(msg: Message, state: SystemState,
 
     env.now = max(msg.tt, env.now)
     env.sender = msg.sender
-    env.locals = {
-        p.name: coerce_value(v, t)
-        for p, t, v in zip(method.definition.params, method.param_types, msg.args)
-    }
+    env.locals = {p.name: v for p, v in zip(method.definition.params, msg.args)}
     effects = ExecEffects(env=env)
     try:
         exec_block(method.definition.body, env, state, resolver, effects, msg.method)

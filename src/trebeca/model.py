@@ -1,14 +1,17 @@
 """Core data model for Timed Rebeca.
 
-Everything the other modules share lives here: logical time, deadlines,
-the syntax tree produced by the parser, runtime values, messages, rebec
-environments, whole-system states, trace events, and the canonical
-pretty-printer used by round-trip tests.
+Everything the other modules share lives here: the syntax tree produced
+by the parser, runtime values, messages, rebec environments, whole-system
+states, trace events, and the canonical pretty-printer used by round-trip
+tests.
+
+Logical time is a plain ``int`` of ticks everywhere: rebec clocks, message
+time tags and deadlines alike. ``NEVER`` marks a deadline that never
+expires.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Optional, Union
@@ -17,75 +20,15 @@ from typing import Optional, Union
 # main block rather than from a running rebec.
 EXTERNAL_ID = "external"
 
+# Ticks lie in [0, MAX_TICKS]. NEVER lies above every reachable tick, so it
+# sorts after every finite deadline and ``now <= NEVER`` always holds.
 MAX_TICKS = 2**63 - 1
+NEVER = MAX_TICKS + 1
 
 
-class TimeOverflowError(ArithmeticError):
-    """Raised when logical-time arithmetic leaves [0, MAX_TICKS]."""
-
-
-@total_ordering
-@dataclass(frozen=True)
-class TimeValue:
-    """A point on a rebec's logical clock, in whole ticks."""
-
-    ticks: int
-
-    def __post_init__(self) -> None:
-        if self.ticks < 0:
-            raise TimeOverflowError(f"negative time value: {self.ticks}")
-        if self.ticks > MAX_TICKS:
-            raise TimeOverflowError(f"time value above MAX_TICKS: {self.ticks}")
-
-    def advanced(self, amount: int) -> "TimeValue":
-        if amount < 0:
-            raise TimeOverflowError(f"cannot advance time by {amount}")
-        ticks = self.ticks + amount
-        if ticks > MAX_TICKS:
-            raise TimeOverflowError("time value overflow")
-        return TimeValue(ticks)
-
-    def __lt__(self, other: "TimeValue") -> bool:
-        return self.ticks < other.ticks
-
-
-T0 = TimeValue(0)
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Deadline:
-    """Absolute expiry time of a message; ``ticks is None`` means it never expires."""
-
-    ticks: Optional[int] = None
-
-    @classmethod
-    def finite(cls, time: TimeValue) -> "Deadline":
-        return cls(time.ticks)
-
-    @classmethod
-    def infinite(cls) -> "Deadline":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.ticks is None
-
-    def expired_at(self, now: TimeValue) -> bool:
-        return self.ticks is not None and now.ticks > self.ticks
-
-    def __lt__(self, other: "Deadline") -> bool:
-        if self.ticks is None:
-            return False
-        if other.ticks is None:
-            return True
-        return self.ticks < other.ticks
-
-    def __str__(self) -> str:
-        return "inf" if self.ticks is None else str(self.ticks)
-
-
-INFINITE = Deadline.infinite()
+def deadline_text(dl: int) -> str:
+    """A deadline as state keys, message keys and trace events write it."""
+    return "inf" if dl == NEVER else str(dl)
 
 
 # ---------------------------------------------------------------------------
@@ -301,37 +244,11 @@ class BoolV:
 
 
 @dataclass(frozen=True)
-class TimeV:
-    time: TimeValue
-
-
-@dataclass(frozen=True)
 class RebecRef:
     rebec_id: str
 
 
-Value = Union[IntV, BoolV, TimeV, RebecRef]
-
-
-def value_ticks(v: Value) -> int:
-    """Numeric content of an int- or time-valued Value."""
-    if isinstance(v, IntV):
-        return v.value
-    if isinstance(v, TimeV):
-        return v.time.ticks
-    raise TypeError(f"not a numeric value: {v!r}")
-
-
-def coerce_value(v: Value, type_name: str) -> Value:
-    """Normalize a value to the representation of a declared base type.
-
-    ``time`` is an alias of ``int``, so both store plain IntV: state
-    canonicalization stays stable whether a slot was filled from ``now()``
-    or from arithmetic.
-    """
-    if type_name in ("int", "time") and isinstance(v, TimeV):
-        return IntV(v.time.ticks)
-    return v
+Value = Union[IntV, BoolV, RebecRef]
 
 
 def canon_value(v: Value) -> str:
@@ -339,8 +256,6 @@ def canon_value(v: Value) -> str:
         return str(v.value)
     if isinstance(v, BoolV):
         return "true" if v.value else "false"
-    if isinstance(v, TimeV):
-        return f"t{v.time.ticks}"
     return f"@{v.rebec_id}"
 
 
@@ -352,8 +267,9 @@ def canon_value(v: Value) -> str:
 class Message:
     """One element of the system's message bag.
 
-    ``tt`` and ``dl`` are absolute: the sender's clock plus the relative
-    after/deadline offsets, fixed at send time.
+    ``tt`` and ``dl`` are absolute ticks: the sender's clock plus the
+    relative after/deadline offsets, fixed at send time; ``dl`` is NEVER
+    when the send had no deadline.
 
     The canonical forms are derived once, when the message is made, and
     every module reads them instead of re-rendering the arguments:
@@ -366,8 +282,8 @@ class Message:
     method: str
     args: tuple[Value, ...]
     sender: str
-    tt: TimeValue
-    dl: Deadline
+    tt: int
+    dl: int
     canon_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
     sort_key: tuple = field(init=False, repr=False, compare=False)
     key: tuple = field(init=False, repr=False, compare=False)
@@ -375,13 +291,13 @@ class Message:
 
     def __post_init__(self) -> None:
         canon_args = tuple([canon_value(a) for a in self.args])
-        tt, dl = self.tt.ticks, str(self.dl)
-        head = (tt, self.receiver, self.method, canon_args, self.sender)
+        dl = deadline_text(self.dl)
+        head = (self.tt, self.receiver, self.method, canon_args, self.sender)
         init = object.__setattr__
         init(self, "canon_args", canon_args)
-        init(self, "sort_key", head + (MAX_TICKS + 1 if self.dl.is_infinite else self.dl.ticks,))
+        init(self, "sort_key", head + (self.dl,))
         init(self, "key", head + (dl,))
-        init(self, "text", f"{tt}>{self.receiver}.{self.method}({','.join(canon_args)})"
+        init(self, "text", f"{self.tt}>{self.receiver}.{self.method}({','.join(canon_args)})"
                            f"<{self.sender}!{dl}")
 
 
@@ -404,7 +320,7 @@ class RebecEnv:
     __slots__ = ("rebec_id", "class_name", "_now", "_vars", "_knowns",
                  "state_vars", "knowns", "sender", "locals", "_key")
 
-    def __init__(self, rebec_id: str, class_name: str, now: TimeValue,
+    def __init__(self, rebec_id: str, class_name: str, now: int,
                  state_vars: Optional[dict] = None, knowns: Optional[dict] = None):
         self.rebec_id = rebec_id
         self.class_name = class_name
@@ -418,15 +334,11 @@ class RebecEnv:
         self._key: Optional[str] = None
 
     @property
-    def self_id(self) -> str:
-        return self.rebec_id
-
-    @property
-    def now(self) -> TimeValue:
+    def now(self) -> int:
         return self._now
 
     @now.setter
-    def now(self, value: TimeValue) -> None:
+    def now(self, value: int) -> None:
         self._now = value
         self._key = None
 
@@ -447,7 +359,7 @@ class RebecEnv:
             svs = ",".join([f"{name}={canon_value(v)}" for name, v in self._vars.items()])
             kns = ",".join([f"{name}=@{ref.rebec_id}"
                             for name, ref in sorted(self._knowns.items())])
-            key = self._key = f"{self.rebec_id}:{self.class_name}:{self._now.ticks}:{svs}:{kns}"
+            key = self._key = f"{self.rebec_id}:{self.class_name}:{self._now}:{svs}:{kns}"
         return key
 
     def copy(self) -> "RebecEnv":
@@ -457,7 +369,7 @@ class RebecEnv:
         return env
 
     def __repr__(self) -> str:
-        return f"RebecEnv({self.rebec_id}:{self.class_name} now={self._now.ticks})"
+        return f"RebecEnv({self.rebec_id}:{self.class_name} now={self._now})"
 
 
 class SystemState:

@@ -22,7 +22,6 @@ from .interp import (
 from .model import (
     BoolLit,
     BoolV,
-    Deadline,
     EV_CREATED,
     EV_ENDED,
     EV_PURGED,
@@ -32,15 +31,14 @@ from .model import (
     IntLit,
     IntV,
     Message,
+    NEVER,
     RebecRef,
     SystemState,
-    T0,
-    TimeV,
     TraceEvent,
     UnaryOp,
     Value,
     VarRef,
-    coerce_value,
+    deadline_text,
     message_sort_key,
 )
 from .parser import CheckedModel
@@ -126,13 +124,14 @@ def eligible(msg: Message, state: SystemState, mode: str = CHECK_LITERAL) -> boo
 
     ``literal`` keeps the side condition exactly as the rule states it
     (receiver clock <= deadline); ``effective`` also rejects messages whose
-    time tag alone is already past the deadline.
+    time tag alone is already past the deadline. A NEVER deadline lies above
+    every tick, so both hold for it.
     """
     receiver = state.envs[msg.receiver]
     if mode == CHECK_LITERAL:
-        return not msg.dl.expired_at(receiver.now)
+        return receiver.now <= msg.dl
     if mode == CHECK_EFFECTIVE:
-        return not msg.dl.expired_at(max(msg.tt, receiver.now))
+        return max(msg.tt, receiver.now) <= msg.dl
     raise ValueError(f"unknown deadline check mode {mode!r}")
 
 
@@ -145,12 +144,12 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
     expired = []
     for msg in state.bag:
         # A message without a deadline is eligible in every mode.
-        (keep if msg.dl.ticks is None or eligible(msg, state, mode) else expired).append(msg)
+        (keep if msg.dl == NEVER or eligible(msg, state, mode) else expired).append(msg)
     for msg in sorted(expired, key=message_sort_key):
         receiver = state.envs[msg.receiver]
         events.append(TraceEvent(
-            kind=EV_PURGED, time=receiver.now.ticks, rebec=msg.receiver,
-            method=msg.method, sender=msg.sender, tt=msg.tt.ticks, dl=str(msg.dl),
+            kind=EV_PURGED, time=receiver.now, rebec=msg.receiver,
+            method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
             args=msg.canon_args,
         ))
     state.bag = keep
@@ -165,10 +164,10 @@ def min_tt_candidates(state: SystemState) -> list[Message]:
     """
     if not state.bag:
         return []
-    lowest = min([msg.tt.ticks for msg in state.bag])
+    lowest = min([msg.tt for msg in state.bag])
     out: list[Message] = []
     # Equal messages have equal sort keys, so sorting makes duplicates adjacent.
-    for msg in sorted([m for m in state.bag if m.tt.ticks == lowest], key=message_sort_key):
+    for msg in sorted([m for m in state.bag if m.tt == lowest], key=message_sort_key):
         if not out or msg.sort_key != out[-1].sort_key:
             out.append(msg)
     return out
@@ -195,7 +194,7 @@ def scheduler_step(state: SystemState, policy: SchedulePolicy,
         return StepOutcome(events=events, reason=END_EXPIRED)
 
     candidates = min_tt_candidates(state)
-    if policy.horizon is not None and candidates[0].tt.ticks > policy.horizon:
+    if policy.horizon is not None and candidates[0].tt > policy.horizon:
         return StepOutcome(events=events, reason=END_HORIZON)
 
     if len(candidates) == 1 or policy.tie_break == TIE_FIXED:
@@ -213,14 +212,24 @@ def scheduler_step(state: SystemState, policy: SchedulePolicy,
 def execute_selected(state: SystemState, msg: Message,
                      recorder: RecordingResolver) -> tuple[list[TraceEvent], TraceEvent]:
     """Remove ``msg`` from the bag and run its method; shared by simulator,
-    explorer and replay so their traces agree byte for byte."""
-    state.bag.remove(msg)
+    explorer and replay so their traces agree byte for byte.
+
+    ``msg`` must be an object taken from ``state.bag``: it is removed by
+    identity, since any of several equal copies is the same transition.
+    """
+    bag = state.bag
+    for i, queued in enumerate(bag):
+        if queued is msg:
+            del bag[i]
+            break
+    else:
+        raise ValueError("selected message is not in the bag")
     receiver = state.envs[msg.receiver]
     exec_time = max(msg.tt, receiver.now)
     exec_events = exec_method(msg, state, recorder)
     selected_event = TraceEvent(
-        kind=EV_SELECTED, time=exec_time.ticks, rebec=msg.receiver,
-        method=msg.method, sender=msg.sender, tt=msg.tt.ticks, dl=str(msg.dl),
+        kind=EV_SELECTED, time=exec_time, rebec=msg.receiver,
+        method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
         args=msg.canon_args,
         choices=tuple(recorder.taken),
     )
@@ -248,9 +257,9 @@ def normalize_env_bindings(checked: CheckedModel, raw: dict) -> dict[str, Value]
             value = IntV(value)
         if expected == "boolean" and not isinstance(value, BoolV):
             raise ValueError(f"env variable {name!r} must be boolean")
-        if expected == "int" and not isinstance(value, (IntV, TimeV)):
+        if expected == "int" and not isinstance(value, IntV):
             raise ValueError(f"env variable {name!r} must be an integer")
-        bindings[name] = coerce_value(value, expected)
+        bindings[name] = value
     return bindings
 
 
@@ -274,23 +283,22 @@ def build_initial_state(checked: CheckedModel,
     events: list[TraceEvent] = []
     for inst in checked.model.main:
         info = checked.classes[inst.class_name]
-        env = make_rebec_env(inst.name, info, now=T0)
+        env = make_rebec_env(inst.name, info, now=0)
         for decl, arg in zip(info.definition.known_decls, inst.known_args):
             env.set_known(decl.name, RebecRef(arg))
         for decl, arg in zip(info.definition.state_decls, inst.init_args):
-            env.set_var(decl.name, coerce_value(
-                _init_arg_value(arg, env_bindings), decl.type))
+            env.set_var(decl.name, _init_arg_value(arg, env_bindings))
         state.add_rebec(env)
         events.append(TraceEvent(
             kind=EV_CREATED, time=0, rebec=inst.name, sender=EXTERNAL_ID,
         ))
     for inst in checked.model.main:
         msg = Message(receiver=inst.name, method="initial", args=(),
-                      sender=EXTERNAL_ID, tt=T0, dl=Deadline.infinite())
+                      sender=EXTERNAL_ID, tt=0, dl=NEVER)
         state.bag.append(msg)
         events.append(TraceEvent(
             kind=EV_SENT, time=0, rebec=inst.name, method="initial",
-            sender=EXTERNAL_ID, tt=0, dl="inf",
+            sender=EXTERNAL_ID, tt=0, dl=deadline_text(NEVER),
         ))
     return state, events
 

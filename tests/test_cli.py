@@ -98,6 +98,15 @@ def test_run_json_output(capsys):
     assert code in (0, 2, 3)
 
 
+def test_run_reports_a_runtime_fault_in_one_line(tmp_path, capsys):
+    model = tmp_path / "div.rebeca"
+    model.write_text("reactiveclass A { knownrebecs {} statevars { int n; }\n"
+                     "  msgsrv initial() { n = 1 / n; }\n}\nmain { A a():(); }\n")
+    assert main(["run", str(model), "--max-steps", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{model}: runtime error: a.initial at 2:28: division by zero\n"
+
+
 def test_explore_choice_delay_two_terminals(tmp_path, capsys):
     graph = tmp_path / "g.json"
     dot = tmp_path / "g.dot"

@@ -7,18 +7,16 @@ from trebeca.model import (
     Assign,
     BinaryOp,
     ChoiceExpr,
-    Deadline,
     DelayStmt,
     IfStmt,
     IntLit,
     IntV,
     Message,
+    NEVER,
     NewStmt,
     NowExpr,
     RebecRef,
     SendStmt,
-    TimeV,
-    TimeValue,
 )
 from trebeca.parser import load_model
 from trebeca.scheduler import (
@@ -112,8 +110,8 @@ def test_eval_arithmetic():
 def test_eval_now_reads_local_clock():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(7)
-    assert eval_expr(NowExpr(), env, state, no_choice()) == TimeV(TimeValue(7))
+    env.now = 7
+    assert eval_expr(NowExpr(), env, state, no_choice()) == IntV(7)
 
 
 def test_eval_choice_consults_resolver():
@@ -135,15 +133,15 @@ def test_rule_assign():
     stmt = Assign("x", BinaryOp("+", IntLit(2), IntLit(3)))
     exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
     assert env.state_vars["x"] == IntV(5)
-    assert state.bag == [] and env.now == TimeValue(0)
+    assert state.bag == [] and env.now == 0
 
 
 def test_rule_delay():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(5)
+    env.now = 5
     exec_stmt(DelayStmt(IntLit(3)), env, state, no_choice(), ExecEffects(env=env))
-    assert env.now == TimeValue(8)
+    assert env.now == 8
     assert state.bag == []
 
 
@@ -158,26 +156,25 @@ def test_rule_delay_rejects_negative():
 def test_rule_msg_with_after_and_deadline():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(10)
+    env.now = 10
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(1)],
                     after=IntLit(4), deadline=IntLit(7))
     stmt.target_class = "Beta"
     exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
     assert state.bag == [Message(receiver="beta", method="ping", args=(IntV(1),),
-                                 sender="alpha", tt=TimeValue(14),
-                                 dl=Deadline.finite(TimeValue(17)))]
-    assert env.now == TimeValue(10)  # sending does not advance the clock
+                                 sender="alpha", tt=14, dl=17)]
+    assert env.now == 10  # sending does not advance the clock
 
 
 def test_rule_msg_defaults_zero_after_infinite_deadline():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(10)
+    env.now = 10
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)])
     exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
     (msg,) = state.bag
-    assert msg.tt == TimeValue(10)
-    assert msg.dl.is_infinite
+    assert msg.tt == 10
+    assert msg.dl == NEVER
 
 
 def test_rule_msg_rejects_nonpositive_deadline():
@@ -191,15 +188,15 @@ def test_rule_msg_rejects_nonpositive_deadline():
 def test_rule_create():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(6)
+    env.now = 6
     effects = ExecEffects(env=env)
     exec_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), env, state, no_choice(), effects)
     new_id = "spawned#0"
     assert env.locals["fresh"] == RebecRef(new_id)
     created = state.envs[new_id]
-    assert created.now == TimeValue(6) and created.self_id == new_id
+    assert created.now == 6 and created.rebec_id == new_id
     assert state.bag == [Message(receiver=new_id, method="initial", args=(IntV(4),),
-                                 sender="alpha", tt=TimeValue(6), dl=Deadline.infinite())]
+                                 sender="alpha", tt=6, dl=NEVER)]
     assert effects.new_envs == [created]
 
 
@@ -224,13 +221,13 @@ def test_rule_cond2_false_branch():
 def test_rule_seq_threads_effects_left_to_right():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(5)
+    env.now = 5
     effects = ExecEffects(env=env)
     # delay(2); x = now();  entered at now=5 leaves x = 7
     exec_stmt(DelayStmt(IntLit(2)), env, state, no_choice(), effects)
     exec_stmt(Assign("t", NowExpr()), env, state, no_choice(), effects)
     assert env.state_vars["t"] == IntV(7)
-    assert env.now == TimeValue(7)
+    assert env.now == 7
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +235,24 @@ def test_rule_seq_threads_effects_left_to_right():
 
 
 def _msg(receiver, method, tt, dl=None, args=(), sender="alpha"):
-    deadline = Deadline.infinite() if dl is None else Deadline.finite(TimeValue(dl))
     return Message(receiver=receiver, method=method, args=tuple(args),
-                   sender=sender, tt=TimeValue(tt), dl=deadline)
+                   sender=sender, tt=tt, dl=NEVER if dl is None else dl)
 
 
 def test_scheduler_now_becomes_max_of_tt_and_clock():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(2)
+    env.now = 2
     exec_method(_msg("alpha", "initial", tt=5), state, no_choice())
-    assert env.now == TimeValue(5)
+    assert env.now == 5
 
 
 def test_scheduler_now_keeps_larger_clock():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(9)
+    env.now = 9
     exec_method(_msg("alpha", "initial", tt=5), state, no_choice())
-    assert env.now == TimeValue(9)
+    assert env.now == 9
 
 
 def test_exec_method_touches_only_the_receiver():
@@ -285,7 +281,7 @@ def test_scheduler_binds_sender_and_params_then_discards():
 def test_scheduler_purges_expired_deadline():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(9)
+    env.now = 9
     state.bag.append(_msg("alpha", "probe", tt=0, dl=8, args=(IntV(1),)))
     assert not eligible(state.bag[0], state, CHECK_LITERAL)
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), no_choice())
@@ -323,7 +319,7 @@ def test_scheduler_selects_minimal_time_tag():
 def test_scheduler_purges_before_selecting():
     state = fresh_state()
     env = state.envs["alpha"]
-    env.now = TimeValue(2)
+    env.now = 2
     expired = _msg("alpha", "probe", tt=3, dl=1, args=(IntV(1),))
     valid = _msg("beta", "ping", tt=5, args=(IntV(2),))
     state.bag.extend([expired, valid])
