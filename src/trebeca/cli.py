@@ -12,7 +12,6 @@ import csv
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -199,13 +198,15 @@ def cmd_explore(args) -> int:
     spec = _load_monitor(args.monitor, checked)
     try:
         result = explore(checked, _collect_env(args), bounds,
-                         deadline_check=args.deadline_check, workers=args.workers)
+                         deadline_check=args.deadline_check)
     except ValueError as exc:
         raise _Usage(str(exc))
     terminals = result.terminals()
     print(f"explored states={len(result.nodes)} edges={len(result.edges)}"
-          f" terminals={len(terminals)} truncated={result.truncated}",
-          file=sys.stderr)
+          f" terminals={len(terminals)} truncated={result.truncated}"
+          f" errors={len(result.error_branches)}", file=sys.stderr)
+    for branch in result.error_branches:
+        print(f"{args.model}: runtime error: {branch.message}", file=sys.stderr)
     if args.graph:
         _write_file(args.graph, result.to_json())
     if args.dot:
@@ -315,16 +316,11 @@ def cmd_sweep(args) -> int:
 
     jobs = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
     try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(one, jobs))
-        else:
-            rows = [one(job) for job in jobs]
+        rows = [one(job) for job in jobs]
     except ValueError as exc:
         raise _Usage(str(exc))
-    rows.sort(key=lambda r: (r[0], r[2]))
+    rows.sort(key=lambda r: (r[0], r[2]))  # seeds listed out of order write the same files
 
-    # One collector writes everything.
     try:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
         for index, point, seed, rel, trace, verdict in rows:
@@ -414,7 +410,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-states", type=int)
     p.add_argument("--deadline-check", choices=[CHECK_LITERAL, CHECK_EFFECTIVE],
                    default=CHECK_LITERAL)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--monitor", metavar="FILE")
     p.add_argument("--graph", metavar="FILE", help="write the graph as JSON")
     p.add_argument("--dot", metavar="FILE", help="write the graph as DOT")
@@ -430,7 +425,6 @@ def build_parser() -> _Parser:
     p.add_argument("--monitor", metavar="FILE")
     p.add_argument("--horizon", type=int)
     p.add_argument("--max-steps", type=int)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--cap", type=int, default=1000,
                    help="refuse sweeps larger than this without --force")
     p.add_argument("--force", action="store_true")

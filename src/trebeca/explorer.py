@@ -9,13 +9,11 @@ that graph.
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import ExecError, FixedResolver, PrefixResolver
+from .interp import ExecError, Resolver
 from .model import (
     EV_ENDED,
     Message,
@@ -204,7 +202,7 @@ def _enumerate_decisions(base: SystemState, msg: Message):
     while pending:
         prefix = pending.pop()
         work = base.clone()
-        resolver = PrefixResolver(prefix)
+        resolver = Resolver(prefix)
         error: Optional[str] = None
         try:
             exec_events, selected_event = execute_selected(work, msg, resolver)
@@ -224,7 +222,7 @@ def _enumerate_decisions(base: SystemState, msg: Message):
 
 
 def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
-            deadline_check: str = CHECK_LITERAL, workers: int = 1,
+            deadline_check: str = CHECK_LITERAL,
             stop_on: Optional[Callable[[TraceEvent], bool]] = None,
             guide: Optional[list[Decision]] = None,
             _tie_permute: Optional[Callable[[list], list]] = None) -> ExploreResult:
@@ -235,87 +233,75 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     ``guide`` restricts expansion to the states along one decision path
     (plus their one-step fringe): a cheap way to certify a witness found by
     simulation inside a sound, truncation-flagged subgraph.
-    The reachable key set is independent of tie enumeration order and of
-    ``workers`` whenever no bound is hit.
+    The reachable key set is independent of tie enumeration order whenever
+    no bound is hit.
     """
     bounds.require_bound()
     bindings = normalize_env_bindings(checked, env_bindings)
     root_state, root_events = build_initial_state(checked, bindings)
 
-    lock = threading.Lock()
     keys: dict[str, int] = {}
     nodes: list[Node] = []
-    states: dict[int, SystemState] = {}
+    states: dict[int, SystemState] = {}  # interned but not yet expanded
+    frontier: deque[int] = deque()
     edges: list[Edge] = []
     error_branches: list[ErrorBranch] = []
-    truncated = [False]
-    stop_hit = [False]
+    truncated = False
+    stop_hit = False
 
-    def intern_state(st: SystemState, depth: int) -> tuple[int, bool]:
+    def intern_state(st: SystemState, depth: int) -> int:
         key = state_key(st)
-        with lock:
-            nid = keys.get(key)
-            if nid is not None:
-                if depth < nodes[nid].depth:
-                    nodes[nid].depth = depth
-                return nid, False
-            nid = len(nodes)
-            keys[key] = nid
-            nodes.append(Node(key=key, depth=depth))
-            states[nid] = st
-            return nid, True
+        nid = keys.get(key)
+        if nid is not None:
+            if depth < nodes[nid].depth:
+                nodes[nid].depth = depth
+            return nid
+        nid = len(nodes)
+        keys[key] = nid
+        nodes.append(Node(key=key, depth=depth))
+        states[nid] = st
+        frontier.append(nid)
+        return nid
 
-    root_id, _ = intern_state(root_state, 0)
-    frontier: deque[int] = deque([root_id])
+    root_id = intern_state(root_state, 0)
 
     def expand(nid: int) -> None:
-        with lock:
-            state = states.pop(nid)
-            depth = nodes[nid].depth
+        nonlocal truncated, stop_hit
+        state = states.pop(nid)
+        node = nodes[nid]
+        depth = node.depth
         if bounds.max_steps is not None and depth >= bounds.max_steps:
-            with lock:
-                nodes[nid].terminal = END_MAX_STEPS
-                truncated[0] = True
+            node.terminal = END_MAX_STEPS
+            truncated = True
             return
         if not state.bag:
-            with lock:
-                nodes[nid].terminal = END_EMPTY
+            node.terminal = END_EMPTY
             return
         work = state.clone()
         purge_events = purge_expired(work, deadline_check)
         if not work.bag:
-            with lock:
-                nodes[nid].terminal = END_EXPIRED
-                nodes[nid].terminal_events = tuple(purge_events)
+            node.terminal = END_EXPIRED
+            node.terminal_events = tuple(purge_events)
             return
         candidates = min_tt_candidates(work)
         if bounds.horizon is not None and candidates[0].tt > bounds.horizon:
-            with lock:
-                nodes[nid].terminal = END_HORIZON
-                nodes[nid].terminal_events = tuple(purge_events)
-                truncated[0] = True
+            node.terminal = END_HORIZON
+            node.terminal_events = tuple(purge_events)
+            truncated = True
             return
         if _tie_permute is not None:
             candidates = _tie_permute(list(candidates))
-        new_frontier: list[int] = []
         for msg in candidates:
             for decision, result_state, payload in _enumerate_decisions(work, msg):
                 if result_state is None:
-                    with lock:
-                        error_branches.append(ErrorBranch(nid, decision, payload))
+                    error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
                 step_events = purge_events + payload
-                dst, fresh = intern_state(result_state, depth + 1)
-                edge = Edge(src=nid, dst=dst, decision=decision,
-                            time=payload[0].time, events=tuple(step_events))
-                with lock:
-                    edges.append(edge)
-                if fresh:
-                    new_frontier.append(dst)
+                dst = intern_state(result_state, depth + 1)
+                edges.append(Edge(src=nid, dst=dst, decision=decision,
+                                  time=payload[0].time, events=tuple(step_events)))
                 if stop_on is not None and any(stop_on(ev) for ev in step_events):
-                    stop_hit[0] = True
-        with lock:
-            frontier.extend(new_frontier)
+                    stop_hit = True
 
     def over_budget() -> bool:
         return bounds.max_states is not None and len(nodes) >= bounds.max_states
@@ -324,7 +310,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
         cur = root_id
         steps: dict[int, dict[Decision, int]] = {}  # out-edges of the expanded path states
         for decision in guide:
-            if stop_hit[0] or over_budget():
+            if stop_hit or over_budget():
                 break
             if cur in states:
                 first = len(edges)
@@ -334,42 +320,22 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             if nxt is None:
                 raise StalePathError(f"guide decision not available: {decision}")
             cur = nxt
-        if cur in states and not stop_hit[0]:
+        if cur in states and not stop_hit:
             expand(cur)
-        frontier.clear()
     else:
-        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
-            while frontier:
-                if stop_hit[0] or over_budget():
-                    truncated[0] = True
-                    while frontier:
-                        nid = frontier.popleft()
-                        if nid in states:
-                            nodes[nid].terminal = END_TRUNCATED
-                            states.pop(nid, None)
-                    break
-                if pool is None:
-                    expand(frontier.popleft())
-                else:
-                    batch = []
-                    while frontier and len(batch) < workers * 4:
-                        batch.append(frontier.popleft())
-                    list(pool.map(expand, batch))
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        while frontier and not (stop_hit or over_budget()):
+            expand(frontier.popleft())
 
-    # Unexpanded leftovers (guide fringe, exact budget hits) become truncated terminals.
-    for nid in list(states):
+    # States left unexpanded (guide fringe, a budget or stop_on cut) become
+    # truncated terminals.
+    for nid in states:
         nodes[nid].terminal = END_TRUNCATED
-        truncated[0] = True
-        states.pop(nid, None)
+        truncated = True
 
     result = ExploreResult(
         checked=checked, env_bindings=dict(env_bindings), bounds=bounds,
         deadline_check=deadline_check, nodes=nodes, edges=edges,
-        root_events=tuple(root_events), truncated=truncated[0],
+        root_events=tuple(root_events), truncated=truncated,
         error_branches=error_branches,
     )
     _canonicalize(result)
@@ -437,11 +403,14 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
         msg = candidates.get(decision.message)
         if msg is None:
             raise StalePathError(f"no eligible message matches {decision.message}")
-        resolver = FixedResolver(decision.choices)
+        resolver = Resolver([idx for _, _, idx in decision.choices])
         try:
             exec_events, selected_event = execute_selected(state, msg, resolver)
         except ExecError as exc:
             raise StalePathError(f"stale decision vector: {exc}") from exc
+        if tuple(resolver.taken) != decision.choices:
+            raise StalePathError(f"stale decision vector: recorded {decision.choices},"
+                                 f" the body took {tuple(resolver.taken)}")
         trace.append(*purge_events, selected_event, *exec_events)
         last_time = trace.events[-1].time
     reason, end_events, end_time = _termination_status(state, result, last_time)

@@ -8,8 +8,7 @@ messages in the bag and freshly created rebecs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Optional, Sequence
 
 from .model import (
     Assign,
@@ -62,84 +61,34 @@ class ExecError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-class ChoiceResolver(Protocol):
-    """Source of decisions for ``?(...)`` expressions: given a stable site id
-    and the number of alternatives, returns the index to take."""
+class Resolver:
+    """Source of decisions for ``?(...)`` expressions, given a stable site id
+    and the number of alternatives.
 
-    def choose(self, site: str, arity: int) -> int: ...
+    It takes the ``prefix`` indices first, then draws from ``rng``, or takes
+    index 0 when there is no rng, and records every (site, arity, index) it
+    returns in ``taken``. The simulator draws from its seeded rng; the
+    explorer enumerates a method's decision tree by re-running the body with
+    successive prefixes; replay passes a recorded vector's indices.
+    """
 
-
-class RandomResolver:
-    """Seeded pseudo-random decisions; the simulator's resolver."""
-
-    def __init__(self, rng: random.Random):
+    def __init__(self, prefix: Sequence[int] = (), rng: Optional[random.Random] = None):
+        self.prefix = prefix
         self.rng = rng
-
-    def choose(self, site: str, arity: int) -> int:
-        return self.rng.randrange(arity)
-
-
-class FixedResolver:
-    """Replays a recorded decision vector of (site, arity, index) triples."""
-
-    def __init__(self, decisions):
-        self.decisions = list(decisions)
         self.taken: list[tuple[str, int, int]] = []
 
     def choose(self, site: str, arity: int) -> int:
         pos = len(self.taken)
-        if pos >= len(self.decisions):
-            raise ExecError(f"decision vector exhausted at site {site}")
-        rec_site, rec_arity, idx = self.decisions[pos]
-        if rec_site != site or rec_arity != arity:
-            raise ExecError(
-                f"stale decision: recorded {rec_site}/{rec_arity}, replay hit {site}/{arity}"
-            )
-        self.taken.append((site, arity, idx))
-        return idx
-
-
-class RecordingResolver:
-    """Wraps another resolver and records every decision taken."""
-
-    def __init__(self, inner: ChoiceResolver):
-        self.inner = inner
-        self.taken: list[tuple[str, int, int]] = []
-
-    def choose(self, site: str, arity: int) -> int:
-        idx = self.inner.choose(site, arity)
-        self.taken.append((site, arity, idx))
-        return idx
-
-
-class PrefixResolver:
-    """Takes a fixed index prefix, then index 0; records (site, arity, index).
-
-    The explorer enumerates a method's decision tree by re-running the body
-    with successive prefixes.
-    """
-
-    def __init__(self, prefix: list[int]):
-        self.prefix = prefix
-        self.taken: list[tuple[str, int, int]] = []
-
-    def choose(self, site: str, arity: int) -> int:
-        idx = self.prefix[len(self.taken)] if len(self.taken) < len(self.prefix) else 0
+        if pos < len(self.prefix):
+            idx = self.prefix[pos]
+        elif self.rng is not None:
+            idx = self.rng.randrange(arity)
+        else:
+            idx = 0
         if not 0 <= idx < arity:
             raise ExecError(f"decision index {idx} out of range at site {site}")
         self.taken.append((site, arity, idx))
         return idx
-
-
-@dataclass
-class ExecEffects:
-    """What one statement (or body) did: the touched environment, rebecs it
-    created, messages it appended, and the events it emitted."""
-
-    env: RebecEnv
-    new_envs: list[RebecEnv] = field(default_factory=list)
-    messages: list[Message] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +96,7 @@ class ExecEffects:
 
 
 def eval_expr(expr: Expr, env: RebecEnv, state: SystemState,
-              resolver: ChoiceResolver) -> Value:
+              resolver: Resolver) -> Value:
     if isinstance(expr, IntLit):
         return IntV(expr.value)
     if isinstance(expr, BoolLit):
@@ -172,8 +121,6 @@ def eval_expr(expr: Expr, env: RebecEnv, state: SystemState,
     if isinstance(expr, ChoiceExpr):
         site = expr.site_id or "?unresolved"
         idx = resolver.choose(site, len(expr.options))
-        if not 0 <= idx < len(expr.options):
-            raise ExecError(f"choice index {idx} out of range at {site}", env.rebec_id)
         return eval_expr(expr.options[idx], env, state, resolver)
     if isinstance(expr, UnaryOp):
         v = eval_expr(expr.operand, env, state, resolver)
@@ -195,7 +142,7 @@ def _num(v: Value, env: RebecEnv, expr: Expr) -> int:
 
 
 def _eval_binary(expr: BinaryOp, env: RebecEnv, state: SystemState,
-                 resolver: ChoiceResolver) -> Value:
+                 resolver: Resolver) -> Value:
     op = expr.op
     if op in ("&&", "||"):
         left = eval_expr(expr.left, env, state, resolver)
@@ -254,16 +201,17 @@ def _values_equal(a: Value, b: Value, env: RebecEnv, expr: BinaryOp) -> bool:
 
 
 def exec_stmt(stmt: Stmt, env: RebecEnv, state: SystemState,
-              resolver: ChoiceResolver, effects: ExecEffects,
+              resolver: Resolver, events: list[TraceEvent],
               method_name: str = "?") -> None:
-    """Execute one statement; new messages and rebecs land in ``state``/
-    ``effects``, the clock and stores of ``env`` are updated in place.
+    """Execute one statement; new messages and rebecs land in ``state``,
+    the events it emits are appended to ``events``, and the clock and stores
+    of ``env`` are updated in place.
 
     A fault raised without its method (by expression evaluation or a
     resolver) is blamed on this rebec and method, at its own position if it
     has one, else at the statement's."""
     try:
-        _dispatch_stmt(stmt, env, state, resolver, effects, method_name)
+        _dispatch_stmt(stmt, env, state, resolver, events, method_name)
     except ExecError as err:
         if err.method == "?":
             raise ExecError(err.detail, env.rebec_id, method_name,
@@ -271,7 +219,7 @@ def exec_stmt(stmt: Stmt, env: RebecEnv, state: SystemState,
         raise
 
 
-def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
+def _dispatch_stmt(stmt, env, state, resolver, events, method_name) -> None:
     if isinstance(stmt, Assign):
         value = eval_expr(stmt.value, env, state, resolver)
         info = state.checked.classes[env.class_name]
@@ -287,17 +235,17 @@ def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
             raise ExecError(f"negative delay amount {amount}",
                             env.rebec_id, method_name, stmt.pos)
         env.now = _advance(env, amount, method_name, stmt)
-        effects.events.append(TraceEvent(
+        events.append(TraceEvent(
             kind=EV_DELAY, time=env.now, rebec=env.rebec_id, method=method_name,
         ))
         return
     if isinstance(stmt, NowStmt):
         return
     if isinstance(stmt, SendStmt):
-        _exec_send(stmt, env, state, resolver, effects, method_name)
+        _exec_send(stmt, env, state, resolver, events, method_name)
         return
     if isinstance(stmt, NewStmt):
-        _exec_new(stmt, env, state, resolver, effects, method_name)
+        _exec_new(stmt, env, state, resolver, events, method_name)
         return
     if isinstance(stmt, IfStmt):
         cond = eval_expr(stmt.cond, env, state, resolver)
@@ -305,7 +253,7 @@ def _dispatch_stmt(stmt, env, state, resolver, effects, method_name) -> None:
             raise ExecError("if condition is not boolean", env.rebec_id, method_name, stmt.pos)
         branch = stmt.then_body if cond.value else stmt.else_body
         if branch:
-            exec_block(branch, env, state, resolver, effects, method_name)
+            exec_block(branch, env, state, resolver, events, method_name)
         return
     raise ExecError(f"cannot execute {stmt!r}", env.rebec_id, method_name)
 
@@ -319,10 +267,10 @@ def _advance(env: RebecEnv, amount: int, method_name: str, stmt: Stmt) -> int:
 
 
 def exec_block(stmts: list[Stmt], env: RebecEnv, state: SystemState,
-               resolver: ChoiceResolver, effects: ExecEffects,
+               resolver: Resolver, events: list[TraceEvent],
                method_name: str = "?") -> None:
     for stmt in stmts:
-        exec_stmt(stmt, env, state, resolver, effects, method_name)
+        exec_stmt(stmt, env, state, resolver, events, method_name)
 
 
 def _resolve_target(stmt: SendStmt, env: RebecEnv) -> str:
@@ -338,7 +286,7 @@ def _resolve_target(stmt: SendStmt, env: RebecEnv) -> str:
 
 
 def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
-               resolver: ChoiceResolver, effects: ExecEffects, method_name: str) -> None:
+               resolver: Resolver, events: list[TraceEvent], method_name: str) -> None:
     receiver_id = _resolve_target(stmt, env)
     receiver_env = state.envs.get(receiver_id)
     if receiver_env is None:
@@ -370,8 +318,7 @@ def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
     msg = Message(receiver=receiver_id, method=stmt.method, args=args,
                   sender=env.rebec_id, tt=_advance(env, after, method_name, stmt), dl=dl)
     state.bag.append(msg)
-    effects.messages.append(msg)
-    effects.events.append(TraceEvent(
+    events.append(TraceEvent(
         kind=EV_SENT, time=env.now, rebec=receiver_id, method=msg.method,
         sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
         args=msg.canon_args,
@@ -379,7 +326,7 @@ def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
 
 
 def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
-              resolver: ChoiceResolver, effects: ExecEffects, method_name: str) -> None:
+              resolver: Resolver, events: list[TraceEvent], method_name: str) -> None:
     info = state.checked.classes.get(stmt.class_name)
     if info is None:
         raise ExecError(f"unknown class {stmt.class_name!r}",
@@ -393,17 +340,15 @@ def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
     new_id = state.fresh_rebec_id(stmt.class_name)
     new_env = make_rebec_env(new_id, info, now=env.now)
     state.add_rebec(new_env)
-    effects.new_envs.append(new_env)
     env.locals[stmt.name] = RebecRef(new_id)
-    effects.events.append(TraceEvent(
+    events.append(TraceEvent(
         kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
     ))
 
     msg = Message(receiver=new_id, method="initial", args=args,
                   sender=env.rebec_id, tt=env.now, dl=NEVER)
     state.bag.append(msg)
-    effects.messages.append(msg)
-    effects.events.append(TraceEvent(
+    events.append(TraceEvent(
         kind=EV_SENT, time=env.now, rebec=new_id, method="initial",
         sender=env.rebec_id, tt=msg.tt, dl=deadline_text(msg.dl),
         args=msg.canon_args,
@@ -425,7 +370,7 @@ def make_rebec_env(rebec_id: str, class_info, now: int) -> RebecEnv:
 
 
 def exec_method(msg: Message, state: SystemState,
-                resolver: ChoiceResolver) -> list[TraceEvent]:
+                resolver: Resolver) -> list[TraceEvent]:
     """Run a selected message's method body atomically; mutates ``state``
     and returns the events the execution emitted.
 
@@ -447,10 +392,10 @@ def exec_method(msg: Message, state: SystemState,
     env.now = max(msg.tt, env.now)
     env.sender = msg.sender
     env.locals = {p.name: v for p, v in zip(method.definition.params, msg.args)}
-    effects = ExecEffects(env=env)
+    events: list[TraceEvent] = []
     try:
-        exec_block(method.definition.body, env, state, resolver, effects, msg.method)
+        exec_block(method.definition.body, env, state, resolver, events, msg.method)
     finally:
         env.sender = None
         env.locals = {}
-    return effects.events
+    return events

@@ -3,7 +3,7 @@
 Each step purges expired messages, picks one of the messages carrying the
 globally smallest time tag, and executes the corresponding method to
 completion. Ties between equal time tags are genuine nondeterminism: the
-simulator resolves them with a seeded resolver, the explorer branches.
+simulator breaks them with a seeded rng, the explorer branches.
 """
 from __future__ import annotations
 
@@ -12,13 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .interp import (
-    ChoiceResolver,
-    RandomResolver,
-    RecordingResolver,
-    exec_method,
-    make_rebec_env,
-)
+from .interp import Resolver, exec_method, make_rebec_env
 from .model import (
     BoolLit,
     BoolV,
@@ -185,8 +179,10 @@ class StepOutcome:
 
 
 def scheduler_step(state: SystemState, policy: SchedulePolicy,
-                   resolver: ChoiceResolver) -> StepOutcome:
-    """One system transition, mutating ``state``; the caller owns the state."""
+                   rng: random.Random) -> StepOutcome:
+    """One system transition, mutating ``state``; the caller owns the state.
+
+    ``rng`` breaks time-tag ties and resolves the body's ``?(...)`` choices."""
     if not state.bag:
         return StepOutcome(events=[], reason=END_EMPTY)
     events = purge_expired(state, policy.deadline_check)
@@ -200,17 +196,16 @@ def scheduler_step(state: SystemState, policy: SchedulePolicy,
     if len(candidates) == 1 or policy.tie_break == TIE_FIXED:
         msg = candidates[0]
     elif policy.tie_break == TIE_SEEDED:
-        msg = candidates[resolver.choose("scheduler-tie", len(candidates))]
+        msg = candidates[rng.randrange(len(candidates))]
     else:
         raise ValueError(f"tie break {policy.tie_break!r} cannot run standalone")
 
-    recorder = RecordingResolver(resolver)
-    events_after, selected_event = execute_selected(state, msg, recorder)
+    events_after, selected_event = execute_selected(state, msg, Resolver(rng=rng))
     return StepOutcome(events=events + [selected_event] + events_after, selected=msg)
 
 
 def execute_selected(state: SystemState, msg: Message,
-                     recorder: RecordingResolver) -> tuple[list[TraceEvent], TraceEvent]:
+                     resolver: Resolver) -> tuple[list[TraceEvent], TraceEvent]:
     """Remove ``msg`` from the bag and run its method; shared by simulator,
     explorer and replay so their traces agree byte for byte.
 
@@ -226,12 +221,12 @@ def execute_selected(state: SystemState, msg: Message,
         raise ValueError("selected message is not in the bag")
     receiver = state.envs[msg.receiver]
     exec_time = max(msg.tt, receiver.now)
-    exec_events = exec_method(msg, state, recorder)
+    exec_events = exec_method(msg, state, resolver)
     selected_event = TraceEvent(
         kind=EV_SELECTED, time=exec_time, rebec=msg.receiver,
         method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
         args=msg.canon_args,
-        choices=tuple(recorder.taken),
+        choices=tuple(resolver.taken),
     )
     return exec_events, selected_event
 
@@ -314,14 +309,14 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     bindings = normalize_env_bindings(checked, env_bindings)
     state, init_events = build_initial_state(checked, bindings)
     trace = Trace(events=list(init_events))
-    resolver = RandomResolver(random.Random(seed))
+    rng = random.Random(seed)
     steps = 0
     last_time = 0
     while True:
         if policy.max_steps is not None and steps >= policy.max_steps:
             trace.append(TraceEvent(kind=EV_ENDED, time=last_time, reason=END_MAX_STEPS))
             return trace
-        outcome = scheduler_step(state, policy, resolver)
+        outcome = scheduler_step(state, policy, rng)
         trace.append(*outcome.events)
         if outcome.events:
             last_time = outcome.events[-1].time

@@ -120,6 +120,17 @@ def test_explore_choice_delay_two_terminals(tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
 
 
+def test_explore_reports_each_runtime_fault(tmp_path, capsys):
+    model = tmp_path / "overflow.rebeca"
+    model.write_text("reactiveclass A { knownrebecs {} statevars {}\n"
+                     "    msgsrv initial() { delay(9223372036854775807); self.go(); }\n"
+                     "    msgsrv go() { delay(5); }\n}\nmain { A a():(); }\n")
+    main(["explore", str(model), "--max-steps", "10"])
+    err = capsys.readouterr().err
+    assert err == ("explored states=2 edges=1 terminals=0 truncated=False errors=1\n"
+                   f"{model}: runtime error: a.go at 3:19: logical time overflow\n")
+
+
 def test_explore_monitor_exit_codes():
     code = main(["explore", TICKET, *env_args(), "--horizon", "15",
                  "--monitor", ISSUED_MON])
@@ -131,9 +142,7 @@ def test_explore_requires_bound():
 
 
 def test_sweep_three_rows(tmp_path):
-    spec = tmp_path / "sweep.txt"
-    spec.write_text(
-        "seeds: [0, 1, 2]\n"
+    grid = (
         "horizon: 30\n"
         "requestDeadline: [2]\n"
         "checkIssuedPeriod: [1, 2]\n"
@@ -142,16 +151,25 @@ def test_sweep_three_rows(tmp_path):
         "serviceTime1: [3]\n"
         "serviceTime2: [7]\n"
     )
-    out = tmp_path / "out"
-    code = main(["sweep", TICKET, str(spec), "--out", str(out),
-                 "--monitor", ISSUED_MON, "--workers", "2"])
-    assert code == 0
+    written = []
+    for name, seeds in (("in_order", "[0, 1, 2]"), ("out_of_order", "[2, 0, 1]")):
+        spec = tmp_path / f"{name}.txt"
+        spec.write_text(f"seeds: {seeds}\n" + grid)
+        out = tmp_path / name
+        code = main(["sweep", TICKET, str(spec), "--out", str(out),
+                     "--monitor", ISSUED_MON])
+        assert code == 0
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in out.rglob("*") if p.is_file()})
+    out = tmp_path / "in_order"
     results = (out / "results.csv").read_text().strip().splitlines()
     assert len(results) == 1 + 2 * 3  # header + points x seeds
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 2
     traces = sorted((out / "traces").iterdir())
     assert len(traces) == 6
+    # rows and traces follow (point, seed), not the order the seeds are listed in
+    assert written[0] == written[1]
 
 
 def test_sweep_cap_refusal(tmp_path):

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -14,7 +13,7 @@ from trebeca.explorer import (
     state_key,
     trace_decisions,
 )
-from trebeca.interp import PrefixResolver
+from trebeca.interp import Resolver
 from trebeca.model import IntV
 from trebeca.parser import load_model
 from trebeca.scheduler import (
@@ -74,12 +73,11 @@ def test_replay_reaches_the_edge_target(choice_delay_model):
         bindings = normalize_env_bindings(res.checked, res.env_bindings)
         state, _ = build_initial_state(res.checked, bindings)
         # re-execute through the scheduler to recompute the final key
-        from trebeca.interp import FixedResolver
         from trebeca.scheduler import execute_selected, min_tt_candidates, purge_expired
 
         purge_expired(state, "literal")
         (msg,) = [m for m in min_tt_candidates(state)]
-        execute_selected(state, msg, FixedResolver(edge.decision.choices))
+        execute_selected(state, msg, Resolver([idx for _, _, idx in edge.decision.choices]))
         assert state_key(state) == res.nodes[edge.dst].key
 
 
@@ -108,6 +106,16 @@ def test_stale_path_detected(ticket_model, choice_delay_model):
         follow(res, [bogus])
 
 
+def test_replay_rejects_a_choice_the_body_did_not_take(choice_delay_model):
+    res = explore(choice_delay_model, {}, ExploreBounds(horizon=10))
+    edge = next(e for e in res.edges if e.src == res.root)
+    padded = Decision(message=edge.decision.message,
+                      choices=edge.decision.choices + (("bogus", 2, 1),))
+    assert replay(res, [edge.decision]).end_reason == "empty-bag"
+    with pytest.raises(StalePathError):
+        replay(res, [padded])
+
+
 def test_order_independence_of_reachable_keys(ticket_model):
     base = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=15))
     rng = random.Random(5)
@@ -120,15 +128,6 @@ def test_order_independence_of_reachable_keys(ticket_model):
                        _tie_permute=permute)
     assert base.key_set() == shuffled.key_set()
     assert len(base.edges) == len(shuffled.edges)
-
-
-def test_worker_count_independence(sensor_model):
-    bounds = ExploreBounds(horizon=8)
-    solo = explore(sensor_model, SENSOR_ENV, bounds, workers=1)
-    pooled = explore(sensor_model, SENSOR_ENV, bounds, workers=4)
-    assert solo.key_set() == pooled.key_set()
-    assert [(e.src, e.decision, e.dst) for e in solo.edges] == \
-        [(e.src, e.decision, e.dst) for e in pooled.edges]
 
 
 def test_max_states_truncates(ticket_model):
@@ -204,7 +203,7 @@ def test_clone_copies_only_the_receiver_it_executes():
 
     work = original.clone()
     (msg,) = [m for m in work.bag if m.receiver == "a"]
-    execute_selected(work, msg, PrefixResolver([]))
+    execute_selected(work, msg, Resolver())
 
     assert state_key(original) == key
     assert _records(original) == records
@@ -228,17 +227,3 @@ def test_rebec_key_never_goes_stale(choice_delay_model):
     assert keys == ["w:Waiter:0:finished=0:", "w:Waiter:0:finished=3:", "w:Waiter:2:finished=3:"]
     with pytest.raises(TypeError):
         env.state_vars["finished"] = IntV(4)  # read-only view: no write can bypass the cache
-
-
-def test_shared_records_survive_thread_switches(ticket_model):
-    # Worker threads expand states whose unexecuted rebec records are shared;
-    # switching threads every few bytecodes must not change the graph.
-    bounds = ExploreBounds(horizon=12)
-    solo = explore(ticket_model, TICKET_ENV, bounds)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = explore(ticket_model, TICKET_ENV, bounds, workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert pooled.to_json() == solo.to_json()

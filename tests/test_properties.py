@@ -112,19 +112,6 @@ def check_order_independence(count: int, min_compared: int) -> None:
     assert compared >= min_compared
 
 
-def check_worker_independence(count: int) -> None:
-    for seed in range(count):
-        model, checked = checked_model(seed)
-        bounds = ExploreBounds(horizon=5, max_states=3000)
-        solo = explore(checked, env_for(model), bounds, workers=1)
-        if budget_truncated(solo):
-            continue
-        pooled = explore(checked, env_for(model), bounds, workers=3)
-        assert solo.key_set() == pooled.key_set(), f"seed {seed}"
-        assert [(e.src, e.decision, e.dst) for e in solo.edges] == \
-            [(e.src, e.decision, e.dst) for e in pooled.edges], f"seed {seed}"
-
-
 def check_containment(count: int) -> None:
     policy = SchedulePolicy(horizon=6)
     for seed in range(count):
@@ -151,10 +138,6 @@ def test_round_trip_generated():
 
 def test_explorer_order_independence():
     check_order_independence(80, min_compared=50)
-
-
-def test_explorer_worker_independence():
-    check_worker_independence(25)
 
 
 def test_runs_contained_in_graphs():

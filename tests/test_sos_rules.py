@@ -1,13 +1,16 @@
 """One unit test per method-execution rule and per scheduler side condition,
 each asserting the exact post-state the rule prescribes."""
+import random
+
 import pytest
 
-from trebeca.interp import ExecEffects, ExecError, FixedResolver, eval_expr, exec_method, exec_stmt
+from trebeca.interp import ExecError, Resolver, eval_expr, exec_method, exec_stmt
 from trebeca.model import (
     Assign,
     BinaryOp,
     ChoiceExpr,
     DelayStmt,
+    EV_CREATED,
     IfStmt,
     IntLit,
     IntV,
@@ -74,17 +77,6 @@ main {
 """
 
 
-class Const:
-    """Resolver pinned to one index."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def choose(self, site, arity):
-        assert self.k < arity
-        return self.k
-
-
 def fresh_state():
     checked = load_model(HARNESS_SRC)
     state, _ = build_initial_state(checked, normalize_env_bindings(checked, {}))
@@ -93,7 +85,7 @@ def fresh_state():
 
 
 def no_choice():
-    return FixedResolver([])
+    return Resolver()
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +111,8 @@ def test_eval_choice_consults_resolver():
     env = state.envs["alpha"]
     expr = ChoiceExpr([IntLit(3), IntLit(4)])
     expr.site_id = "test?0"
-    assert eval_expr(expr, env, state, Const(1)) == IntV(4)
-    assert eval_expr(expr, env, state, Const(0)) == IntV(3)
+    assert eval_expr(expr, env, state, Resolver([1])) == IntV(4)
+    assert eval_expr(expr, env, state, Resolver([0])) == IntV(3)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +123,7 @@ def test_rule_assign():
     state = fresh_state()
     env = state.envs["alpha"]
     stmt = Assign("x", BinaryOp("+", IntLit(2), IntLit(3)))
-    exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
+    exec_stmt(stmt, env, state, no_choice(), [])
     assert env.state_vars["x"] == IntV(5)
     assert state.bag == [] and env.now == 0
 
@@ -140,7 +132,7 @@ def test_rule_delay():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 5
-    exec_stmt(DelayStmt(IntLit(3)), env, state, no_choice(), ExecEffects(env=env))
+    exec_stmt(DelayStmt(IntLit(3)), env, state, no_choice(), [])
     assert env.now == 8
     assert state.bag == []
 
@@ -150,7 +142,7 @@ def test_rule_delay_rejects_negative():
     env = state.envs["alpha"]
     with pytest.raises(ExecError):
         exec_stmt(DelayStmt(BinaryOp("-", IntLit(0), IntLit(1))), env, state,
-                  no_choice(), ExecEffects(env=env))
+                  no_choice(), [])
 
 
 def test_rule_msg_with_after_and_deadline():
@@ -160,7 +152,7 @@ def test_rule_msg_with_after_and_deadline():
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(1)],
                     after=IntLit(4), deadline=IntLit(7))
     stmt.target_class = "Beta"
-    exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
+    exec_stmt(stmt, env, state, no_choice(), [])
     assert state.bag == [Message(receiver="beta", method="ping", args=(IntV(1),),
                                  sender="alpha", tt=14, dl=17)]
     assert env.now == 10  # sending does not advance the clock
@@ -171,7 +163,7 @@ def test_rule_msg_defaults_zero_after_infinite_deadline():
     env = state.envs["alpha"]
     env.now = 10
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)])
-    exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
+    exec_stmt(stmt, env, state, no_choice(), [])
     (msg,) = state.bag
     assert msg.tt == 10
     assert msg.dl == NEVER
@@ -182,22 +174,22 @@ def test_rule_msg_rejects_nonpositive_deadline():
     env = state.envs["alpha"]
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)], deadline=IntLit(0))
     with pytest.raises(ExecError):
-        exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
+        exec_stmt(stmt, env, state, no_choice(), [])
 
 
 def test_rule_create():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 6
-    effects = ExecEffects(env=env)
-    exec_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), env, state, no_choice(), effects)
+    events = []
+    exec_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), env, state, no_choice(), events)
     new_id = "spawned#0"
     assert env.locals["fresh"] == RebecRef(new_id)
     created = state.envs[new_id]
     assert created.now == 6 and created.rebec_id == new_id
     assert state.bag == [Message(receiver=new_id, method="initial", args=(IntV(4),),
                                  sender="alpha", tt=6, dl=NEVER)]
-    assert effects.new_envs == [created]
+    assert [ev.rebec for ev in events if ev.kind == EV_CREATED] == [new_id]
 
 
 def test_rule_cond1_true_branch():
@@ -205,7 +197,7 @@ def test_rule_cond1_true_branch():
     env = state.envs["alpha"]
     stmt = IfStmt(BinaryOp("==", IntLit(1), IntLit(1)),
                   [Assign("x", IntLit(1))], [Assign("x", IntLit(2))])
-    exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
+    exec_stmt(stmt, env, state, no_choice(), [])
     assert env.state_vars["x"] == IntV(1)
 
 
@@ -214,7 +206,7 @@ def test_rule_cond2_false_branch():
     env = state.envs["alpha"]
     stmt = IfStmt(BinaryOp("==", IntLit(1), IntLit(2)),
                   [Assign("x", IntLit(1))], [Assign("x", IntLit(2))])
-    exec_stmt(stmt, env, state, no_choice(), ExecEffects(env=env))
+    exec_stmt(stmt, env, state, no_choice(), [])
     assert env.state_vars["x"] == IntV(2)
 
 
@@ -222,10 +214,10 @@ def test_rule_seq_threads_effects_left_to_right():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 5
-    effects = ExecEffects(env=env)
+    events = []
     # delay(2); x = now();  entered at now=5 leaves x = 7
-    exec_stmt(DelayStmt(IntLit(2)), env, state, no_choice(), effects)
-    exec_stmt(Assign("t", NowExpr()), env, state, no_choice(), effects)
+    exec_stmt(DelayStmt(IntLit(2)), env, state, no_choice(), events)
+    exec_stmt(Assign("t", NowExpr()), env, state, no_choice(), events)
     assert env.state_vars["t"] == IntV(7)
     assert env.now == 7
 
@@ -284,7 +276,7 @@ def test_scheduler_purges_expired_deadline():
     env.now = 9
     state.bag.append(_msg("alpha", "probe", tt=0, dl=8, args=(IntV(1),)))
     assert not eligible(state.bag[0], state, CHECK_LITERAL)
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), no_choice())
+    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert outcome.reason == "all-expired"
     assert [ev.kind for ev in outcome.events] == ["msg_purged"]
     assert state.bag == []
@@ -311,7 +303,7 @@ def test_scheduler_selects_minimal_time_tag():
     m2 = _msg("beta", "ping", tt=5, args=(IntV(2),))
     state.bag.extend([m2, m1])
     assert min_tt_candidates(state) == [m1]
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), no_choice())
+    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert outcome.selected == m1
     assert state.bag == [m2]
 
@@ -323,21 +315,21 @@ def test_scheduler_purges_before_selecting():
     expired = _msg("alpha", "probe", tt=3, dl=1, args=(IntV(1),))
     valid = _msg("beta", "ping", tt=5, args=(IntV(2),))
     state.bag.extend([expired, valid])
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), no_choice())
+    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert [ev.kind for ev in outcome.events[:2]] == ["msg_purged", "msg_selected"]
     assert outcome.selected == valid
 
 
 def test_scheduler_empty_bag_terminates():
     state = fresh_state()
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), no_choice())
+    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert outcome.reason == "empty-bag"
 
 
 def test_scheduler_horizon_stops_before_executing():
     state = fresh_state()
     state.bag.append(_msg("alpha", "probe", tt=31, args=(IntV(1),)))
-    outcome = scheduler_step(state, SchedulePolicy(horizon=30), no_choice())
+    outcome = scheduler_step(state, SchedulePolicy(horizon=30), random.Random(0))
     assert outcome.reason == "horizon"
     assert state.bag != []  # nothing executed
 
