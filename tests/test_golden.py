@@ -1,9 +1,11 @@
-"""Golden fingerprints of exploration output.
+"""Golden fingerprints of exploration and simulation output.
 
 The digests below pin the exact bytes of ``to_json()`` for the bundled
-models and the exact reachable key sets of generated models. Any change to
-state keys, node numbering, edge order or message identity shows up here,
-so hot-path rewrites of the explorer can be checked against them.
+models, the exact reachable key sets of generated models and the exact
+bytes of ``to_jsonl()`` for seeded runs of every bundled model. Any change
+to state keys, node numbering, edge order, message identity or trace
+serialization shows up here, so hot-path rewrites of the explorer, the
+scheduler and both writers can be checked against them.
 
 Run this file as a script to print the current digests:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -20,7 +22,7 @@ from conftest import SENSOR_NAMES, TICKET_ENV, TICKET_NAMES, bundled_text  # noq
 from gen import generate_model  # noqa: E402
 from trebeca.explorer import ExploreBounds, explore  # noqa: E402
 from trebeca.parser import load_model, validate_model  # noqa: E402
-from trebeca.scheduler import CHECK_EFFECTIVE, CHECK_LITERAL  # noqa: E402
+from trebeca.scheduler import CHECK_EFFECTIVE, CHECK_LITERAL, SchedulePolicy, run  # noqa: E402
 
 # label -> (model file, env, bounds, deadline check)
 BUNDLED_CASES = {
@@ -40,6 +42,25 @@ BUNDLED_CASES = {
     "ticket_effective_h20": ("ticket_service.rebeca",
                              dict(zip(TICKET_NAMES, (2, 1, 1, 1, 3, 7))),
                              ExploreBounds(horizon=20), CHECK_EFFECTIVE),
+}
+
+# label -> (model file, env, seed, schedule policy). Between them the runs
+# end by horizon, max-steps, empty bag and all-expired, purge messages with
+# finite deadlines in both deadline-check modes, and take nondeterministic
+# choices.
+RUN_CASES = {
+    "ticket_h50_s3": ("ticket_service.rebeca", TICKET_ENV, 3, SchedulePolicy(horizon=50)),
+    "ticket_effective_h40_s1": ("ticket_service.rebeca",
+                                dict(zip(TICKET_NAMES, (2, 1, 1, 1, 3, 7))), 1,
+                                SchedulePolicy(horizon=40, deadline_check=CHECK_EFFECTIVE)),
+    "sensor_h30_s7": ("sensor_network.rebeca", dict(zip(SENSOR_NAMES, (1, 4, 2, 3, 2, 4))), 7,
+                      SchedulePolicy(horizon=30)),
+    "sensor_unstable_steps150_s2": ("sensor_network.rebeca",
+                                    dict(zip(SENSOR_NAMES, (2, 1, 1, 1, 4, 7))), 2,
+                                    SchedulePolicy(max_steps=150)),
+    "ping_pong_steps40_s0": ("ping_pong.rebeca", {}, 0, SchedulePolicy(max_steps=40)),
+    "choice_delay_h20_s5": ("choice_delay.rebeca", {}, 5, SchedulePolicy(horizon=20)),
+    "deadline_miss_h20_s0": ("deadline_miss.rebeca", {}, 0, SchedulePolicy(horizon=20)),
 }
 
 GENERATED_SEEDS = range(120)
@@ -92,6 +113,18 @@ GENERATED_DIGESTS = {
 }
 
 
+# sha256 of to_jsonl(), first 16 hex digits.
+RUN_DIGESTS = {
+    'choice_delay_h20_s5': '2e7517b2100e04e3',
+    'deadline_miss_h20_s0': '83f64d14a5514f18',
+    'ping_pong_steps40_s0': 'a1caa240f977dba8',
+    'sensor_h30_s7': '7c5d88a8f1f3f4c0',
+    'sensor_unstable_steps150_s2': '5bf9e6297005f320',
+    'ticket_effective_h40_s1': 'e4be8e61c72748f1',
+    'ticket_h50_s3': '3d7e7daa13cb742d',
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -109,9 +142,36 @@ def generated_digest(seed: int) -> str:
     return _sha("\n".join(sorted(result.key_set())))
 
 
+def run_trace(label: str):
+    name, env, seed, policy = RUN_CASES[label]
+    return run(load_model(bundled_text(name)), env, seed, policy)
+
+
+def run_digest(label: str) -> str:
+    return _sha(run_trace(label).to_jsonl())
+
+
 @pytest.mark.parametrize("label", sorted(BUNDLED_CASES))
 def test_bundled_graph_bytes_are_pinned(label):
     assert bundled_digest(label) == BUNDLED_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(RUN_CASES))
+def test_run_trace_bytes_are_pinned(label):
+    assert run_digest(label) == RUN_DIGESTS[label]
+
+
+def test_run_cases_cover_every_model_and_end():
+    traces = {label: run_trace(label) for label in RUN_CASES}
+    assert {RUN_CASES[label][0] for label in RUN_CASES} == {
+        "ticket_service.rebeca", "sensor_network.rebeca", "ping_pong.rebeca",
+        "choice_delay.rebeca", "deadline_miss.rebeca"}
+    assert {t.end_reason for t in traces.values()} == {
+        "horizon", "max-steps", "empty-bag", "all-expired"}
+    purged_dls = {ev.dl for ev in traces["deadline_miss_h20_s0"].events
+                  if ev.kind == "msg_purged"}
+    assert purged_dls and "inf" not in purged_dls
+    assert any(ev.kind == "msg_purged" for ev in traces["ticket_effective_h40_s1"].events)
 
 
 def test_generated_key_sets_are_pinned():
@@ -123,6 +183,10 @@ if __name__ == "__main__":
     print("BUNDLED_DIGESTS = {")
     for label in sorted(BUNDLED_CASES):
         print(f"    {label!r}: {bundled_digest(label)!r},")
+    print("}")
+    print("RUN_DIGESTS = {")
+    for label in sorted(RUN_CASES):
+        print(f"    {label!r}: {run_digest(label)!r},")
     print("}")
     print("GENERATED_DIGESTS = {")
     for seed in GENERATED_SEEDS:
