@@ -8,7 +8,6 @@ that graph.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,6 +18,8 @@ from .model import (
     Message,
     SystemState,
     TraceEvent,
+    json_int,
+    json_str,
 )
 from .parser import CheckedModel
 from .scheduler import (
@@ -142,38 +143,38 @@ class ExploreResult:
         return out
 
     def to_json(self) -> str:
-        doc = {
-            "root": 0,
-            "truncated": self.truncated,
-            "bounds": {
-                "horizon": self.bounds.horizon,
-                "max_steps": self.bounds.max_steps,
-                "max_states": self.bounds.max_states,
-            },
-            "nodes": [
-                {
-                    "id": i,
-                    "key": n.key,
-                    "depth": n.depth,
-                    "earliest_time": n.earliest_time,
-                    "terminal": n.terminal,
-                }
-                for i, n in enumerate(self.nodes)
-            ],
-            "edges": [
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "time": e.time,
-                    "message": list(e.decision.message[:3])
-                    + [list(e.decision.message[3])]
-                    + list(e.decision.message[4:]),
-                    "choices": [list(c) for c in e.decision.choices],
-                }
-                for e in self.edges
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """The graph document (README "Graph JSON") exactly as
+        ``json.dumps(doc, indent=2)`` writes it, without building ``doc``."""
+        nodes = [
+            f'    {{\n      "id": {i},\n      "key": {json_str(n.key)},\n'
+            f'      "depth": {n.depth},\n      "earliest_time": {n.earliest_time},\n'
+            f'      "terminal": {json_str(n.terminal)}\n    }}'
+            for i, n in enumerate(self.nodes)
+        ]
+        edges = []
+        for e in self.edges:
+            tt, receiver, method, args, sender, dl = e.decision.message
+            arg_items = [f"          {json_str(a)}" for a in args]
+            choice_items = [
+                f"        [\n          {json_str(site)},\n          {arity},\n"
+                f"          {idx}\n        ]"
+                for site, arity, idx in e.decision.choices
+            ]
+            edges.append(
+                f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n      "time": {e.time},\n'
+                f'      "message": [\n        {tt},\n        {json_str(receiver)},\n'
+                f'        {json_str(method)},\n        {_json_array(arg_items, "        ")},\n'
+                f'        {json_str(sender)},\n        {json_str(dl)}\n      ],\n'
+                f'      "choices": {_json_array(choice_items, "      ")}\n    }}'
+            )
+        return (
+            f'{{\n  "root": 0,\n  "truncated": {"true" if self.truncated else "false"},\n'
+            f'  "bounds": {{\n    "horizon": {json_int(self.bounds.horizon)},\n'
+            f'    "max_steps": {json_int(self.bounds.max_steps)},\n'
+            f'    "max_states": {json_int(self.bounds.max_states)}\n  }},\n'
+            f'  "nodes": {_json_array(nodes, "  ")},\n'
+            f'  "edges": {_json_array(edges, "  ")}\n}}\n'
+        )
 
     def to_dot(self) -> str:
         lines = ["digraph exploration {"]
@@ -186,6 +187,11 @@ class ExploreResult:
             lines.append(f'  n{e.src} -> n{e.dst} [label="{receiver}.{method}@{tt}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of written, indented items; ``pad`` indents its ``]``."""
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
 
 
 class StalePathError(Exception):

@@ -304,10 +304,14 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
         start = (result.root, root_state)
         # parents: product node -> (previous product node, edge taken)
         parents: dict[tuple[int, int], Optional[tuple[tuple[int, int], object]]] = {start: None}
+        # product node -> one successor per out-edge, for the cycle search;
+        # each (product node, edge) pair is folded once, here.
+        successors: dict[tuple[int, int], list[tuple[int, int]]] = {}
         queue = deque([start])
         path_outcomes: dict[str, tuple[int, int]] = {}  # status -> product node
         while queue:
             prod = queue.popleft()
+            succs = successors[prod] = []
             nid, st = prod
             node = result.nodes[nid]
             if node.terminal is not None:
@@ -322,13 +326,14 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
                 path_outcomes.setdefault(status, prod)
             for edge in out_edges[nid]:
                 nxt = (edge.dst, _fold_events(clause, st, edge.events))
+                succs.append(nxt)
                 if nxt not in parents:
                     parents[nxt] = (prod, edge)
                     queue.append(nxt)
         # A cycle inside the bounds is a real infinite run (zero-time loop):
         # it never decides the clause, so EVENTUALLY fails along it and the
         # safety clauses hold along it.
-        for prod in _cycle_states(parents, out_edges, result, clause):
+        for prod in _cycle_states(successors):
             st = prod[1]
             if st == _ST_GOOD:
                 status = PASS
@@ -371,19 +376,10 @@ def _path_to(parents, prod) -> Optional[list[Decision]]:
     return path
 
 
-def _cycle_states(parents, out_edges, result: ExploreResult, clause: Clause) -> set:
-    """Product states that can reach themselves again (divergent behaviour)."""
-    # Build the reachable product graph and look for any state inside a
-    # strongly connected component with an internal edge.
-    adjacency: dict = {}
-    for prod in parents:
-        nid, st = prod
-        succs = []
-        for edge in out_edges[nid]:
-            nxt = (edge.dst, _fold_events(clause, st, edge.events))
-            if nxt in parents:
-                succs.append(nxt)
-        adjacency[prod] = succs
+def _cycle_states(adjacency: dict) -> set:
+    """Product states that can reach themselves again (divergent behaviour):
+    the members of every strongly connected component of the reachable
+    product graph that has an internal edge."""
     # Iterative Tarjan.
     index: dict = {}
     low: dict = {}

@@ -7,7 +7,6 @@ simulator breaks them with a seeded rng, the explorer branches.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,6 +32,8 @@ from .model import (
     Value,
     VarRef,
     deadline_text,
+    json_int,
+    json_str,
     message_sort_key,
 )
 from .parser import CheckedModel
@@ -87,26 +88,19 @@ class Trace:
         return [ev for ev in self.events if ev.kind == EV_SELECTED]
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(_event_record(step, ev), separators=(",", ":")) + "\n"
-            for step, ev in enumerate(self.events)
-        )
-
-
-def _event_record(step: int, ev: TraceEvent) -> dict:
-    record = {
-        "step": step,
-        "kind": ev.kind,
-        "time": ev.time,
-        "rebec": ev.rebec,
-        "method": ev.method,
-        "sender": ev.sender,
-        "tt": ev.tt,
-        "dl": ev.dl,
-    }
-    if ev.kind == EV_ENDED:
-        record["reason"] = ev.reason
-    return record
+        """One JSON object per event, fields in fixed order, exactly as
+        ``json.dumps(record, separators=(",", ":"))`` writes it; only
+        ``run_ended`` adds its ``reason``."""
+        lines = []
+        for step, ev in enumerate(self.events):
+            line = (f'{{"step":{step},"kind":{json_str(ev.kind)},"time":{ev.time},'
+                    f'"rebec":{json_str(ev.rebec)},"method":{json_str(ev.method)},'
+                    f'"sender":{json_str(ev.sender)},"tt":{json_int(ev.tt)},'
+                    f'"dl":{json_str(ev.dl)}')
+            if ev.kind == EV_ENDED:
+                line += f',"reason":{json_str(ev.reason)}'
+            lines.append(line + "}\n")
+        return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
