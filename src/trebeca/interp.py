@@ -1,4 +1,12 @@
-"""Big-step execution of message-server bodies.
+"""Compiled, big-step execution of message-server bodies.
+
+``compile_method`` turns a checked method body into nested Python closures,
+one per syntax node (Feeley and Lapalme, "Using closures for code
+generation", 1987). It runs once per method, when the model is checked:
+every name is resolved to its kind (local, state variable, known rebec or
+env variable) and every operator to its code, so running a body walks no
+syntax tree. Values are plain ``int``, plain ``bool`` and ``RebecRef``; the
+checker has typed every expression, so no runtime type check is left.
 
 ``exec_method`` runs one method atomically against a SystemState: the
 receiver's clock jumps to max(message time tag, its current clock), the
@@ -8,29 +16,28 @@ messages in the bag and freshly created rebecs.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .model import (
     Assign,
     BinaryOp,
     BoolLit,
-    BoolV,
     ChoiceExpr,
     DelayStmt,
     EV_CREATED,
     EV_DELAY,
     EV_SENT,
-    EXTERNAL_ID,
     Expr,
     IfStmt,
     IntLit,
-    IntV,
     MAX_TICKS,
     Message,
+    MethodDef,
     NEVER,
     NewStmt,
     NowExpr,
     NowStmt,
+    Pos,
     RebecEnv,
     RebecRef,
     SelfExpr,
@@ -40,9 +47,7 @@ from .model import (
     SystemState,
     TraceEvent,
     UnaryOp,
-    Value,
     VarRef,
-    canon_value,
     deadline_text,
 )
 
@@ -92,270 +97,274 @@ class Resolver:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Frames and compiled methods
 
 
-def eval_expr(expr: Expr, env: RebecEnv, state: SystemState,
-              resolver: Resolver) -> Value:
-    if isinstance(expr, IntLit):
-        return IntV(expr.value)
-    if isinstance(expr, BoolLit):
-        return BoolV(expr.value)
-    if isinstance(expr, NowExpr):
-        return IntV(env.now)
-    if isinstance(expr, SelfExpr):
-        return RebecRef(env.rebec_id)
-    if isinstance(expr, SenderExpr):
-        return RebecRef(env.sender if env.sender is not None else EXTERNAL_ID)
-    if isinstance(expr, VarRef):
-        name = expr.name
-        if name in env.locals:
-            return env.locals[name]
-        if name in env.state_vars:
-            return env.state_vars[name]
-        if name in env.knowns:
-            return env.knowns[name]
-        if name in state.env_bindings:
-            return state.env_bindings[name]
-        raise ExecError(f"unknown name {name!r}", env.rebec_id, pos=expr.pos)
-    if isinstance(expr, ChoiceExpr):
-        site = expr.site_id or "?unresolved"
-        idx = resolver.choose(site, len(expr.options))
-        return eval_expr(expr.options[idx], env, state, resolver)
-    if isinstance(expr, UnaryOp):
-        v = eval_expr(expr.operand, env, state, resolver)
-        if expr.op == "!":
-            if not isinstance(v, BoolV):
-                raise ExecError("operand of '!' is not boolean", env.rebec_id, pos=expr.pos)
-            return BoolV(not v.value)
-        return IntV(-_num(v, env, expr))
-    if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, env, state, resolver)
-    raise ExecError(f"cannot evaluate {expr!r}", env.rebec_id)
+class Frame:
+    """One activation of a compiled body: the receiver's record, the state
+    it writes to, the resolver for its choices, the sender's id, the locals
+    by slot and the events emitted so far."""
+
+    __slots__ = ("env", "state", "resolver", "sender", "locals", "events")
+
+    def __init__(self, env: RebecEnv, state: SystemState, resolver: Resolver,
+                 sender: str, locals_: list):
+        self.env = env
+        self.state = state
+        self.resolver = resolver
+        self.sender = sender
+        self.locals = locals_
+        self.events: list[TraceEvent] = []
 
 
-def _num(v: Value, env: RebecEnv, expr: Expr) -> int:
-    if isinstance(v, IntV):
-        return v.value
-    raise ExecError(f"expected a numeric value, got {canon_value(v)}",
-                    env.rebec_id, pos=getattr(expr, "pos", None))
+Code = Callable[[Frame], object]
 
 
-def _eval_binary(expr: BinaryOp, env: RebecEnv, state: SystemState,
-                 resolver: Resolver) -> Value:
-    op = expr.op
-    if op in ("&&", "||"):
-        left = eval_expr(expr.left, env, state, resolver)
-        if not isinstance(left, BoolV):
-            raise ExecError(f"operand of {op!r} is not boolean", env.rebec_id, pos=expr.pos)
-        if op == "&&" and not left.value:
-            return BoolV(False)
-        if op == "||" and left.value:
-            return BoolV(True)
-        right = eval_expr(expr.right, env, state, resolver)
-        if not isinstance(right, BoolV):
-            raise ExecError(f"operand of {op!r} is not boolean", env.rebec_id, pos=expr.pos)
-        return right
-    left = eval_expr(expr.left, env, state, resolver)
-    right = eval_expr(expr.right, env, state, resolver)
-    if op in ("==", "!="):
-        eq = _values_equal(left, right, env, expr)
-        return BoolV(eq if op == "==" else not eq)
-    a, b = _num(left, env, expr.left), _num(right, env, expr.right)
-    if op == "+":
-        return IntV(a + b)
-    if op == "-":
-        return IntV(a - b)
-    if op == "*":
-        return IntV(a * b)
-    if op in ("/", "%"):
-        if b == 0:
-            raise ExecError("division by zero", env.rebec_id, pos=expr.pos)
-        if op == "/":
-            return IntV(int(a / b))  # C-style: truncate toward zero
-        return IntV(a - int(a / b) * b)
-    if op == "<":
-        return BoolV(a < b)
-    if op == "<=":
-        return BoolV(a <= b)
-    if op == ">":
-        return BoolV(a > b)
-    if op == ">=":
-        return BoolV(a >= b)
-    raise ExecError(f"unknown operator {op!r}", env.rebec_id, pos=expr.pos)
+class CompiledMethod(NamedTuple):
+    """A method body as a tuple of statement closures.
+
+    ``local_names[i]`` names frame slot ``i``: the parameters first, then
+    every other local in order of its first assignment. A call's slots are
+    its arguments followed by ``padding``.
+    """
+
+    body: tuple[Code, ...]
+    local_names: tuple[str, ...]
+    padding: tuple[None, ...]
 
 
-def _values_equal(a: Value, b: Value, env: RebecEnv, expr: BinaryOp) -> bool:
-    if isinstance(a, IntV) and isinstance(b, IntV):
-        return a.value == b.value
-    if isinstance(a, BoolV) and isinstance(b, BoolV):
-        return a.value == b.value
-    if isinstance(a, RebecRef) and isinstance(b, RebecRef):
-        return a.rebec_id == b.rebec_id
-    raise ExecError(f"cannot compare {canon_value(a)} with {canon_value(b)}",
-                    env.rebec_id, pos=expr.pos)
-
-
-# ---------------------------------------------------------------------------
-# Statement execution
-
-
-def exec_stmt(stmt: Stmt, env: RebecEnv, state: SystemState,
-              resolver: Resolver, events: list[TraceEvent],
-              method_name: str = "?") -> None:
-    """Execute one statement; new messages and rebecs land in ``state``,
-    the events it emits are appended to ``events``, and the clock and stores
-    of ``env`` are updated in place.
-
-    A fault raised without its method (by expression evaluation or a
-    resolver) is blamed on this rebec and method, at its own position if it
-    has one, else at the statement's."""
-    try:
-        _dispatch_stmt(stmt, env, state, resolver, events, method_name)
-    except ExecError as err:
-        if err.method == "?":
-            raise ExecError(err.detail, env.rebec_id, method_name,
-                            err.pos or getattr(stmt, "pos", None)) from err
-        raise
-
-
-def _dispatch_stmt(stmt, env, state, resolver, events, method_name) -> None:
-    if isinstance(stmt, Assign):
-        value = eval_expr(stmt.value, env, state, resolver)
-        info = state.checked.classes[env.class_name]
-        declared = info.state_types.get(stmt.name)
-        if declared is not None:
-            env.set_var(stmt.name, value)
-        else:
-            env.locals[stmt.name] = value
-        return
-    if isinstance(stmt, DelayStmt):
-        amount = _num(eval_expr(stmt.amount, env, state, resolver), env, stmt.amount)
-        if amount < 0:
-            raise ExecError(f"negative delay amount {amount}",
-                            env.rebec_id, method_name, stmt.pos)
-        env.now = _advance(env, amount, method_name, stmt)
-        events.append(TraceEvent(
-            kind=EV_DELAY, time=env.now, rebec=env.rebec_id, method=method_name,
-        ))
-        return
-    if isinstance(stmt, NowStmt):
-        return
-    if isinstance(stmt, SendStmt):
-        _exec_send(stmt, env, state, resolver, events, method_name)
-        return
-    if isinstance(stmt, NewStmt):
-        _exec_new(stmt, env, state, resolver, events, method_name)
-        return
-    if isinstance(stmt, IfStmt):
-        cond = eval_expr(stmt.cond, env, state, resolver)
-        if not isinstance(cond, BoolV):
-            raise ExecError("if condition is not boolean", env.rebec_id, method_name, stmt.pos)
-        branch = stmt.then_body if cond.value else stmt.else_body
-        if branch:
-            exec_block(branch, env, state, resolver, events, method_name)
-        return
-    raise ExecError(f"cannot execute {stmt!r}", env.rebec_id, method_name)
-
-
-def _advance(env: RebecEnv, amount: int, method_name: str, stmt: Stmt) -> int:
-    """``env.now + amount``; a tick past MAX_TICKS is a fault at ``stmt``."""
+def _advance(env: RebecEnv, amount: int, method: str, pos: Optional[Pos]) -> int:
+    """``env.now + amount``; a tick past MAX_TICKS is a fault at ``pos``."""
     ticks = env.now + amount
     if ticks > MAX_TICKS:
-        raise ExecError("logical time overflow", env.rebec_id, method_name, stmt.pos)
+        raise ExecError("logical time overflow", env.rebec_id, method, pos)
     return ticks
 
 
-def exec_block(stmts: list[Stmt], env: RebecEnv, state: SystemState,
-               resolver: Resolver, events: list[TraceEvent],
-               method_name: str = "?") -> None:
-    for stmt in stmts:
-        exec_stmt(stmt, env, state, resolver, events, method_name)
+NEVER_TEXT = deadline_text(NEVER)
+
+_BINARY: dict[str, Callable[[Code, Code], Code]] = {
+    "+": lambda l, r: lambda fr: l(fr) + r(fr),
+    "-": lambda l, r: lambda fr: l(fr) - r(fr),
+    "*": lambda l, r: lambda fr: l(fr) * r(fr),
+    "<": lambda l, r: lambda fr: l(fr) < r(fr),
+    "<=": lambda l, r: lambda fr: l(fr) <= r(fr),
+    ">": lambda l, r: lambda fr: l(fr) > r(fr),
+    ">=": lambda l, r: lambda fr: l(fr) >= r(fr),
+    "==": lambda l, r: lambda fr: l(fr) == r(fr),
+    "!=": lambda l, r: lambda fr: l(fr) != r(fr),
+    "&&": lambda l, r: lambda fr: l(fr) and r(fr),
+    "||": lambda l, r: lambda fr: l(fr) or r(fr),
+}
 
 
-def _resolve_target(stmt: SendStmt, env: RebecEnv) -> str:
-    if stmt.target == "self":
-        return env.rebec_id
-    if stmt.target in env.knowns:
-        return env.knowns[stmt.target].rebec_id
-    local = env.locals.get(stmt.target)
-    if isinstance(local, RebecRef):
-        return local.rebec_id
-    raise ExecError(f"send target {stmt.target!r} is not bound to a rebec",
-                    env.rebec_id, pos=stmt.pos)
+class _Compiler:
+    """Compiles the body of one method of one class.
+
+    Positions given to faults are compile-time constants: an operator's own
+    position, else that of the innermost enclosing statement (``at``).
+    """
+
+    def __init__(self, method: MethodDef, class_info, classes: dict):
+        self.method = method.name
+        self.class_info = class_info
+        self.classes = classes
+        self.slots: dict[str, int] = {p.name: i for i, p in enumerate(method.params)}
+
+    def block(self, stmts: list[Stmt]) -> tuple[Code, ...]:
+        # ``now();`` as a statement reads the clock and discards it: no code.
+        return tuple([self.stmt(s) for s in stmts if not isinstance(s, NowStmt)])
+
+    # -- expressions --------------------------------------------------------
+
+    def expr(self, e: Expr, at: Optional[Pos]) -> Code:
+        if isinstance(e, (IntLit, BoolLit)):
+            value = e.value
+            return lambda fr: value
+        if isinstance(e, VarRef):
+            return self.var(e.name)
+        if isinstance(e, NowExpr):
+            return lambda fr: fr.env.now
+        if isinstance(e, SelfExpr):
+            return lambda fr: RebecRef(fr.env.rebec_id)
+        if isinstance(e, SenderExpr):
+            return lambda fr: RebecRef(fr.sender)
+        if isinstance(e, ChoiceExpr):
+            return self.choice(e, at)
+        if isinstance(e, UnaryOp):
+            operand = self.expr(e.operand, at)
+            if e.op == "!":
+                return lambda fr: not operand(fr)
+            return lambda fr: -operand(fr)
+        if isinstance(e, BinaryOp):
+            left, right = self.expr(e.left, at), self.expr(e.right, at)
+            if e.op in ("/", "%"):
+                return self.division(e.op, left, right, e.pos or at)
+            return _BINARY[e.op](left, right)
+        raise TypeError(f"unknown expression node: {e!r}")
+
+    def var(self, name: str) -> Code:
+        # A parameter shadows an env variable of the same name; the checker
+        # keeps every other local apart from state variables, known rebecs
+        # and env variables.
+        slot = self.slots.get(name)
+        if slot is not None:
+            return lambda fr: fr.locals[slot]
+        if name in self.class_info.state_types:
+            return lambda fr: fr.env.state_vars[name]
+        if name in self.class_info.known_types:
+            return lambda fr: fr.env.knowns[name]
+        return lambda fr: fr.state.env_bindings[name]
+
+    def choice(self, e: ChoiceExpr, at: Optional[Pos]) -> Code:
+        site, method = e.site_id, self.method
+        options = tuple([self.expr(o, at) for o in e.options])
+        arity = len(options)
+
+        def choose(fr: Frame):
+            try:
+                idx = fr.resolver.choose(site, arity)
+            except ExecError as err:  # an index out of range: blame the statement
+                raise ExecError(err.detail, fr.env.rebec_id, method, at) from err
+            return options[idx](fr)
+        return choose
+
+    def division(self, op: str, left: Code, right: Code, pos: Optional[Pos]) -> Code:
+        method = self.method
+
+        def divide(fr: Frame) -> int:
+            a, b = left(fr), right(fr)
+            if b == 0:
+                raise ExecError("division by zero", fr.env.rebec_id, method, pos)
+            q = int(a / b)  # C-style: truncate toward zero
+            return q if op == "/" else a - q * b
+        return divide
+
+    # -- statements ---------------------------------------------------------
+
+    def stmt(self, s: Stmt) -> Code:
+        if isinstance(s, Assign):
+            return self.assign(s)
+        if isinstance(s, SendStmt):
+            return self.send(s)
+        if isinstance(s, NewStmt):
+            return self.new(s)
+        if isinstance(s, DelayStmt):
+            return self.delay(s)
+        if isinstance(s, IfStmt):
+            cond = self.expr(s.cond, s.pos)
+            then_body = self.block(s.then_body)
+            else_body = self.block(s.else_body or [])
+
+            def branch(fr: Frame) -> None:
+                for stmt in (then_body if cond(fr) else else_body):
+                    stmt(fr)
+            return branch
+        raise TypeError(f"unknown statement node: {s!r}")
+
+    def assign(self, s: Assign) -> Code:
+        value, name = self.expr(s.value, s.pos), s.name
+        if name in self.class_info.state_types:
+            return lambda fr: fr.env.set_var(name, value(fr))
+        slot = self.slots.setdefault(name, len(self.slots))
+
+        def assign_local(fr: Frame) -> None:
+            fr.locals[slot] = value(fr)
+        return assign_local
+
+    def delay(self, s: DelayStmt) -> Code:
+        amount, method, pos = self.expr(s.amount, s.pos), self.method, s.pos
+
+        def delay(fr: Frame) -> None:
+            env = fr.env
+            ticks = amount(fr)
+            if ticks < 0:
+                raise ExecError(f"negative delay amount {ticks}", env.rebec_id, method, pos)
+            env.now = _advance(env, ticks, method, pos)
+            fr.events.append(TraceEvent(
+                kind=EV_DELAY, time=env.now, rebec=env.rebec_id, method=method,
+            ))
+        return delay
+
+    def send(self, s: SendStmt) -> Code:
+        target, method, pos, server = s.target, self.method, s.pos, s.method
+        if target == "self":
+            receiver = lambda fr: fr.env.rebec_id
+        elif target in self.class_info.known_types:
+            receiver = lambda fr: fr.env.knowns[target].rebec_id
+        else:
+            slot = self.slots[target]
+            receiver = lambda fr: fr.locals[slot].rebec_id
+        args = tuple([self.expr(a, pos) for a in s.args])
+        after = None if s.after is None else self.expr(s.after, pos)
+        deadline = None if s.deadline is None else self.expr(s.deadline, pos)
+
+        def send(fr: Frame) -> None:
+            env = fr.env
+            receiver_id = receiver(fr)
+            if receiver_id not in fr.state.envs:
+                raise ExecError(f"send to unbound rebec {receiver_id!r}",
+                                env.rebec_id, method, pos)
+            values = tuple([arg(fr) for arg in args]) if args else ()
+            if after is None:
+                tt = env.now
+            else:
+                offset = after(fr)
+                if offset < 0:
+                    raise ExecError(f"negative after offset {offset}",
+                                    env.rebec_id, method, pos)
+                tt = _advance(env, offset, method, pos)
+            if deadline is None:
+                dl, dl_text = NEVER, NEVER_TEXT
+            else:
+                rel = deadline(fr)
+                if rel <= 0:
+                    raise ExecError(f"deadline offset must be positive, got {rel}",
+                                    env.rebec_id, method, pos)
+                dl = _advance(env, rel, method, pos)
+                dl_text = deadline_text(dl)
+            msg = Message(receiver_id, server, values, env.rebec_id, tt, dl)
+            fr.state.bag.append(msg)
+            # Positional, since a keyword call costs about twice as much:
+            # kind, time, rebec, method, sender, tt, dl, reason, args.
+            fr.events.append(TraceEvent(EV_SENT, env.now, receiver_id, server, msg.sender,
+                                        tt, dl_text, None, msg.canon_args))
+        return send
+
+    def new(self, s: NewStmt) -> Code:
+        class_name, info = s.class_name, self.classes[s.class_name]
+        args = tuple([self.expr(a, s.pos) for a in s.args])
+        slot = self.slots.setdefault(s.name, len(self.slots))
+
+        def new(fr: Frame) -> None:
+            env, state = fr.env, fr.state
+            values = tuple([arg(fr) for arg in args])
+            new_id = state.fresh_rebec_id(class_name)
+            state.add_rebec(make_rebec_env(new_id, info, now=env.now))
+            fr.locals[slot] = RebecRef(new_id)
+            msg = Message(receiver=new_id, method="initial", args=values,
+                          sender=env.rebec_id, tt=env.now, dl=NEVER)
+            state.bag.append(msg)
+            fr.events.append(TraceEvent(
+                kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
+            ))
+            fr.events.append(TraceEvent(
+                kind=EV_SENT, time=env.now, rebec=new_id, method="initial",
+                sender=env.rebec_id, tt=msg.tt, dl=NEVER_TEXT, args=msg.canon_args,
+            ))
+        return new
 
 
-def _exec_send(stmt: SendStmt, env: RebecEnv, state: SystemState,
-               resolver: Resolver, events: list[TraceEvent], method_name: str) -> None:
-    receiver_id = _resolve_target(stmt, env)
-    receiver_env = state.envs.get(receiver_id)
-    if receiver_env is None:
-        raise ExecError(f"send to unbound rebec {receiver_id!r}",
-                        env.rebec_id, method_name, stmt.pos)
-    target_info = state.checked.classes[receiver_env.class_name]
-    target_method = target_info.methods.get(stmt.method)
-    if target_method is None:
-        raise ExecError(f"{receiver_env.class_name} has no message server {stmt.method!r}",
-                        env.rebec_id, method_name, stmt.pos)
-
-    args = tuple([eval_expr(a, env, state, resolver) for a in stmt.args])
-
-    after = 0
-    if stmt.after is not None:
-        after = _num(eval_expr(stmt.after, env, state, resolver), env, stmt.after)
-        if after < 0:
-            raise ExecError(f"negative after offset {after}",
-                            env.rebec_id, method_name, stmt.pos)
-    if stmt.deadline is not None:
-        rel = _num(eval_expr(stmt.deadline, env, state, resolver), env, stmt.deadline)
-        if rel <= 0:
-            raise ExecError(f"deadline offset must be positive, got {rel}",
-                            env.rebec_id, method_name, stmt.pos)
-        dl = _advance(env, rel, method_name, stmt)
-    else:
-        dl = NEVER
-
-    msg = Message(receiver=receiver_id, method=stmt.method, args=args,
-                  sender=env.rebec_id, tt=_advance(env, after, method_name, stmt), dl=dl)
-    state.bag.append(msg)
-    events.append(TraceEvent(
-        kind=EV_SENT, time=env.now, rebec=receiver_id, method=msg.method,
-        sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
-        args=msg.canon_args,
-    ))
+def compile_method(method: MethodDef, class_info, classes: dict) -> CompiledMethod:
+    """Compile a checked method of ``class_info``'s class; ``classes`` maps
+    every class name of the model to its ClassInfo, for ``new``."""
+    compiler = _Compiler(method, class_info, classes)
+    body = compiler.block(method.body)
+    return CompiledMethod(body, tuple(compiler.slots),
+                          (None,) * (len(compiler.slots) - len(method.params)))
 
 
-def _exec_new(stmt: NewStmt, env: RebecEnv, state: SystemState,
-              resolver: Resolver, events: list[TraceEvent], method_name: str) -> None:
-    info = state.checked.classes.get(stmt.class_name)
-    if info is None:
-        raise ExecError(f"unknown class {stmt.class_name!r}",
-                        env.rebec_id, method_name, stmt.pos)
-    initial = info.methods.get("initial")
-    if initial is None:
-        raise ExecError(f"class {stmt.class_name!r} has no initial message server",
-                        env.rebec_id, method_name, stmt.pos)
-    args = tuple([eval_expr(a, env, state, resolver) for a in stmt.args])
-
-    new_id = state.fresh_rebec_id(stmt.class_name)
-    new_env = make_rebec_env(new_id, info, now=env.now)
-    state.add_rebec(new_env)
-    env.locals[stmt.name] = RebecRef(new_id)
-    events.append(TraceEvent(
-        kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
-    ))
-
-    msg = Message(receiver=new_id, method="initial", args=args,
-                  sender=env.rebec_id, tt=env.now, dl=NEVER)
-    state.bag.append(msg)
-    events.append(TraceEvent(
-        kind=EV_SENT, time=env.now, rebec=new_id, method="initial",
-        sender=env.rebec_id, tt=msg.tt, dl=deadline_text(msg.dl),
-        args=msg.canon_args,
-    ))
-
-
-_DEFAULTS = {"int": IntV(0), "boolean": BoolV(False), "time": IntV(0)}
+_DEFAULTS = {"int": 0, "boolean": False, "time": 0}
 
 
 def make_rebec_env(rebec_id: str, class_info, now: int) -> RebecEnv:
@@ -375,13 +384,13 @@ def exec_method(msg: Message, state: SystemState,
     and returns the events the execution emitted.
 
     The receiver's clock becomes max(msg.tt, clock) before the body runs
-    and keeps its final value afterwards; sender and locals are discarded.
+    and keeps its final value afterwards; the sender and the locals live in
+    a frame that is discarded.
     """
     if msg.receiver not in state.envs:
         raise ExecError(f"message receiver {msg.receiver!r} does not exist")
     env = state.own(msg.receiver)  # the body writes to its receiver only
-    info = state.checked.classes[env.class_name]
-    method = info.methods.get(msg.method)
+    method = state.checked.classes[env.class_name].methods.get(msg.method)
     if method is None:
         raise ExecError(f"no message server {msg.method!r}", env.rebec_id)
     if len(msg.args) != len(method.param_types):
@@ -390,12 +399,8 @@ def exec_method(msg: Message, state: SystemState,
             f" message carries {len(msg.args)}", env.rebec_id, msg.method)
 
     env.now = max(msg.tt, env.now)
-    env.sender = msg.sender
-    env.locals = {p.name: v for p, v in zip(method.definition.params, msg.args)}
-    events: list[TraceEvent] = []
-    try:
-        exec_block(method.definition.body, env, state, resolver, events, msg.method)
-    finally:
-        env.sender = None
-        env.locals = {}
-    return events
+    code = method.code
+    fr = Frame(env, state, resolver, msg.sender, [*msg.args, *code.padding])
+    for stmt in code.body:
+        stmt(fr)
+    return fr.events

@@ -245,28 +245,21 @@ class Model:
 
 
 @dataclass(frozen=True)
-class IntV:
-    value: int
-
-
-@dataclass(frozen=True)
-class BoolV:
-    value: bool
-
-
-@dataclass(frozen=True)
 class RebecRef:
     rebec_id: str
 
 
-Value = Union[IntV, BoolV, RebecRef]
+# A value is a plain ``int``, a plain ``bool`` or a RebecRef. ``True == 1`` in
+# Python, so code that tells values apart tests ``type(v)``, never ``==``.
+Value = Union[int, bool, RebecRef]
 
 
 def canon_value(v: Value) -> str:
-    if isinstance(v, IntV):
-        return str(v.value)
-    if isinstance(v, BoolV):
-        return "true" if v.value else "false"
+    t = type(v)
+    if t is int:
+        return str(v)
+    if t is bool:
+        return "true" if v else "false"
     return f"@{v.rebec_id}"
 
 
@@ -274,7 +267,6 @@ def canon_value(v: Value) -> str:
 # Messages, rebec environments, system states
 
 
-@dataclass(frozen=True)
 class Message:
     """One element of the system's message bag.
 
@@ -282,34 +274,55 @@ class Message:
     relative after/deadline offsets, fixed at send time; ``dl`` is NEVER
     when the send had no deadline.
 
-    The canonical forms are derived once, when the message is made, and
-    every module reads them instead of re-rendering the arguments:
-    ``canon_args`` (the trace events' ``args``), ``sort_key`` (canonical
-    bag order), ``key`` (the JSON-friendly identity in explorer decisions)
-    and ``text`` (the message's part of a state key).
+    Every module reads the canonical forms instead of re-rendering the
+    arguments: ``canon_args`` (the trace events' ``args``) and ``sort_key``
+    (canonical bag order, equality and hashing) are made with the message;
+    ``key`` (the JSON-friendly identity in explorer decisions) and ``text``
+    (the message's part of a state key) on first use, since a simulation
+    never reads them. A message is never mutated after construction.
     """
 
-    receiver: str
-    method: str
-    args: tuple[Value, ...]
-    sender: str
-    tt: int
-    dl: int
-    canon_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    key: tuple = field(init=False, repr=False, compare=False)
-    text: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("receiver", "method", "args", "sender", "tt", "dl",
+                 "canon_args", "sort_key", "key", "text")
 
-    def __post_init__(self) -> None:
-        canon_args = tuple([canon_value(a) for a in self.args])
-        dl = deadline_text(self.dl)
-        head = (self.tt, self.receiver, self.method, canon_args, self.sender)
-        init = object.__setattr__
-        init(self, "canon_args", canon_args)
-        init(self, "sort_key", head + (self.dl,))
-        init(self, "key", head + (dl,))
-        init(self, "text", f"{self.tt}>{self.receiver}.{self.method}({','.join(canon_args)})"
-                           f"<{self.sender}!{dl}")
+    def __init__(self, receiver: str, method: str, args: tuple[Value, ...],
+                 sender: str, tt: int, dl: int):
+        self.receiver = receiver
+        self.method = method
+        self.args = args
+        self.sender = sender
+        self.tt = tt
+        self.dl = dl
+        canon_args = self.canon_args = tuple(map(canon_value, args))
+        # The canonical args keep ``true`` apart from ``1``, so equality on
+        # sort_key stays type-strict.
+        self.sort_key = (tt, receiver, method, canon_args, sender, dl)
+
+    def __getattr__(self, name: str):
+        # Python calls this only while the ``key`` or ``text`` slot is still
+        # unset; once set, reading it is a plain slot read.
+        if name == "key":
+            value = self.sort_key[:5] + (deadline_text(self.dl),)
+        elif name == "text":
+            value = (f"{self.tt}>{self.receiver}.{self.method}({','.join(self.canon_args)})"
+                     f"<{self.sender}!{deadline_text(self.dl)}")
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Message):
+            return NotImplemented
+        return self.sort_key == other.sort_key
+
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
+
+    def __repr__(self) -> str:
+        return (f"Message(receiver={self.receiver!r}, method={self.method!r},"
+                f" args={self.args!r}, sender={self.sender!r}, tt={self.tt!r},"
+                f" dl={self.dl!r})")
 
 
 # Canonical bag order, as a ``sorted`` key.
@@ -317,10 +330,8 @@ message_sort_key = attrgetter("sort_key")
 
 
 class RebecEnv:
-    """The private store of one rebec.
-
-    ``sender`` and ``locals`` only carry meaning while a method of this rebec
-    executes; between executions they are cleared and ``now`` is frozen.
+    """The private store of one rebec: its clock, state variables and known
+    rebecs. A method's sender and locals live in its frame, not here.
 
     ``key()`` caches the rebec's part of a state key. Every change to
     ``now``, the state variables or the known rebecs goes through the
@@ -329,7 +340,7 @@ class RebecEnv:
     """
 
     __slots__ = ("rebec_id", "class_name", "_now", "_vars", "_knowns",
-                 "state_vars", "knowns", "sender", "locals", "_key")
+                 "state_vars", "knowns", "_key")
 
     def __init__(self, rebec_id: str, class_name: str, now: int,
                  state_vars: Optional[dict] = None, knowns: Optional[dict] = None):
@@ -340,8 +351,6 @@ class RebecEnv:
         self._knowns: dict[str, RebecRef] = {} if knowns is None else knowns
         self.state_vars = MappingProxyType(self._vars)
         self.knowns = MappingProxyType(self._knowns)
-        self.sender: Optional[str] = None
-        self.locals: dict[str, Value] = {}
         self._key: Optional[str] = None
 
     @property

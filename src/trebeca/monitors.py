@@ -164,10 +164,6 @@ _ST_BAD = 2       # fail, absorbing
 _ST_SEEN = 3      # PRECEDES only: required earlier event has occurred
 
 
-def _initial_state(clause: Clause) -> int:
-    return _ST_OPEN
-
-
 def _step(clause: Clause, st: int, ev: TraceEvent) -> tuple[int, Optional[TraceEvent]]:
     """Advance one event; returns (state, witness) where witness is set the
     moment the clause becomes decided."""
@@ -230,14 +226,6 @@ class ClauseVerdict:
 class Verdict:
     clauses: list[ClauseVerdict]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status == PASS for c in self.clauses)
-
-    @property
-    def any_fail(self) -> bool:
-        return any(c.status == FAIL for c in self.clauses)
-
 
 def check_trace(trace: Trace, spec: MonitorSpec) -> Verdict:
     """Evaluate every clause over one complete trace."""
@@ -245,7 +233,7 @@ def check_trace(trace: Trace, spec: MonitorSpec) -> Verdict:
     horizon = end.time if end is not None and end.reason == END_HORIZON else None
     out: list[ClauseVerdict] = []
     for clause in spec.clauses:
-        st = _initial_state(clause)
+        st = _ST_OPEN
         witness: Optional[TraceEvent] = None
         for ev in trace.events:
             st, hit = _step(clause, st, ev)
@@ -300,7 +288,7 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
     horizon = result.bounds.horizon
     verdicts = []
     for clause in spec.clauses:
-        root_state = _fold_events(clause, _initial_state(clause), result.root_events)
+        root_state = _fold_events(clause, _ST_OPEN, result.root_events)
         start = (result.root, root_state)
         # parents: product node -> (previous product node, edge taken)
         parents: dict[tuple[int, int], Optional[tuple[tuple[int, int], object]]] = {start: None}

@@ -7,9 +7,11 @@ diagnostics.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .interp import CompiledMethod, compile_method
 from .model import (
     Assign,
     BinaryOp,
@@ -46,11 +48,19 @@ KEYWORDS = {
 BASE_TYPES = ("int", "boolean", "time")
 RESERVED_NAMES = ("self", "now", "sender")
 
-_SYMBOLS = (
-    "&&", "||", "==", "!=", "<=", ">=",
-    "{", "}", "(", ")", ";", ",", ".", "=", "<", ">",
-    "+", "-", "*", "/", "%", "!", "?", ":",
-)
+# The lexemes, tried in this order at each position: decimal digits before
+# words, ``//`` and ``/*`` before the symbol ``/``, and multi-character
+# symbols before their one-character prefixes.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*.*?\*/)
+  | (?P<unterminated>/\*)
+  | (?P<symbol>&&|\|\||==|!=|<=|>=|[{}();,.=<>+\-*/%!?:])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ class SourceError(Exception):
         super().__init__("; ".join(e.render() for e in errors[:5]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # "ident" | "keyword" | "int" | "symbol" | "eof"
     text: str
@@ -80,64 +90,46 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
+    """Split ``source`` into tokens, ending in one ``eof`` token.
+
+    Columns count characters. A line comment leaves the column where the
+    comment starts. An identifier starts with a letter or ``_``, and an
+    integer is a run of decimal digits.
+    """
     tokens: list[Token] = []
     errors: list[ParseError] = []
+    match = _TOKEN_RE.match
     i, line, col = 0, 1, 1
     n = len(source)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            start = (line, col)
-            i, col = i + 2, col + 2
-            while i < n and not source.startswith("*/", i):
-                if source[i] == "\n":
-                    line, col = line + 1, 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                errors.append(ParseError(start, "unterminated block comment"))
-                break
-            i, col = i + 2, col + 2
-            continue
-        if ch.isdigit():
-            start = i
-            pos = (line, col)
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            col += i - start
-            tokens.append(Token("int", text, pos))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            pos = (line, col)
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            col += i - start
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, pos))
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("symbol", sym, (line, col)))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            errors.append(ParseError((line, col), f"unexpected character {ch!r}"))
-            i, col = i + 1, col + 1
+        m = match(source, i)
+        kind = m.lastgroup
+        text = m.group()
+        i = m.end()
+        if kind == "space" or kind == "block_comment":
+            newlines = text.count("\n")
+            if newlines:
+                line, col = line + newlines, len(text) - text.rfind("\n")
+            else:
+                col += len(text)
+        elif kind == "word":
+            first = text[0]
+            if first.isalpha() or first == "_":
+                tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, (line, col)))
+                col += len(text)
+            else:  # a digit that is not decimal, such as '²', or another numeral
+                errors.append(ParseError((line, col), f"unexpected character {first!r}"))
+                i, col = i - len(text) + 1, col + 1
+        elif kind == "symbol" or kind == "int":
+            tokens.append(Token(kind, text, (line, col)))
+            col += len(text)
+        elif kind == "unterminated":
+            errors.append(ParseError((line, col), "unterminated block comment"))
+            break
+        elif kind == "other":
+            errors.append(ParseError((line, col), f"unexpected character {text!r}"))
+            col += 1
+        # a line comment runs to the newline and leaves the column as it is
     tokens.append(Token("eof", "", (line, col)))
     if errors:
         raise SourceError(errors)
@@ -552,8 +544,10 @@ def parse_model(source: str) -> Model:
 class MethodInfo:
     definition: MethodDef
     param_types: list[str]
-    # Variable kinds and types visible in the body, filled during checking.
+    # Filled during checking.
     choice_sites: list[str] = field(default_factory=list)
+    # The body compiled to closures, once the whole model has checked.
+    code: Optional[CompiledMethod] = None
 
 
 @dataclass
@@ -624,6 +618,9 @@ class _Checker:
 
         if self.errors:
             raise SourceError(self.errors + self.warnings)
+        for info in self.classes.values():
+            for method_info in info.methods.values():
+                method_info.code = compile_method(method_info.definition, info, self.classes)
         return CheckedModel(
             model=self.model, classes=self.classes,
             env_types=self.env_types, warnings=self.warnings,

@@ -14,7 +14,6 @@ from typing import Optional
 from .interp import Resolver, exec_method, make_rebec_env
 from .model import (
     BoolLit,
-    BoolV,
     EV_CREATED,
     EV_ENDED,
     EV_PURGED,
@@ -22,7 +21,6 @@ from .model import (
     EV_SENT,
     EXTERNAL_ID,
     IntLit,
-    IntV,
     Message,
     NEVER,
     RebecRef,
@@ -230,8 +228,9 @@ def execute_selected(state: SystemState, msg: Message,
 
 
 def normalize_env_bindings(checked: CheckedModel, raw: dict) -> dict[str, Value]:
-    """Coerce plain ints/bools into Values and check the binding is total."""
-    bindings: dict[str, Value] = {}
+    """Check that the binding is total and that every value has its
+    variable's type: a ``bool`` for a boolean, an ``int`` but no ``bool``
+    for an int."""
     unknown = [name for name in raw if name not in checked.env_types]
     if unknown:
         raise ValueError(f"unknown env variable(s): {', '.join(sorted(unknown))}")
@@ -240,25 +239,18 @@ def normalize_env_bindings(checked: CheckedModel, raw: dict) -> dict[str, Value]
         raise ValueError(f"missing env binding(s): {', '.join(sorted(missing))}")
     for name, value in raw.items():
         expected = checked.env_types[name]
-        if isinstance(value, bool):
-            value = BoolV(value)
-        elif isinstance(value, int):
-            value = IntV(value)
-        if expected == "boolean" and not isinstance(value, BoolV):
+        if expected == "boolean" and type(value) is not bool:
             raise ValueError(f"env variable {name!r} must be boolean")
-        if expected == "int" and not isinstance(value, IntV):
+        if expected == "int" and type(value) is not int:
             raise ValueError(f"env variable {name!r} must be an integer")
-        bindings[name] = value
-    return bindings
+    return dict(raw)
 
 
 def _init_arg_value(expr, bindings: dict[str, Value]) -> Value:
-    if isinstance(expr, IntLit):
-        return IntV(expr.value)
-    if isinstance(expr, BoolLit):
-        return BoolV(expr.value)
+    if isinstance(expr, (IntLit, BoolLit)):
+        return expr.value
     if isinstance(expr, UnaryOp) and isinstance(expr.operand, IntLit):
-        return IntV(-expr.operand.value)
+        return -expr.operand.value
     if isinstance(expr, VarRef):
         return bindings[expr.name]
     raise ValueError(f"unsupported state initializer {expr!r}")

@@ -14,7 +14,6 @@ from trebeca.explorer import (
     trace_decisions,
 )
 from trebeca.interp import Resolver
-from trebeca.model import IntV
 from trebeca.parser import load_model
 from trebeca.scheduler import (
     SchedulePolicy,
@@ -211,7 +210,8 @@ def test_clone_copies_only_the_receiver_it_executes():
     assert set(work.envs) == {"a", "b", "b#0"}
     assert work.envs["a"] is not original.envs["a"]
     assert work.envs["b"] is original.envs["b"]  # untouched records stay shared
-    assert (work.envs["a"].now, work.envs["a"].state_vars["n"]) == (2, IntV(1))
+    n = work.envs["a"].state_vars["n"]
+    assert (work.envs["a"].now, n, type(n)) == (2, 1, int)
     assert state_key(work) != key
 
 
@@ -220,10 +220,10 @@ def test_rebec_key_never_goes_stale(choice_delay_model):
     state, _ = build_initial_state(choice_delay_model, bindings)
     env = state.envs["w"]
     keys = [env.key()]
-    env.set_var("finished", IntV(3))
+    env.set_var("finished", 3)
     keys.append(env.key())
     env.now += 2
     keys.append(env.key())
     assert keys == ["w:Waiter:0:finished=0:", "w:Waiter:0:finished=3:", "w:Waiter:2:finished=3:"]
     with pytest.raises(TypeError):
-        env.state_vars["finished"] = IntV(4)  # read-only view: no write can bypass the cache
+        env.state_vars["finished"] = 4  # read-only view: no write can bypass the cache

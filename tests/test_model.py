@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from conftest import bundled_text
 from trebeca.explorer import ExploreBounds, explore
-from trebeca.interp import ExecError
-from trebeca.model import MAX_TICKS, NEVER, IntV, Message, pretty_print
+from trebeca.interp import ExecError, Resolver
+from trebeca.model import MAX_TICKS, NEVER, Message, RebecEnv, pretty_print
 from trebeca.parser import load_model, parse_model
 from trebeca.scheduler import (
     CHECK_EFFECTIVE,
@@ -11,10 +13,12 @@ from trebeca.scheduler import (
     SchedulePolicy,
     build_initial_state,
     eligible,
+    execute_selected,
     min_tt_candidates,
     normalize_env_bindings,
     purge_expired,
     run,
+    scheduler_step,
 )
 
 # ``initial`` moves the clock to MAX_TICKS; ``go`` then tries to pass it.
@@ -58,6 +62,82 @@ def test_time_overflow_is_an_explore_error_branch():
     assert len(res.nodes) == 2 and len(res.edges) == 1
 
 
+# ``a.initial`` runs ``{stmt}``, which starts at line 2, column 24.
+FAULT_SRC = """reactiveclass A {{ knownrebecs {{ B peer; }} statevars {{ int n; }}
+    msgsrv initial() {{ {stmt} }}
+}}
+reactiveclass B {{ knownrebecs {{}} statevars {{}} msgsrv initial() {{}} msgsrv poke() {{}} }}
+main {{ A a(b):(); B b():(); }}
+"""
+
+
+def initial_fault(stmt, resolver=None, drop=()):
+    checked = load_model(FAULT_SRC.format(stmt=stmt))
+    state, _ = build_initial_state(checked, {})
+    for rebec_id in drop:
+        del state.envs[rebec_id]
+    (msg,) = [m for m in state.bag if m.receiver == "a"]
+    with pytest.raises(ExecError) as exc:
+        execute_selected(state, msg, resolver or Resolver())
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("n = 7 % n;", "a.initial at 2:30: division by zero"),
+    ("delay(n - 2);", "a.initial at 2:24: negative delay amount -2"),
+    ("peer.poke() after(n - 1);", "a.initial at 2:24: negative after offset -1"),
+    ("peer.poke() deadline(n);", "a.initial at 2:24: deadline offset must be positive, got 0"),
+], ids=["modulo", "delay", "after", "deadline"])
+def test_runtime_faults_have_exact_positioned_messages(stmt, message):
+    assert initial_fault(stmt) == message
+
+
+def test_send_to_an_unbound_rebec_is_a_positioned_fault():
+    assert initial_fault("peer.poke();", drop=["b"]) == (
+        "a.initial at 2:24: send to unbound rebec 'b'")
+
+
+def test_decision_out_of_range_blames_the_innermost_statement():
+    stmt = "if (?(1, 2) == 1) { n = ?(3, 4); }"
+    assert initial_fault(stmt, Resolver([0, 5])) == (
+        "a.initial at 2:44: decision index 5 out of range at site A.initial?1")
+    assert initial_fault(stmt, Resolver([2])) == (
+        "a.initial at 2:24: decision index 2 out of range at site A.initial?0")
+
+
+def test_int_one_and_boolean_true_stay_apart():
+    one, true = RebecEnv("r", "C", 0), RebecEnv("r", "C", 0)
+    one.set_var("v", 1)
+    true.set_var("v", True)
+    assert (one.key(), true.key()) == ("r:C:0:v=1:", "r:C:0:v=true:")
+    sent = [Message(receiver="r", method="m", args=(v,), sender="r", tt=0, dl=NEVER)
+            for v in (1, True)]
+    assert sent[0] != sent[1] and sent[0].text != sent[1].text
+
+
+def test_a_parameter_shadows_an_env_variable():
+    checked = load_model("env int k; reactiveclass A { knownrebecs {} statevars { int n; }"
+                         " msgsrv initial() { self.m(5); n = k; } msgsrv m(int k) { n = k; } }"
+                         " main { A a():(); }")
+    state, _ = build_initial_state(checked, normalize_env_bindings(checked, {"k": 9}))
+    policy = SchedulePolicy(max_steps=2)
+    scheduler_step(state, policy, random.Random(0))
+    assert state.envs["a"].state_vars["n"] == 9
+    scheduler_step(state, policy, random.Random(0))
+    assert state.envs["a"].state_vars["n"] == 5
+
+
+def test_env_bindings_keep_bool_and_int_apart():
+    checked = load_model("env int k; env boolean on;"
+                         " reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {} }"
+                         " main { A a():(); }")
+    assert normalize_env_bindings(checked, {"k": 1, "on": True}) == {"k": 1, "on": True}
+    with pytest.raises(ValueError, match="'k' must be an integer"):
+        normalize_env_bindings(checked, {"k": True, "on": True})
+    with pytest.raises(ValueError, match="'on' must be boolean"):
+        normalize_env_bindings(checked, {"k": 1, "on": 1})
+
+
 def deadline_state(now, *messages):
     checked = load_model("reactiveclass A { knownrebecs {} statevars {}"
                          " msgsrv initial() {} msgsrv m(int v) {} } main { A a():(); }")
@@ -68,7 +148,7 @@ def deadline_state(now, *messages):
 
 
 def msg(tt, dl):
-    return Message(receiver="a", method="m", args=(IntV(0),), sender="a", tt=tt, dl=dl)
+    return Message(receiver="a", method="m", args=(0,), sender="a", tt=tt, dl=dl)
 
 
 def test_deadline_equal_to_clock_is_eligible_in_both_modes():

@@ -4,22 +4,25 @@ import random
 
 import pytest
 
-from trebeca.interp import ExecError, Resolver, eval_expr, exec_method, exec_stmt
+from trebeca.interp import ExecError, Frame, Resolver, compile_method, exec_method
 from trebeca.model import (
     Assign,
     BinaryOp,
     ChoiceExpr,
     DelayStmt,
     EV_CREATED,
+    EXTERNAL_ID,
     IfStmt,
     IntLit,
-    IntV,
     Message,
+    MethodDef,
     NEVER,
     NewStmt,
     NowExpr,
     RebecRef,
     SendStmt,
+    SenderExpr,
+    VarRef,
 )
 from trebeca.parser import load_model
 from trebeca.scheduler import (
@@ -88,6 +91,37 @@ def no_choice():
     return Resolver()
 
 
+def run_stmt(stmt, env, state, resolver, events=None):
+    """Compile ``stmt`` as the whole body of a method of ``env``'s class,
+    with the compiler every checked method goes through, and run it on
+    ``env``; returns the frame's locals by name."""
+    checked = state.checked
+    code = compile_method(MethodDef("rule", [], [stmt]), checked.classes[env.class_name],
+                          checked.classes)
+    fr = Frame(env, state, resolver, EXTERNAL_ID, list(code.padding))
+    for compiled in code.body:
+        compiled(fr)
+    if events is not None:
+        events.extend(fr.events)
+    return dict(zip(code.local_names, fr.locals))
+
+
+def eval_expr(expr, env, state, resolver):
+    """The value of ``expr``, compiled as the right side of an assignment."""
+    return run_stmt(Assign("result", expr), env, state, resolver)["result"]
+
+
+def recompile(state, class_name, method_name):
+    """Compile a method again after a test edited its body."""
+    info = state.checked.classes[class_name]
+    method = info.methods[method_name]
+    method.code = compile_method(method.definition, info, state.checked.classes)
+
+
+def is_int(value, expected):
+    return type(value) is int and value == expected
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -96,14 +130,14 @@ def test_eval_arithmetic():
     state = fresh_state()
     env = state.envs["alpha"]
     value = eval_expr(BinaryOp("+", IntLit(2), IntLit(3)), env, state, no_choice())
-    assert value == IntV(5)
+    assert is_int(value, 5)
 
 
 def test_eval_now_reads_local_clock():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 7
-    assert eval_expr(NowExpr(), env, state, no_choice()) == IntV(7)
+    assert is_int(eval_expr(NowExpr(), env, state, no_choice()), 7)
 
 
 def test_eval_choice_consults_resolver():
@@ -111,8 +145,8 @@ def test_eval_choice_consults_resolver():
     env = state.envs["alpha"]
     expr = ChoiceExpr([IntLit(3), IntLit(4)])
     expr.site_id = "test?0"
-    assert eval_expr(expr, env, state, Resolver([1])) == IntV(4)
-    assert eval_expr(expr, env, state, Resolver([0])) == IntV(3)
+    assert is_int(eval_expr(expr, env, state, Resolver([1])), 4)
+    assert is_int(eval_expr(expr, env, state, Resolver([0])), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +157,8 @@ def test_rule_assign():
     state = fresh_state()
     env = state.envs["alpha"]
     stmt = Assign("x", BinaryOp("+", IntLit(2), IntLit(3)))
-    exec_stmt(stmt, env, state, no_choice(), [])
-    assert env.state_vars["x"] == IntV(5)
+    run_stmt(stmt, env, state, no_choice())
+    assert is_int(env.state_vars["x"], 5)
     assert state.bag == [] and env.now == 0
 
 
@@ -132,7 +166,7 @@ def test_rule_delay():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 5
-    exec_stmt(DelayStmt(IntLit(3)), env, state, no_choice(), [])
+    run_stmt(DelayStmt(IntLit(3)), env, state, no_choice())
     assert env.now == 8
     assert state.bag == []
 
@@ -141,8 +175,8 @@ def test_rule_delay_rejects_negative():
     state = fresh_state()
     env = state.envs["alpha"]
     with pytest.raises(ExecError):
-        exec_stmt(DelayStmt(BinaryOp("-", IntLit(0), IntLit(1))), env, state,
-                  no_choice(), [])
+        run_stmt(DelayStmt(BinaryOp("-", IntLit(0), IntLit(1))), env, state,
+                 no_choice())
 
 
 def test_rule_msg_with_after_and_deadline():
@@ -152,9 +186,10 @@ def test_rule_msg_with_after_and_deadline():
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(1)],
                     after=IntLit(4), deadline=IntLit(7))
     stmt.target_class = "Beta"
-    exec_stmt(stmt, env, state, no_choice(), [])
-    assert state.bag == [Message(receiver="beta", method="ping", args=(IntV(1),),
+    run_stmt(stmt, env, state, no_choice())
+    assert state.bag == [Message(receiver="beta", method="ping", args=(1,),
                                  sender="alpha", tt=14, dl=17)]
+    assert type(state.bag[0].args[0]) is int
     assert env.now == 10  # sending does not advance the clock
 
 
@@ -163,7 +198,7 @@ def test_rule_msg_defaults_zero_after_infinite_deadline():
     env = state.envs["alpha"]
     env.now = 10
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)])
-    exec_stmt(stmt, env, state, no_choice(), [])
+    run_stmt(stmt, env, state, no_choice())
     (msg,) = state.bag
     assert msg.tt == 10
     assert msg.dl == NEVER
@@ -174,7 +209,7 @@ def test_rule_msg_rejects_nonpositive_deadline():
     env = state.envs["alpha"]
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)], deadline=IntLit(0))
     with pytest.raises(ExecError):
-        exec_stmt(stmt, env, state, no_choice(), [])
+        run_stmt(stmt, env, state, no_choice())
 
 
 def test_rule_create():
@@ -182,13 +217,15 @@ def test_rule_create():
     env = state.envs["alpha"]
     env.now = 6
     events = []
-    exec_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), env, state, no_choice(), events)
+    locals_ = run_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), env, state, no_choice(),
+                       events)
     new_id = "spawned#0"
-    assert env.locals["fresh"] == RebecRef(new_id)
+    assert locals_["fresh"] == RebecRef(new_id)
     created = state.envs[new_id]
     assert created.now == 6 and created.rebec_id == new_id
-    assert state.bag == [Message(receiver=new_id, method="initial", args=(IntV(4),),
+    assert state.bag == [Message(receiver=new_id, method="initial", args=(4,),
                                  sender="alpha", tt=6, dl=NEVER)]
+    assert type(state.bag[0].args[0]) is int
     assert [ev.rebec for ev in events if ev.kind == EV_CREATED] == [new_id]
 
 
@@ -197,8 +234,8 @@ def test_rule_cond1_true_branch():
     env = state.envs["alpha"]
     stmt = IfStmt(BinaryOp("==", IntLit(1), IntLit(1)),
                   [Assign("x", IntLit(1))], [Assign("x", IntLit(2))])
-    exec_stmt(stmt, env, state, no_choice(), [])
-    assert env.state_vars["x"] == IntV(1)
+    run_stmt(stmt, env, state, no_choice())
+    assert is_int(env.state_vars["x"], 1)
 
 
 def test_rule_cond2_false_branch():
@@ -206,8 +243,8 @@ def test_rule_cond2_false_branch():
     env = state.envs["alpha"]
     stmt = IfStmt(BinaryOp("==", IntLit(1), IntLit(2)),
                   [Assign("x", IntLit(1))], [Assign("x", IntLit(2))])
-    exec_stmt(stmt, env, state, no_choice(), [])
-    assert env.state_vars["x"] == IntV(2)
+    run_stmt(stmt, env, state, no_choice())
+    assert is_int(env.state_vars["x"], 2)
 
 
 def test_rule_seq_threads_effects_left_to_right():
@@ -216,9 +253,9 @@ def test_rule_seq_threads_effects_left_to_right():
     env.now = 5
     events = []
     # delay(2); x = now();  entered at now=5 leaves x = 7
-    exec_stmt(DelayStmt(IntLit(2)), env, state, no_choice(), events)
-    exec_stmt(Assign("t", NowExpr()), env, state, no_choice(), events)
-    assert env.state_vars["t"] == IntV(7)
+    run_stmt(DelayStmt(IntLit(2)), env, state, no_choice(), events)
+    run_stmt(Assign("t", NowExpr()), env, state, no_choice(), events)
+    assert is_int(env.state_vars["t"], 7)
     assert env.now == 7
 
 
@@ -252,6 +289,7 @@ def test_exec_method_touches_only_the_receiver():
     state = fresh_state()
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(1)], after=IntLit(2))
     state.checked.classes["Alpha"].methods["initial"].definition.body.append(stmt)
+    recompile(state, "Alpha", "initial")
     before = {rid: (env.now, dict(env.state_vars)) for rid, env in state.envs.items()
               if rid != "alpha"}
     exec_method(_msg("alpha", "initial", tt=4), state, no_choice())
@@ -264,17 +302,23 @@ def test_exec_method_touches_only_the_receiver():
 def test_scheduler_binds_sender_and_params_then_discards():
     state = fresh_state()
     env = state.envs["alpha"]
-    exec_method(_msg("alpha", "probe", tt=0, args=(IntV(42),), sender="beta"), state,
+    # probe(v) { x = v; if (sender == peer) { t = v; } }
+    state.checked.classes["Alpha"].methods["probe"].definition.body.append(
+        IfStmt(BinaryOp("==", SenderExpr(), VarRef("peer")), [Assign("t", VarRef("v"))]))
+    recompile(state, "Alpha", "probe")
+    exec_method(_msg("alpha", "probe", tt=0, args=(42,), sender="beta"), state,
                 no_choice())
-    assert env.state_vars["x"] == IntV(42)
-    assert env.sender is None and env.locals == {}
+    assert is_int(env.state_vars["x"], 42) and is_int(env.state_vars["t"], 42)
+    # The record keeps its clock, state variables and knowns; the sender and
+    # the locals lived in the discarded frame.
+    assert env.key() == "alpha:Alpha:0:x=42,t=42:peer=@beta"
 
 
 def test_scheduler_purges_expired_deadline():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 9
-    state.bag.append(_msg("alpha", "probe", tt=0, dl=8, args=(IntV(1),)))
+    state.bag.append(_msg("alpha", "probe", tt=0, dl=8, args=(1,)))
     assert not eligible(state.bag[0], state, CHECK_LITERAL)
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert outcome.reason == "all-expired"
@@ -284,14 +328,14 @@ def test_scheduler_purges_expired_deadline():
 
 def test_scheduler_infinite_deadline_always_eligible():
     state = fresh_state()
-    state.bag.append(_msg("alpha", "probe", tt=0, args=(IntV(1),)))
+    state.bag.append(_msg("alpha", "probe", tt=0, args=(1,)))
     assert eligible(state.bag[0], state, CHECK_LITERAL)
 
 
 def test_eligible_literal_vs_effective_divergence():
     # receiver clock 0, tt 10, dl 5: serving it would start past the deadline
     state = fresh_state()
-    msg = _msg("alpha", "probe", tt=10, dl=5, args=(IntV(1),))
+    msg = _msg("alpha", "probe", tt=10, dl=5, args=(1,))
     state.bag.append(msg)
     assert eligible(msg, state, CHECK_LITERAL) is True
     assert eligible(msg, state, CHECK_EFFECTIVE) is False
@@ -299,8 +343,8 @@ def test_eligible_literal_vs_effective_divergence():
 
 def test_scheduler_selects_minimal_time_tag():
     state = fresh_state()
-    m1 = _msg("alpha", "probe", tt=3, args=(IntV(1),))
-    m2 = _msg("beta", "ping", tt=5, args=(IntV(2),))
+    m1 = _msg("alpha", "probe", tt=3, args=(1,))
+    m2 = _msg("beta", "ping", tt=5, args=(2,))
     state.bag.extend([m2, m1])
     assert min_tt_candidates(state) == [m1]
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
@@ -312,8 +356,8 @@ def test_scheduler_purges_before_selecting():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 2
-    expired = _msg("alpha", "probe", tt=3, dl=1, args=(IntV(1),))
-    valid = _msg("beta", "ping", tt=5, args=(IntV(2),))
+    expired = _msg("alpha", "probe", tt=3, dl=1, args=(1,))
+    valid = _msg("beta", "ping", tt=5, args=(2,))
     state.bag.extend([expired, valid])
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert [ev.kind for ev in outcome.events[:2]] == ["msg_purged", "msg_selected"]
@@ -328,7 +372,7 @@ def test_scheduler_empty_bag_terminates():
 
 def test_scheduler_horizon_stops_before_executing():
     state = fresh_state()
-    state.bag.append(_msg("alpha", "probe", tt=31, args=(IntV(1),)))
+    state.bag.append(_msg("alpha", "probe", tt=31, args=(1,)))
     outcome = scheduler_step(state, SchedulePolicy(horizon=30), random.Random(0))
     assert outcome.reason == "horizon"
     assert state.bag != []  # nothing executed
