@@ -279,7 +279,7 @@ class Message:
     (canonical bag order, equality and hashing) are made with the message;
     ``key`` (the JSON-friendly identity in explorer decisions) and ``text``
     (the message's part of a state key) on first use, since a simulation
-    never reads them. A message is never mutated after construction.
+    never reads them. No field changes after construction.
     """
 
     __slots__ = ("receiver", "method", "args", "sender", "tt", "dl",
