@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from .interp import ExecError, Resolver
 from .model import (
-    EV_ENDED,
     Message,
     SystemState,
     TraceEvent,
@@ -24,17 +23,14 @@ from .model import (
 from .parser import CheckedModel
 from .scheduler import (
     CHECK_LITERAL,
-    END_EMPTY,
-    END_EXPIRED,
     END_HORIZON,
     END_MAX_STEPS,
     END_PARTIAL,
     Trace,
     build_initial_state,
     execute_selected,
-    min_tt_candidates,
     normalize_env_bindings,
-    purge_expired,
+    prepare_step,
 )
 
 END_TRUNCATED = "truncated"
@@ -71,11 +67,12 @@ def state_key(state: SystemState) -> str:
     Rebec ids are assigned deterministically by creation order, so the fresh
     counter is implied by the live rebecs and stays out of the key. The key
     joins the fragments each rebec record and each message caches, so it
-    costs a sort of the ids and of the bag, not a rendering of every value.
+    costs a sort of the ids, not a rendering of every value; the bag is
+    already in canonical order.
     """
     envs = state.envs
     return ("|".join([envs[rid].key() for rid in sorted(envs)]) + "#"
-            + ";".join([m.text for m in state.sorted_bag()]))
+            + ";".join([m.text for m in state.bag]))
 
 
 @dataclass
@@ -280,25 +277,17 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             node.terminal = END_MAX_STEPS
             truncated = True
             return
-        if not state.bag:
-            node.terminal = END_EMPTY
-            return
-        work = state.clone()
-        purge_events = purge_expired(work, deadline_check)
-        if not work.bag:
-            node.terminal = END_EXPIRED
+        # The state is expanded once and then dropped, so it is purged in place.
+        purge_events, end, candidates = prepare_step(state, deadline_check, bounds.horizon)
+        if end is not None:
+            node.terminal = end
             node.terminal_events = tuple(purge_events)
-            return
-        candidates = min_tt_candidates(work)
-        if bounds.horizon is not None and candidates[0].tt > bounds.horizon:
-            node.terminal = END_HORIZON
-            node.terminal_events = tuple(purge_events)
-            truncated = True
+            truncated = truncated or end == END_HORIZON
             return
         if _tie_permute is not None:
-            candidates = _tie_permute(list(candidates))
+            candidates = _tie_permute(candidates)
         for msg in candidates:
-            for decision, result_state, payload in _enumerate_decisions(work, msg):
+            for decision, result_state, payload in _enumerate_decisions(state, msg):
                 if result_state is None:
                     error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
@@ -395,18 +384,21 @@ def follow(result: ExploreResult, path: list[Decision]) -> int:
 def replay(result: ExploreResult, path: list[Decision]) -> Trace:
     """Re-execute a decision path from the initial state.
 
-    The final run_ended reason reflects what the scheduler would do next
-    under the result's bounds: a path ending where the bag is empty ends
-    the same way a simulation would, anything else is marked partial.
+    Each decision must name a candidate of the scheduler's next step under
+    the result's deadline mode and horizon. The final run_ended reason is
+    what the scheduler would do next: a path ending where the run ends
+    (empty bag, all expired, horizon) ends the same way a simulation would,
+    anything else is marked partial.
     """
     bindings = normalize_env_bindings(result.checked, result.env_bindings)
     state, init_events = build_initial_state(result.checked, bindings)
     trace = Trace(events=list(init_events))
-    last_time = 0
+    horizon = result.bounds.horizon
     for decision in path:
-        purge_events = purge_expired(state, result.deadline_check)
-        candidates = {m.key: m for m in min_tt_candidates(state)}
-        msg = candidates.get(decision.message)
+        purge_events, end, candidates = prepare_step(state, result.deadline_check, horizon)
+        if end is not None:
+            raise StalePathError(f"the run ends ({end}) before {decision.message}")
+        msg = next((m for m in candidates if m.key == decision.message), None)
         if msg is None:
             raise StalePathError(f"no eligible message matches {decision.message}")
         resolver = Resolver([idx for _, _, idx in decision.choices])
@@ -418,21 +410,10 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
             raise StalePathError(f"stale decision vector: recorded {decision.choices},"
                                  f" the body took {tuple(resolver.taken)}")
         trace.append(*purge_events, selected_event, *exec_events)
-        last_time = trace.events[-1].time
-    reason, end_events, end_time = _termination_status(state, result, last_time)
-    trace.append(*end_events)
-    trace.append(TraceEvent(kind=EV_ENDED, time=end_time, reason=reason))
+    purge_events, end, _ = prepare_step(state, result.deadline_check, horizon)
+    if end is None:
+        end = END_PARTIAL  # the purges belong to a step the path does not take
+    else:
+        trace.append(*purge_events)
+    trace.end(end, horizon)
     return trace
-
-
-def _termination_status(state: SystemState, result: ExploreResult, last_time: int):
-    if not state.bag:
-        return END_EMPTY, [], last_time
-    probe = state.clone()
-    purge_events = purge_expired(probe, result.deadline_check)
-    if not probe.bag:
-        return END_EXPIRED, purge_events, (purge_events[-1].time if purge_events else last_time)
-    horizon = result.bounds.horizon
-    if horizon is not None and min(m.tt for m in probe.bag) > horizon:
-        return END_HORIZON, purge_events, horizon
-    return END_PARTIAL, [], last_time

@@ -324,7 +324,7 @@ class _Compiler:
                 dl = _advance(env, rel, method, pos)
                 dl_text = deadline_text(dl)
             msg = Message(receiver_id, server, values, env.rebec_id, tt, dl)
-            fr.state.bag.append(msg)
+            fr.state.add_message(msg)
             # Positional, since a keyword call costs about twice as much:
             # kind, time, rebec, method, sender, tt, dl, reason, args.
             fr.events.append(TraceEvent(EV_SENT, env.now, receiver_id, server, msg.sender,
@@ -344,7 +344,7 @@ class _Compiler:
             fr.locals[slot] = RebecRef(new_id)
             msg = Message(receiver=new_id, method="initial", args=values,
                           sender=env.rebec_id, tt=env.now, dl=NEVER)
-            state.bag.append(msg)
+            state.add_message(msg)
             fr.events.append(TraceEvent(
                 kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
             ))

@@ -11,6 +11,7 @@ expires.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -233,12 +234,6 @@ class Model:
     classes: list[ReactiveClassDef]
     main: list[InstanceDecl]
 
-    def class_def(self, name: str) -> Optional[ReactiveClassDef]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Runtime values
@@ -325,7 +320,7 @@ class Message:
                 f" dl={self.dl!r})")
 
 
-# Canonical bag order, as a ``sorted`` key.
+# Canonical bag order, as a ``key=`` function.
 message_sort_key = attrgetter("sort_key")
 
 
@@ -395,6 +390,11 @@ class RebecEnv:
 class SystemState:
     """A pair of rebec environments and the message bag, plus bookkeeping.
 
+    The bag is a multiset kept in canonical order (``Message.sort_key``) at
+    all times: messages enter it only through ``add_message``, and nothing
+    reorders it. The messages with the smallest time tag are its prefix, and
+    a state key joins it as it stands.
+
     Owned by exactly one executor at a time. ``clone`` copies the ``envs``
     dict and the bag list but shares the rebec records with the original,
     so a clone costs O(rebecs + bag) pointer copies. A shared record is never
@@ -441,8 +441,9 @@ class SystemState:
             raise RuntimeError(f"fresh rebec id collision: {rid}")
         return rid
 
-    def sorted_bag(self) -> list[Message]:
-        return sorted(self.bag, key=message_sort_key)
+    def add_message(self, msg: Message) -> None:
+        """Put ``msg`` into the bag at its place in canonical order."""
+        insort(self.bag, msg, key=message_sort_key)
 
 
 # ---------------------------------------------------------------------------

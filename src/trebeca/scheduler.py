@@ -32,7 +32,6 @@ from .model import (
     deadline_text,
     json_int,
     json_str,
-    message_sort_key,
 )
 from .parser import CheckedModel
 
@@ -78,9 +77,15 @@ class Trace:
                 return ev.reason
         return None
 
-    @property
-    def truncated(self) -> bool:
-        return self.end_reason in TRUNCATED_REASONS
+    def end(self, reason: str, horizon: Optional[int]) -> None:
+        """Close the trace with its ``run_ended`` event. A horizon cut is
+        stamped with the bound itself, so monitors can tell how far the run
+        definitely looked; any other end with the time of the last event."""
+        if reason == END_HORIZON:
+            time = horizon
+        else:
+            time = self.events[-1].time if self.events else 0
+        self.events.append(TraceEvent(kind=EV_ENDED, time=time, reason=reason))
 
     def selected(self) -> list[TraceEvent]:
         return [ev for ev in self.events if ev.kind == EV_SELECTED]
@@ -127,36 +132,58 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
         raise ValueError(f"unknown deadline check mode {mode!r}")
     events: list[TraceEvent] = []
     keep: list[Message] = []
-    expired = []
     for msg in state.bag:
         # A message without a deadline is eligible in every mode.
-        (keep if msg.dl == NEVER or eligible(msg, state, mode) else expired).append(msg)
-    for msg in sorted(expired, key=message_sort_key):
-        receiver = state.envs[msg.receiver]
-        events.append(TraceEvent(
-            kind=EV_PURGED, time=receiver.now, rebec=msg.receiver,
-            method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
-            args=msg.canon_args,
-        ))
-    state.bag = keep
+        if msg.dl == NEVER or eligible(msg, state, mode):
+            keep.append(msg)
+        else:
+            events.append(TraceEvent(
+                kind=EV_PURGED, time=state.envs[msg.receiver].now, rebec=msg.receiver,
+                method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
+                args=msg.canon_args,
+            ))
+    if events:
+        state.bag = keep
     return events
 
 
 def min_tt_candidates(state: SystemState) -> list[Message]:
-    """Distinct messages carrying the smallest time tag, canonically ordered.
+    """Distinct messages carrying the smallest time tag, canonically ordered:
+    the bag's prefix.
 
     Identical duplicates collapse: serving either copy of an equal message
-    is the same transition.
+    is the same transition. Equal messages have equal sort keys, so they
+    are adjacent in the bag.
+    """
+    out: list[Message] = []
+    if state.bag:
+        lowest = state.bag[0].tt
+        for msg in state.bag:
+            if msg.tt != lowest:
+                break
+            if not out or msg.sort_key != out[-1].sort_key:
+                out.append(msg)
+    return out
+
+
+def prepare_step(state: SystemState, deadline_check: str,
+                 horizon: Optional[int]) -> tuple[list[TraceEvent], Optional[str], list[Message]]:
+    """The part of a system transition that comes before the choice of a
+    message, shared by ``run``, the explorer and ``replay``.
+
+    Purges ``state`` and returns ``(purge events, end reason, candidates)``:
+    the end reason is set, and the candidates empty, when the bag is empty,
+    when every message has expired, or when the next time tag lies past
+    ``horizon``. Otherwise the candidates are ``min_tt_candidates``.
     """
     if not state.bag:
-        return []
-    lowest = min([msg.tt for msg in state.bag])
-    out: list[Message] = []
-    # Equal messages have equal sort keys, so sorting makes duplicates adjacent.
-    for msg in sorted([m for m in state.bag if m.tt == lowest], key=message_sort_key):
-        if not out or msg.sort_key != out[-1].sort_key:
-            out.append(msg)
-    return out
+        return [], END_EMPTY, []
+    events = purge_expired(state, deadline_check)
+    if not state.bag:
+        return events, END_EXPIRED, []
+    if horizon is not None and state.bag[0].tt > horizon:
+        return events, END_HORIZON, []
+    return events, None, min_tt_candidates(state)
 
 
 @dataclass
@@ -165,25 +192,15 @@ class StepOutcome:
     reason: Optional[str] = None  # set when the step terminated the run
     selected: Optional[Message] = None
 
-    @property
-    def terminated(self) -> bool:
-        return self.reason is not None
-
 
 def scheduler_step(state: SystemState, policy: SchedulePolicy,
                    rng: random.Random) -> StepOutcome:
     """One system transition, mutating ``state``; the caller owns the state.
 
     ``rng`` breaks time-tag ties and resolves the body's ``?(...)`` choices."""
-    if not state.bag:
-        return StepOutcome(events=[], reason=END_EMPTY)
-    events = purge_expired(state, policy.deadline_check)
-    if not state.bag:
-        return StepOutcome(events=events, reason=END_EXPIRED)
-
-    candidates = min_tt_candidates(state)
-    if policy.horizon is not None and candidates[0].tt > policy.horizon:
-        return StepOutcome(events=events, reason=END_HORIZON)
+    events, reason, candidates = prepare_step(state, policy.deadline_check, policy.horizon)
+    if reason is not None:
+        return StepOutcome(events=events, reason=reason)
 
     if len(candidates) == 1 or policy.tie_break == TIE_FIXED:
         msg = candidates[0]
@@ -276,7 +293,7 @@ def build_initial_state(checked: CheckedModel,
     for inst in checked.model.main:
         msg = Message(receiver=inst.name, method="initial", args=(),
                       sender=EXTERNAL_ID, tt=0, dl=NEVER)
-        state.bag.append(msg)
+        state.add_message(msg)
         events.append(TraceEvent(
             kind=EV_SENT, time=0, rebec=inst.name, method="initial",
             sender=EXTERNAL_ID, tt=0, dl=deadline_text(NEVER),
@@ -297,19 +314,13 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     trace = Trace(events=list(init_events))
     rng = random.Random(seed)
     steps = 0
-    last_time = 0
     while True:
         if policy.max_steps is not None and steps >= policy.max_steps:
-            trace.append(TraceEvent(kind=EV_ENDED, time=last_time, reason=END_MAX_STEPS))
+            trace.end(END_MAX_STEPS, policy.horizon)
             return trace
         outcome = scheduler_step(state, policy, rng)
         trace.append(*outcome.events)
-        if outcome.events:
-            last_time = outcome.events[-1].time
-        if outcome.terminated:
-            # A horizon cut is stamped with the bound itself so monitors can
-            # tell how far the run definitely looked.
-            end_time = policy.horizon if outcome.reason == END_HORIZON else last_time
-            trace.append(TraceEvent(kind=EV_ENDED, time=end_time, reason=outcome.reason))
+        if outcome.reason is not None:
+            trace.end(outcome.reason, policy.horizon)
             return trace
         steps += 1

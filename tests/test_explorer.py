@@ -115,6 +115,15 @@ def test_replay_rejects_a_choice_the_body_did_not_take(choice_delay_model):
         replay(res, [padded])
 
 
+def test_replay_rejects_a_path_past_the_horizon(ticket_model):
+    res = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=4))
+    path = trace_decisions(run(ticket_model, TICKET_ENV, 0, SchedulePolicy(horizon=12)))
+    with pytest.raises(StalePathError):
+        follow(res, path)
+    with pytest.raises(StalePathError, match="horizon"):
+        replay(res, path)
+
+
 def test_order_independence_of_reachable_keys(ticket_model):
     base = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=15))
     rng = random.Random(5)

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import bundled_text
+from trebeca import explorer, scheduler
 from trebeca.explorer import ExploreBounds, explore
 from trebeca.interp import ExecError, Resolver
-from trebeca.model import MAX_TICKS, NEVER, Message, RebecEnv, pretty_print
+from trebeca.model import MAX_TICKS, NEVER, Message, RebecEnv, message_sort_key, pretty_print
 from trebeca.parser import load_model, parse_model
 from trebeca.scheduler import (
     CHECK_EFFECTIVE,
@@ -143,7 +144,9 @@ def deadline_state(now, *messages):
                          " msgsrv initial() {} msgsrv m(int v) {} } main { A a():(); }")
     state, _ = build_initial_state(checked, normalize_env_bindings(checked, {}))
     state.envs["a"].now = now
-    state.bag = list(messages)
+    state.bag.clear()
+    for m in messages:
+        state.add_message(m)
     return state
 
 
@@ -172,6 +175,46 @@ def test_never_sorts_after_an_equal_finite_deadline():
     never, finite = msg(tt=3, dl=NEVER), msg(tt=3, dl=MAX_TICKS)
     assert min_tt_candidates(deadline_state(0, never, finite)) == [finite, never]
     assert never.key[-1] == "inf" and finite.key[-1] == str(MAX_TICKS)
+
+
+def test_a_bag_filled_in_reverse_gives_the_same_candidates():
+    messages = [
+        Message(receiver="a", method="m", args=(v,), sender=sender, tt=tt, dl=dl)
+        for tt, v, sender, dl in [(4, 0, "a", NEVER), (2, 1, "b", 9), (2, 1, "b", 9),
+                                  (2, 0, "b", NEVER), (2, 0, "a", NEVER), (3, 5, "a", 7),
+                                  (2, 1, "a", 3)]
+    ]
+    forward = deadline_state(0, *messages)
+    backward = deadline_state(0, *reversed(messages))
+    candidates = min_tt_candidates(forward)
+    assert min_tt_candidates(backward) == candidates
+    assert [m.sort_key for m in candidates] == sorted({m.sort_key for m in messages
+                                                       if m.tt == 2})
+    assert forward.bag == backward.bag == sorted(messages, key=message_sort_key)
+
+
+def test_every_reached_bag_is_in_canonical_order(monkeypatch):
+    """Every state the golden explorations intern, and every state the
+    golden runs step from, holds its bag in ``sort_key`` order."""
+    from test_golden import BUNDLED_CASES, RUN_CASES
+
+    checked = []
+
+    def watch(fn):
+        def watched(state, *args):
+            checked.append(state.bag == sorted(state.bag, key=message_sort_key))
+            return fn(state, *args)
+        return watched
+
+    monkeypatch.setattr(explorer, "state_key", watch(explorer.state_key))
+    monkeypatch.setattr(scheduler, "prepare_step", watch(scheduler.prepare_step))
+    for name, env, bounds, check in BUNDLED_CASES.values():
+        explore(load_model(bundled_text(name)), env, bounds, deadline_check=check)
+    explored = len(checked)
+    for name, env, seed, policy in RUN_CASES.values():
+        run(load_model(bundled_text(name)), env, seed, policy)
+    assert explored > 1000 and len(checked) > explored + 300
+    assert all(checked)
 
 
 @pytest.mark.parametrize("name", [

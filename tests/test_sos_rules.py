@@ -318,7 +318,7 @@ def test_scheduler_purges_expired_deadline():
     state = fresh_state()
     env = state.envs["alpha"]
     env.now = 9
-    state.bag.append(_msg("alpha", "probe", tt=0, dl=8, args=(1,)))
+    state.add_message(_msg("alpha", "probe", tt=0, dl=8, args=(1,)))
     assert not eligible(state.bag[0], state, CHECK_LITERAL)
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert outcome.reason == "all-expired"
@@ -328,7 +328,7 @@ def test_scheduler_purges_expired_deadline():
 
 def test_scheduler_infinite_deadline_always_eligible():
     state = fresh_state()
-    state.bag.append(_msg("alpha", "probe", tt=0, args=(1,)))
+    state.add_message(_msg("alpha", "probe", tt=0, args=(1,)))
     assert eligible(state.bag[0], state, CHECK_LITERAL)
 
 
@@ -336,7 +336,7 @@ def test_eligible_literal_vs_effective_divergence():
     # receiver clock 0, tt 10, dl 5: serving it would start past the deadline
     state = fresh_state()
     msg = _msg("alpha", "probe", tt=10, dl=5, args=(1,))
-    state.bag.append(msg)
+    state.add_message(msg)
     assert eligible(msg, state, CHECK_LITERAL) is True
     assert eligible(msg, state, CHECK_EFFECTIVE) is False
 
@@ -345,7 +345,8 @@ def test_scheduler_selects_minimal_time_tag():
     state = fresh_state()
     m1 = _msg("alpha", "probe", tt=3, args=(1,))
     m2 = _msg("beta", "ping", tt=5, args=(2,))
-    state.bag.extend([m2, m1])
+    state.add_message(m2)
+    state.add_message(m1)
     assert min_tt_candidates(state) == [m1]
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert outcome.selected == m1
@@ -358,7 +359,8 @@ def test_scheduler_purges_before_selecting():
     env.now = 2
     expired = _msg("alpha", "probe", tt=3, dl=1, args=(1,))
     valid = _msg("beta", "ping", tt=5, args=(2,))
-    state.bag.extend([expired, valid])
+    state.add_message(expired)
+    state.add_message(valid)
     outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
     assert [ev.kind for ev in outcome.events[:2]] == ["msg_purged", "msg_selected"]
     assert outcome.selected == valid
@@ -372,7 +374,7 @@ def test_scheduler_empty_bag_terminates():
 
 def test_scheduler_horizon_stops_before_executing():
     state = fresh_state()
-    state.bag.append(_msg("alpha", "probe", tt=31, args=(1,)))
+    state.add_message(_msg("alpha", "probe", tt=31, args=(1,)))
     outcome = scheduler_step(state, SchedulePolicy(horizon=30), random.Random(0))
     assert outcome.reason == "horizon"
     assert state.bag != []  # nothing executed
