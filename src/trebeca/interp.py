@@ -236,7 +236,9 @@ class _Compiler:
             a, b = left(fr), right(fr)
             if b == 0:
                 raise ExecError("division by zero", fr.env.rebec_id, method, pos)
-            q = int(a / b)  # C-style: truncate toward zero
+            q = a // b  # exact at any size; floor, then truncate toward zero
+            if q < 0 and q * b != a:
+                q += 1
             return q if op == "/" else a - q * b
         return divide
 

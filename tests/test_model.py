@@ -93,6 +93,28 @@ def test_runtime_faults_have_exact_positioned_messages(stmt, message):
     assert initial_fault(stmt) == message
 
 
+@pytest.mark.parametrize("expr, value", [
+    ("9007199254740993 / 1", 9007199254740993),
+    ("9007199254740993 % 2", 1),
+    (f"{7 * 10**400 + 5} / 7", 10**400),
+    (f"{7 * 10**400 + 5} / (0 - 7)", -10**400),
+    (f"{7 * 10**400 + 5} % 7", 5),
+    ("-7 / 2", -3),
+    ("-7 % 2", -1),
+    ("7 % -2", 1),
+    ("7 / -2", -3),
+    ("-8 / 2", -4),
+    ("-1 / 5", 0),
+], ids=["above-2^53", "above-2^53-mod", "huge", "huge-negative", "huge-mod", "neg-div",
+        "neg-mod", "mod-neg", "div-neg", "neg-exact", "neg-small"])
+def test_integer_division_is_exact_and_truncates_toward_zero(expr, value):
+    checked = load_model(FAULT_SRC.format(stmt=f"n = {expr};"))
+    state, _ = build_initial_state(checked, {})
+    (msg,) = [m for m in state.bag if m.receiver == "a"]
+    execute_selected(state, msg, Resolver())
+    assert state.envs["a"].state_vars["n"] == value
+
+
 def test_send_to_an_unbound_rebec_is_a_positioned_fault():
     assert initial_fault("peer.poke();", drop=["b"]) == (
         "a.initial at 2:24: send to unbound rebec 'b'")
