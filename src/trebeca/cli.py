@@ -305,14 +305,15 @@ def cmd_sweep(args) -> int:
     policy_proto = dict(deadline_check=sweep.deadline_check,
                         horizon=horizon, max_steps=max_steps)
 
-    def one(job):
+    def one(job):  # (index, point, seed, trace, verdict, fault message)
         index, point, seed = job
-        bindings = dict(zip(names, point))
         policy = SchedulePolicy(tie_break=TIE_SEEDED, **policy_proto)
-        trace = run(checked, bindings, seed, policy)
+        try:
+            trace = run(checked, dict(zip(names, point)), seed, policy)
+        except ExecError as exc:
+            return index, point, seed, None, None, str(exc)
         verdict = monitors.check_trace(trace, spec) if spec else None
-        rel = f"traces/point{index:04d}_seed{seed:04d}.jsonl"
-        return index, point, seed, rel, trace, verdict
+        return index, point, seed, trace, verdict, None
 
     jobs = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
     try:
@@ -320,17 +321,24 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise _Usage(str(exc))
     rows.sort(key=lambda r: (r[0], r[2]))  # seeds listed out of order write the same files
+    faults = [r[5] for r in rows if r[5] is not None]
+    for fault in faults:
+        print(f"{args.model}: runtime error: {fault}", file=sys.stderr)
 
     try:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-        for index, point, seed, rel, trace, verdict in rows:
-            (out_dir / rel).write_text(trace.to_jsonl(), encoding="utf-8")
         clause_names = [str(c) for c in spec.clauses] if spec else []
         with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["point", *names, "seed", "end_reason",
                              *clause_names, "trace"])
-            for index, point, seed, rel, trace, verdict in rows:
+            for index, point, seed, trace, verdict, fault in rows:
+                if fault is not None:
+                    writer.writerow([index, *point, seed, "runtime-error",
+                                     *[""] * len(clause_names), ""])
+                    continue
+                rel = f"traces/point{index:04d}_seed{seed:04d}.jsonl"
+                (out_dir / rel).write_text(trace.to_jsonl(), encoding="utf-8")
                 statuses = [c.status for c in verdict.clauses] if verdict else []
                 writer.writerow([index, *point, seed, trace.end_reason, *statuses, rel])
         with (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -341,7 +349,7 @@ def cmd_sweep(args) -> int:
                 of_point = [r for r in rows if r[0] == index]
                 cells = []
                 for ci in range(len(clause_names)):
-                    statuses = [r[5].clauses[ci].status for r in of_point]
+                    statuses = [r[4].clauses[ci].status for r in of_point if r[4]]
                     cells.append(f"{statuses.count('pass')}/{statuses.count('fail')}"
                                  f"/{statuses.count('inconclusive')}")
                 writer.writerow([index, *point, len(of_point), *cells])
@@ -349,7 +357,7 @@ def cmd_sweep(args) -> int:
         print(f"cannot write sweep output: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {len(rows)} run(s) under {out_dir}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_MODEL_ERROR if faults else EXIT_OK
 
 
 def cmd_emit(args) -> int:

@@ -172,6 +172,34 @@ def test_sweep_three_rows(tmp_path):
     assert written[0] == written[1]
 
 
+def test_sweep_writes_a_faulting_run_as_a_row(tmp_path, capsys):
+    model = tmp_path / "div.rebeca"
+    model.write_text("env int d;\nreactiveclass A { knownrebecs {} statevars { int x; }\n"
+                     "  msgsrv initial() { x = 10 / d; }\n}\nmain { A a():(); }\n")
+    monitor = tmp_path / "m.monitor"
+    monitor.write_text("EVENTUALLY selected a.initial\n")
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("seeds: [0]\nhorizon: 5\nd: [1, 0, 2]\n")
+    out = tmp_path / "out"
+    code = main(["sweep", str(model), str(spec), "--out", str(out),
+                 "--monitor", str(monitor)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("sweep: 3 parameter point(s) x 1 seed(s) = 3 run(s)\n"
+                   f"{model}: runtime error: a.initial at 3:29: division by zero\n"
+                   f"wrote 3 run(s) under {out}\n")
+    results = (out / "results.csv").read_text().splitlines()
+    assert results[1:] == [
+        "0,1,0,empty-bag,pass,traces/point0000_seed0000.jsonl",
+        "1,0,0,runtime-error,,",
+        "2,2,0,empty-bag,pass,traces/point0002_seed0000.jsonl",
+    ]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        "point0000_seed0000.jsonl", "point0002_seed0000.jsonl"]
+    assert (out / "summary.csv").read_text().splitlines()[1:] == [
+        "0,1,1,1/0/0", "1,0,1,0/0/0", "2,2,1,1/0/0"]
+
+
 def test_sweep_cap_refusal(tmp_path):
     spec = tmp_path / "sweep.txt"
     spec.write_text("seeds: [0, 1]\nhorizon: 10\nrequestDeadline: [1, 2]\n"
