@@ -48,9 +48,10 @@ KEYWORDS = {
 BASE_TYPES = ("int", "boolean", "time")
 RESERVED_NAMES = ("self", "now", "sender")
 
-# The lexemes, tried in this order at each position: decimal digits before
-# words, ``//`` and ``/*`` before the symbol ``/``, and multi-character
-# symbols before their one-character prefixes.
+# The lexemes, tried in this order at each position: digits before words,
+# ``//`` and ``/*`` before the symbol ``/``, and multi-character symbols
+# before their one-character prefixes. ``re.ASCII`` keeps ``\d`` to ``0-9``
+# and ``\w`` to ``[A-Za-z0-9_]``, so a word never starts with a digit.
 _TOKEN_RE = re.compile(r"""
     (?P<space>[ \t\r\n]+)
   | (?P<int>\d+)
@@ -60,7 +61,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<unterminated>/\*)
   | (?P<symbol>&&|\|\||==|!=|<=|>=|[{}();,.=<>+\-*/%!?:])
   | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
+""", re.VERBOSE | re.DOTALL | re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,9 @@ def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, ending in one ``eof`` token.
 
     Columns count characters. A line comment leaves the column where the
-    comment starts. An identifier starts with a letter or ``_``, and an
-    integer is a run of decimal digits.
+    comment starts. An identifier is ``[A-Za-z_][A-Za-z0-9_]*`` and an
+    integer a run of ``0-9``; any other character outside comments, such
+    as ``é``, ``٣`` or ``²``, is an unexpected character.
     """
     tokens: list[Token] = []
     errors: list[ParseError] = []
@@ -113,13 +115,8 @@ def tokenize(source: str) -> list[Token]:
             else:
                 col += len(text)
         elif kind == "word":
-            first = text[0]
-            if first.isalpha() or first == "_":
-                tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, (line, col)))
-                col += len(text)
-            else:  # a digit that is not decimal, such as '²', or another numeral
-                errors.append(ParseError((line, col), f"unexpected character {first!r}"))
-                i, col = i - len(text) + 1, col + 1
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, (line, col)))
+            col += len(text)
         elif kind == "symbol" or kind == "int":
             tokens.append(Token(kind, text, (line, col)))
             col += len(text)
@@ -566,9 +563,6 @@ class CheckedModel:
     classes: dict[str, ClassInfo]
     env_types: dict[str, str]
     warnings: list[ParseError]
-
-    def class_info(self, name: str) -> ClassInfo:
-        return self.classes[name]
 
 
 class _Checker:

@@ -89,25 +89,26 @@ def new_tokenize(source):
         return exc.errors
 
 
-def non_decimal_int(tokens):
-    """The first int token that is not all decimal digits: the old scanner
-    took '²' for a digit, and the parser then crashed on it."""
+def non_ascii_token(tokens):
+    """The first word or int token with a character outside ASCII: the old
+    scanner took 'é' for a letter and '٣' and '²' for digits, and the
+    parser then crashed on '²'."""
     for kind, text, pos in tokens:
-        if kind == "int" and not text.isdecimal():
+        if kind != "symbol" and not text.isascii():
             return text, pos
     return None
 
 
 def assert_same(source):
     tokens, errors = reference_tokenize(source)
-    bad = non_decimal_int(tokens)
+    bad = non_ascii_token(tokens)
     if bad is None:
         assert new_tokenize(source) == (errors or tokens), repr(source)
         return
     # The new scanner reports the character instead, besides every
     # diagnostic of the old one.
     text, (line, col) = bad
-    offset = next(k for k, ch in enumerate(text) if not ch.isdecimal())
+    offset = next(k for k, ch in enumerate(text) if not ch.isascii())
     new_errors = new_tokenize(source)
     expected = ParseError((line, col + offset), f"unexpected character {text[offset]!r}")
     assert expected in new_errors, repr(source)
@@ -141,12 +142,12 @@ ALPHABET = (
 
 def test_fuzzed_strings_tokenize_as_before():
     rng = random.Random(11)
-    crashes = 0
+    non_ascii = 0
     for _ in range(2000):
         source = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 40)))
-        crashes += non_decimal_int(reference_tokenize(source)[0]) is not None
+        non_ascii += non_ascii_token(reference_tokenize(source)[0]) is not None
         assert_same(source)
-    assert crashes  # the '²' case was drawn
+    assert non_ascii  # the 'é', '٣' and '²' cases were drawn
 
 
 def test_non_decimal_digit_is_a_positioned_error(tmp_path, capsys):
@@ -155,3 +156,12 @@ def test_non_decimal_digit_is_a_positioned_error(tmp_path, capsys):
                      "  msgsrv initial() { n = 2²; }\n}\nmain { A a():(); }\n")
     assert main(["check", str(model)]) == 1
     assert capsys.readouterr().err == f"{model}:2:27: error: unexpected character '²'\n"
+
+
+@pytest.mark.parametrize("source, col, char", [
+    ("n = café;", 8, "é"), ("n = ٣;", 5, "٣"), ("n = 1٣;", 6, "٣"), ("_é = 1;", 2, "é"),
+], ids=["letter", "digit", "after-digit", "after-underscore"])
+def test_non_ascii_letters_and_digits_are_positioned_errors(source, col, char):
+    with pytest.raises(SourceError) as exc:
+        tokenize(source)
+    assert exc.value.errors == [ParseError((1, col), f"unexpected character {char!r}")]
