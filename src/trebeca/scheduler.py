@@ -78,9 +78,9 @@ class Trace:
         return None
 
     def end(self, reason: str, horizon: Optional[int]) -> None:
-        """Close the trace with its ``run_ended`` event. A horizon cut is
-        stamped with the bound itself, so monitors can tell how far the run
-        definitely looked; any other end with the time of the last event."""
+        """Close the trace with ``run_ended``. A horizon cut is stamped with
+        the bound itself, so monitors can tell how far the run definitely
+        looked; any other end with the time of the last event."""
         if reason == END_HORIZON:
             time = horizon
         else:
@@ -142,8 +142,7 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
                 method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
                 args=msg.canon_args,
             ))
-    if events:
-        state.bag = keep
+    state.bag = keep
     return events
 
 
@@ -168,14 +167,11 @@ def min_tt_candidates(state: SystemState) -> list[Message]:
 
 def prepare_step(state: SystemState, deadline_check: str,
                  horizon: Optional[int]) -> tuple[list[TraceEvent], Optional[str], list[Message]]:
-    """The part of a system transition that comes before the choice of a
-    message, shared by ``run``, the explorer and ``replay``.
-
-    Purges ``state`` and returns ``(purge events, end reason, candidates)``:
-    the end reason is set, and the candidates empty, when the bag is empty,
-    when every message has expired, or when the next time tag lies past
-    ``horizon``. Otherwise the candidates are ``min_tt_candidates``.
-    """
+    """Purge ``state`` and return ``(purge events, end reason, candidates)``:
+    what every transition of ``run``, the explorer and ``replay`` does before
+    it picks a message. The end reason is set, with no candidates, when the
+    bag is empty, every message has expired or the next time tag lies past
+    ``horizon``."""
     if not state.bag:
         return [], END_EMPTY, []
     events = purge_expired(state, deadline_check)
@@ -314,13 +310,12 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     trace = Trace(events=list(init_events))
     rng = random.Random(seed)
     steps = 0
-    while True:
-        if policy.max_steps is not None and steps >= policy.max_steps:
-            trace.end(END_MAX_STEPS, policy.horizon)
-            return trace
+    while policy.max_steps is None or steps < policy.max_steps:
         outcome = scheduler_step(state, policy, rng)
         trace.append(*outcome.events)
         if outcome.reason is not None:
             trace.end(outcome.reason, policy.horizon)
             return trace
         steps += 1
+    trace.end(END_MAX_STEPS, policy.horizon)
+    return trace
