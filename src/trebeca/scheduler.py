@@ -81,10 +81,7 @@ class Trace:
         """Close the trace with ``run_ended``. A horizon cut is stamped with
         the bound itself, so monitors can tell how far the run definitely
         looked; any other end with the time of the last event."""
-        if reason == END_HORIZON:
-            time = horizon
-        else:
-            time = self.events[-1].time if self.events else 0
+        time = horizon if reason == END_HORIZON else self.events[-1].time
         self.events.append(TraceEvent(kind=EV_ENDED, time=time, reason=reason))
 
     def selected(self) -> list[TraceEvent]:
