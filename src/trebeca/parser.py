@@ -496,6 +496,8 @@ class _Parser:
         self.expect("{")
         instances: list[InstanceDecl] = []
         while not self.at("}"):
+            if self.cur.kind == "eof":
+                raise self.fail("unexpected end of input inside main")
             try:
                 cls = self.expect_ident("class name")
                 name = self.expect_ident("instance name")
@@ -595,9 +597,9 @@ class _Checker:
                 continue
             self.classes[cls.name] = self.build_class_info(cls)
 
-        for name, info in self.classes.items():
-            for method in info.definition.methods:
-                self.check_method(info, info.methods[method.name])
+        for info in self.classes.values():
+            for method_info in info.methods.values():
+                self.check_method(info, method_info)
 
         self.check_main()
 

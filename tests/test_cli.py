@@ -137,6 +137,13 @@ def test_explore_monitor_exit_codes():
     assert code in (2, 3)  # forall fails (some path never issues) or inconclusive
 
 
+def test_end_of_input_inside_main_exits_1(tmp_path, capsys):
+    model = tmp_path / "cut.rebeca"
+    model.write_text("main {")
+    assert main(["check", str(model)]) == 1
+    assert capsys.readouterr().err == f"{model}:1:7: error: unexpected end of input inside main\n"
+
+
 def test_explore_requires_bound():
     assert main(["explore", CHOICE]) == 64
 

@@ -1,7 +1,9 @@
 import random
+import signal
 
 import pytest
 
+import trebeca
 from conftest import bundled_text
 from trebeca.model import IntLit, pretty_print
 from trebeca.parser import SourceError, load_model, parse_model
@@ -190,6 +192,37 @@ def test_error_positions_point_into_source():
         parse_model(src)
     line, col = exc.value.errors[0].pos
     assert line == 4 and col >= 1
+
+
+def test_a_model_cut_after_any_line_checks_or_fails_without_hanging():
+    def hang(*_):
+        raise AssertionError("load_model did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        for path in trebeca.bundled_models():
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            for cut in range(len(lines) + 1):
+                try:
+                    load_model("".join(lines[:cut]))
+                except SourceError as exc:
+                    assert exc.errors
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_end_of_input_inside_main_is_an_error():
+    (err,) = errors_of("main {")
+    assert (err.pos, err.message) == ((1, 7), "unexpected end of input inside main")
+
+
+def test_a_duplicated_message_server_walks_each_body_once():
+    src = MINIMAL.replace("msgsrv initial() {}",
+                          "msgsrv initial() { x = y; } msgsrv initial() { x = z; }")
+    assert [e.message for e in errors_of(src)] == [
+        "duplicate message server 'initial' in class 'A'", "unknown name 'y'"]
 
 
 def test_choice_sites_are_stable_ids(ticket_model):
