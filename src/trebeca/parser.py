@@ -860,8 +860,10 @@ class _Checker:
                                    f"operand of {expr.op!r} must be boolean, found {t}")
                 return "boolean"
             if expr.op in ("==", "!="):
+                # ``sender`` (``rebec:?``) has no static class: it compares with any rebec.
                 if lt is not None and rt is not None and not (
                     self.types_compatible(lt, rt) or self.types_compatible(rt, lt)
+                    or ("rebec:?" in (lt, rt) and lt[:6] == rt[:6] == "rebec:")
                 ):
                     self.error(expr.pos, f"cannot compare {lt} with {rt}")
                 return "boolean"

@@ -5,8 +5,9 @@ import pytest
 
 import trebeca
 from conftest import bundled_text
-from trebeca.model import IntLit, pretty_print
+from trebeca.model import EV_SELECTED, IntLit, pretty_print
 from trebeca.parser import SourceError, load_model, parse_model
+from trebeca.scheduler import SchedulePolicy, run
 
 MINIMAL = "reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {} } main { A a():(); }"
 
@@ -223,6 +224,47 @@ def test_a_duplicated_message_server_walks_each_body_once():
                           "msgsrv initial() { x = y; } msgsrv initial() { x = z; }")
     assert [e.message for e in errors_of(src)] == [
         "duplicate message server 'initial' in class 'A'", "unknown name 'y'"]
+
+
+SENDER_SRC = """
+reactiveclass Sink {
+    knownrebecs { Source a; }
+    statevars {}
+    msgsrv initial() {}
+    msgsrv hello() {
+        if (sender == a) { self.fromA(); }
+        if (sender != self) { self.fromOther(); }
+    }
+    msgsrv fromA() {}
+    msgsrv fromOther() {}
+}
+reactiveclass Source {
+    knownrebecs { Sink sink; }
+    statevars { int wait; }
+    msgsrv initial() { sink.hello() after(wait); }
+}
+main { Sink sink(a):(); Source a(sink):(1); Source b(sink):(5); }
+"""
+
+
+def test_sender_compares_with_any_rebec():
+    checked = load_model(SENDER_SRC)
+    for seed in range(4):
+        trace = run(checked, {}, seed, SchedulePolicy(max_steps=20))
+        served = [(ev.method, ev.sender) for ev in trace.events
+                  if ev.kind == EV_SELECTED and ev.method != "initial"]
+        # a's hello arrives at time 1 and b's at time 5.
+        assert served[0] == ("hello", "a") and served[3] == ("hello", "b")
+        assert sorted(served[1:3]) == [("fromA", "sink"), ("fromOther", "sink")]
+        assert served[4:] == [("fromOther", "sink")]
+
+
+def test_sender_stays_apart_from_other_types():
+    store = SENDER_SRC.replace("if (sender == a) { self.fromA(); }", "p = a; p = sender;")
+    assert [e.message for e in errors_of(store)] == [
+        "cannot assign rebec:? value to rebec:Source variable 'p'"]
+    number = SENDER_SRC.replace("sender == a", "sender == 1")
+    assert [e.message for e in errors_of(number)] == ["cannot compare rebec:? with int"]
 
 
 def test_choice_sites_are_stable_ids(ticket_model):
