@@ -1,12 +1,13 @@
-"""Compiled, big-step execution of message-server bodies.
+"""Checking, compiling and big-step execution of message-server bodies.
 
-``compile_method`` turns a checked method body into nested Python closures,
-one per syntax node (Feeley and Lapalme, "Using closures for code
-generation", 1987). It runs once per method, when the model is checked:
-every name is resolved to its kind (local, state variable, known rebec or
-env variable) and every operator to its code, so running a body walks no
-syntax tree. Values are plain ``int``, plain ``bool`` and ``RebecRef``; the
-checker has typed every expression, so no runtime type check is left.
+This module owns the one walk over a method body. ``compile_method``
+resolves every name to its kind (local, state variable, known rebec or env
+variable), type-checks every node and turns it into a Python closure (Feeley
+and Lapalme, "Using closures for code generation", 1987), all in one step;
+``parser.validate_model`` runs it once per message server. So running a body
+walks no syntax tree. Values are plain ``int``, plain ``bool`` and
+``RebecRef``; the walk has typed every expression, so no runtime type check
+is left.
 
 ``exec_method`` runs one method atomically against a SystemState: the
 receiver's clock jumps to max(message time tag, its current clock), the
@@ -38,6 +39,7 @@ from .model import (
     NowExpr,
     NowStmt,
     Pos,
+    RESERVED_NAMES,
     RebecEnv,
     RebecRef,
     SelfExpr,
@@ -158,67 +160,133 @@ _BINARY: dict[str, Callable[[Code, Code], Code]] = {
 }
 
 
+Scope = dict[str, str]  # each local in scope, parameters included, to its type
+_INTS = ("int", "time")
+
+
+def types_compatible(declared: str, actual: str) -> bool:
+    """``int`` and ``time`` mix; every other type matches only itself."""
+    return declared == actual or (declared in _INTS and actual in _INTS)
+
+
 class _Compiler:
-    """Compiles the body of one method of one class.
+    """Type-checks and compiles the body of one method of one class in one
+    walk: an expression gives its type and its code, a statement the scope
+    after it and its code. A type is ``int``, ``boolean``, ``time`` or
+    ``rebec:C`` (``rebec:?`` for ``sender``); ``None`` marks an expression
+    whose error is already reported.
+
+    ``checker`` gives ``classes`` (every ClassInfo by class name),
+    ``env_types``, ``new_targets`` (the classes some ``new`` creates) and
+    ``error(pos, message)``. A body with an error is walked to its end, so
+    that every error is reported, and its code is never run.
 
     Positions given to faults are compile-time constants: an operator's own
     position, else that of the innermost enclosing statement (``at``).
     """
 
-    def __init__(self, method: MethodDef, class_info, classes: dict):
+    def __init__(self, method: MethodDef, class_info, checker):
         self.method = method.name
         self.class_info = class_info
-        self.classes = classes
+        self.classes = checker.classes
+        self.env_types = checker.env_types
+        self.new_targets = checker.new_targets
+        self.error = checker.error
         self.slots: dict[str, int] = {p.name: i for i, p in enumerate(method.params)}
+        self.sites = 0  # choice sites numbered so far
 
-    def block(self, stmts: list[Stmt]) -> tuple[Code, ...]:
-        # ``now();`` as a statement reads the clock and discards it: no code.
-        return tuple([self.stmt(s) for s in stmts if not isinstance(s, NowStmt)])
+    def block(self, stmts: list[Stmt], scope: Scope) -> tuple[Scope, tuple[Code, ...]]:
+        body = []
+        for s in stmts:
+            scope, code = self.stmt(s, scope)
+            if code is not None:
+                body.append(code)
+        return scope, tuple(body)
+
+    def lookup(self, name: str, scope: Scope) -> tuple[Optional[str], Optional[Code]]:
+        """The type of a name in a body and the code that reads it: a local
+        (a parameter shadows an env variable), else a state variable, a known
+        rebec (typed ``rebec-known``) or an env variable (``env``); the last
+        two a body may not assign. ``(None, None)`` for an unknown name."""
+        if name in scope:
+            slot = self.slots[name]
+            return scope[name], lambda fr: fr.locals[slot]
+        if name in self.class_info.state_types:
+            return self.class_info.state_types[name], lambda fr: fr.env.state_vars[name]
+        if name in self.class_info.known_types:
+            return "rebec-known", lambda fr: fr.env.knowns[name]
+        if name in self.env_types:
+            return "env", lambda fr: fr.state.env_bindings[name]
+        return None, None
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self, e: Expr, at: Optional[Pos]) -> Code:
+    def expr(self, e: Expr, scope: Scope, at: Optional[Pos]) -> tuple[Optional[str], Code]:
         if isinstance(e, (IntLit, BoolLit)):
             value = e.value
-            return lambda fr: value
+            return "int" if isinstance(e, IntLit) else "boolean", lambda fr: value
         if isinstance(e, VarRef):
-            return self.var(e.name)
+            t, code = self.lookup(e.name, scope)
+            if t is None:
+                self.error(e.pos, f"unknown name {e.name!r}")
+            elif t == "rebec-known":
+                t = f"rebec:{self.class_info.known_types[e.name]}"
+            elif t == "env":
+                t = self.env_types[e.name]
+            return t, code
         if isinstance(e, NowExpr):
-            return lambda fr: fr.env.now
+            return "time", lambda fr: fr.env.now
         if isinstance(e, SelfExpr):
-            return lambda fr: RebecRef(fr.env.rebec_id)
+            return f"rebec:{self.class_info.definition.name}", lambda fr: RebecRef(fr.env.rebec_id)
         if isinstance(e, SenderExpr):
-            return lambda fr: RebecRef(fr.sender)
+            return "rebec:?", lambda fr: RebecRef(fr.sender)
         if isinstance(e, ChoiceExpr):
-            return self.choice(e, at)
+            return "int", self.choice(e, scope, at)
         if isinstance(e, UnaryOp):
-            operand = self.expr(e.operand, at)
+            want = "boolean" if e.op == "!" else "int"
+            operand = self.expect(e.operand, want, scope, at, f"operand of {e.op!r}")
             if e.op == "!":
-                return lambda fr: not operand(fr)
-            return lambda fr: -operand(fr)
+                return want, lambda fr: not operand(fr)
+            return want, lambda fr: -operand(fr)
         if isinstance(e, BinaryOp):
-            left, right = self.expr(e.left, at), self.expr(e.right, at)
-            if e.op in ("/", "%"):
-                return self.division(e.op, left, right, e.pos or at)
-            return _BINARY[e.op](left, right)
+            return self.binary(e, scope, at)
         raise TypeError(f"unknown expression node: {e!r}")
 
-    def var(self, name: str) -> Code:
-        # A parameter shadows an env variable of the same name; the checker
-        # keeps every other local apart from state variables, known rebecs
-        # and env variables.
-        slot = self.slots.get(name)
-        if slot is not None:
-            return lambda fr: fr.locals[slot]
-        if name in self.class_info.state_types:
-            return lambda fr: fr.env.state_vars[name]
-        if name in self.class_info.known_types:
-            return lambda fr: fr.env.knowns[name]
-        return lambda fr: fr.state.env_bindings[name]
+    def expect(self, e: Expr, want: str, scope: Scope, at: Optional[Pos], what: str) -> Code:
+        """The code of ``e``; an error unless its type fits ``want``."""
+        t, code = self.expr(e, scope, at)
+        if t is not None and not types_compatible(want, t):
+            self.error(e.pos, f"{what} must be {want}, found {t}")
+        return code
 
-    def choice(self, e: ChoiceExpr, at: Optional[Pos]) -> Code:
-        site, method = e.site_id, self.method
-        options = tuple([self.expr(o, at) for o in e.options])
+    def binary(self, e: BinaryOp, scope: Scope, at: Optional[Pos]) -> tuple[str, Code]:
+        (lt, left), (rt, right) = self.expr(e.left, scope, at), self.expr(e.right, scope, at)
+        op = e.op
+        if op in ("==", "!="):
+            # ``sender`` (``rebec:?``) has no static class: it compares with any rebec.
+            if lt is not None and rt is not None and not types_compatible(lt, rt) and not (
+                    "rebec:?" in (lt, rt) and lt[:6] == rt[:6] == "rebec:"):
+                self.error(e.pos, f"cannot compare {lt} with {rt}")
+            return "boolean", _BINARY[op](left, right)
+        if op in ("&&", "||"):
+            want, fits, result = "boolean", ("boolean",), "boolean"
+        else:  # arithmetic and ordering need numeric operands
+            want, fits = "numeric", _INTS
+            result = "boolean" if op in ("<", "<=", ">", ">=") else "int"
+        for t, side in ((lt, e.left), (rt, e.right)):
+            if t is not None and t not in fits:
+                self.error(side.pos, f"operand of {op!r} must be {want}, found {t}")
+        if op in ("/", "%"):
+            return result, self.division(op, left, right, e.pos or at)
+        return result, _BINARY[op](left, right)
+
+    def choice(self, e: ChoiceExpr, scope: Scope, at: Optional[Pos]) -> Code:
+        # A stable site id "<Class>.<method>?<n>", so recorded decision
+        # vectors survive re-parsing.
+        site, method = f"{self.class_info.definition.name}.{self.method}?{self.sites}", self.method
+        self.sites += 1
+        options = tuple([self.expect(o, "int", scope, at, "choice alternative")
+                         for o in e.options])
         arity = len(options)
 
         def choose(fr: Frame):
@@ -242,40 +310,64 @@ class _Compiler:
             return q if op == "/" else a - q * b
         return divide
 
+    def args(self, args: list[Expr], param_types: list[str], scope: Scope,
+             pos: Optional[Pos], what: str) -> tuple[Code, ...]:
+        if len(args) != len(param_types):
+            self.error(pos, f"{what} expects {len(param_types)} argument(s), got {len(args)}")
+        return tuple([self.expect(a, t, scope, pos, f"argument of {what}")
+                      for a, t in zip(args, param_types)])
+
     # -- statements ---------------------------------------------------------
 
-    def stmt(self, s: Stmt) -> Code:
+    def stmt(self, s: Stmt, scope: Scope) -> tuple[Scope, Optional[Code]]:
         if isinstance(s, Assign):
-            return self.assign(s)
+            return self.assign(s, scope)
         if isinstance(s, SendStmt):
-            return self.send(s)
+            return scope, self.send(s, scope)
         if isinstance(s, NewStmt):
-            return self.new(s)
+            return self.new(s, scope)
         if isinstance(s, DelayStmt):
-            return self.delay(s)
+            return scope, self.delay(s, scope)
+        if isinstance(s, NowStmt):
+            return scope, None  # reads the clock and discards it: no code
         if isinstance(s, IfStmt):
-            cond = self.expr(s.cond, s.pos)
-            then_body = self.block(s.then_body)
-            else_body = self.block(s.else_body or [])
+            cond = self.expect(s.cond, "boolean", scope, s.pos, "if condition")
+            after_then, then_body = self.block(s.then_body, scope)
+            after_else, else_body = self.block(s.else_body or [], scope)
 
             def branch(fr: Frame) -> None:
                 for stmt in (then_body if cond(fr) else else_body):
                     stmt(fr)
-            return branch
+            # Locals introduced in both branches with one type survive the join.
+            return {**scope, **{name: t for name, t in after_then.items()
+                                if name not in scope and after_else.get(name) == t}}, branch
         raise TypeError(f"unknown statement node: {s!r}")
 
-    def assign(self, s: Assign) -> Code:
-        value, name = self.expr(s.value, s.pos), s.name
-        if name in self.class_info.state_types:
-            return lambda fr: fr.env.set_var(name, value(fr))
+    def assign(self, s: Assign, scope: Scope) -> tuple[Scope, Code]:
+        (t, value), name = self.expr(s.value, scope, s.pos), s.name
+        declared, _ = self.lookup(name, scope)
+        if declared is None:
+            if name in RESERVED_NAMES:
+                self.error(s.pos, f"cannot assign to reserved name {name!r}")
+            elif t is not None:
+                scope = {**scope, name: t}  # the first assignment declares a local
+        elif declared == "rebec-known":
+            self.error(s.pos, f"cannot assign to known rebec {name!r}")
+        elif declared == "env":
+            self.error(s.pos, f"cannot assign to env variable {name!r}")
+        elif t is not None and not types_compatible(declared, t):
+            self.error(s.pos, f"cannot assign {t} value to {declared} variable {name!r}")
+        if name not in scope:
+            return scope, lambda fr: fr.env.set_var(name, value(fr))
         slot = self.slots.setdefault(name, len(self.slots))
 
         def assign_local(fr: Frame) -> None:
             fr.locals[slot] = value(fr)
-        return assign_local
+        return scope, assign_local
 
-    def delay(self, s: DelayStmt) -> Code:
-        amount, method, pos = self.expr(s.amount, s.pos), self.method, s.pos
+    def delay(self, s: DelayStmt, scope: Scope) -> Code:
+        amount = self.expect(s.amount, "int", scope, s.pos, "delay amount")
+        method, pos = self.method, s.pos
 
         def delay(fr: Frame) -> None:
             env = fr.env
@@ -288,18 +380,37 @@ class _Compiler:
             ))
         return delay
 
-    def send(self, s: SendStmt) -> Code:
+    def send(self, s: SendStmt, scope: Scope) -> Optional[Code]:
         target, method, pos, server = s.target, self.method, s.pos, s.method
         if target == "self":
+            target_class = self.class_info.definition.name
             receiver = lambda fr: fr.env.rebec_id
         elif target in self.class_info.known_types:
+            target_class = self.class_info.known_types[target]
+            if target_class not in self.classes:
+                self.error(pos, f"known rebec {target!r} has unknown class {target_class!r}")
+                return None
             receiver = lambda fr: fr.env.knowns[target].rebec_id
-        else:
-            slot = self.slots[target]
+        elif scope.get(target, "").startswith("rebec:"):
+            target_class, slot = scope[target].split(":", 1)[1], self.slots[target]
             receiver = lambda fr: fr.locals[slot].rebec_id
-        args = tuple([self.expr(a, pos) for a in s.args])
-        after = None if s.after is None else self.expr(s.after, pos)
-        deadline = None if s.deadline is None else self.expr(s.deadline, pos)
+        else:
+            self.error(pos, f"send target {target!r} is not self, a known rebec,"
+                            " or a rebec-valued local")
+            return None
+        if target_class not in self.classes:
+            self.error(pos, f"unknown class {target_class!r}")
+            return None
+        target_method = self.classes[target_class].methods.get(server)
+        if target_method is None:
+            self.error(pos, f"class {target_class!r} has no message server {server!r}")
+            return None
+        args = self.args(s.args, target_method.param_types, scope, pos,
+                         f"{target_class}.{server}")
+        after = (None if s.after is None
+                 else self.expect(s.after, "int", scope, pos, "after offset"))
+        deadline = (None if s.deadline is None
+                    else self.expect(s.deadline, "int", scope, pos, "deadline offset"))
 
         def send(fr: Frame) -> None:
             env = fr.env
@@ -333,9 +444,25 @@ class _Compiler:
                                         tt, dl_text, None, msg.canon_args))
         return send
 
-    def new(self, s: NewStmt) -> Code:
-        class_name, info = s.class_name, self.classes[s.class_name]
-        args = tuple([self.expr(a, s.pos) for a in s.args])
+    def new(self, s: NewStmt, scope: Scope) -> tuple[Scope, Optional[Code]]:
+        class_name, info = s.class_name, self.classes.get(s.class_name)
+        if info is None:
+            self.error(s.pos, f"unknown class {class_name!r} in new")
+            return scope, None
+        self.new_targets.add(class_name)
+        initial = info.methods.get("initial")
+        if initial is None:
+            self.error(s.pos, f"class {class_name!r} has no initial message server")
+            args = ()
+        else:
+            args = self.args(s.args, initial.param_types, scope, s.pos,
+                             f"initial of {class_name!r}")
+        declared, _ = self.lookup(s.name, scope)
+        if declared is not None and not declared.startswith("rebec:"):
+            self.error(s.pos, f"cannot store a rebec in {declared} variable {s.name!r}")
+        if s.name in RESERVED_NAMES:
+            self.error(s.pos, f"cannot assign to reserved name {s.name!r}")
+        scope = {**scope, s.name: f"rebec:{class_name}"}
         slot = self.slots.setdefault(s.name, len(self.slots))
 
         def new(fr: Frame) -> None:
@@ -354,14 +481,16 @@ class _Compiler:
                 kind=EV_SENT, time=env.now, rebec=new_id, method="initial",
                 sender=env.rebec_id, tt=msg.tt, dl=NEVER_TEXT, args=msg.canon_args,
             ))
-        return new
+        return scope, new
 
 
-def compile_method(method: MethodDef, class_info, classes: dict) -> CompiledMethod:
-    """Compile a checked method of ``class_info``'s class; ``classes`` maps
-    every class name of the model to its ClassInfo, for ``new``."""
-    compiler = _Compiler(method, class_info, classes)
-    body = compiler.block(method.body)
+def compile_method(method_info, class_info, checker) -> CompiledMethod:
+    """Type-check and compile a method of ``class_info``'s class in one walk,
+    reporting each error to ``checker`` (see ``_Compiler``)."""
+    method = method_info.definition
+    compiler = _Compiler(method, class_info, checker)
+    params = dict(zip([p.name for p in method.params], method_info.param_types))
+    _, body = compiler.block(method.body, params)
     return CompiledMethod(body, tuple(compiler.slots),
                           (None,) * (len(compiler.slots) - len(method.params)))
 

@@ -51,6 +51,9 @@ def json_int(value: Optional[int]) -> str:
 
 Pos = tuple[int, int]  # (line, column), 1-based
 
+# Names with a fixed meaning in a body, which no declaration may take.
+RESERVED_NAMES = ("self", "now", "sender")
+
 
 def _pos_field():
     return field(default=None, compare=False, repr=False)
@@ -115,9 +118,6 @@ class ChoiceExpr(Expr):
 
     options: list[Expr]
     pos: Optional[Pos] = _pos_field()
-    # Stable identifier "<Class>.<method>?<n>" assigned during validation so
-    # recorded decision vectors survive re-parsing.
-    site_id: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -140,8 +140,6 @@ class SendStmt(Stmt):
     after: Optional[Expr] = None
     deadline: Optional[Expr] = None
     pos: Optional[Pos] = _pos_field()
-    # Resolved during validation: the class of the target rebec.
-    target_class: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -1,17 +1,19 @@
 """Parsing and static checking of ``.rebeca`` sources.
 
-``parse_model`` turns text into a syntax tree; ``validate_model`` resolves
-every name, checks arities and base types, and returns a ``CheckedModel``
-ready for execution. Both raise ``SourceError`` carrying positioned
-diagnostics.
+``parse_model`` turns text into a syntax tree. ``validate_model`` checks the
+model's declarations (env variables, classes, ``main``, the targets of
+``new``) and hands each message server to ``interp.compile_method``, the one
+walk that resolves, type-checks and compiles a body, and returns a
+``CheckedModel`` ready for execution. Both raise ``SourceError`` carrying
+positioned diagnostics.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .interp import CompiledMethod, compile_method
+from .interp import CompiledMethod, compile_method, types_compatible
 from .model import (
     Assign,
     BinaryOp,
@@ -30,6 +32,7 @@ from .model import (
     NowStmt,
     Param,
     Pos,
+    RESERVED_NAMES,
     ReactiveClassDef,
     SelfExpr,
     SendStmt,
@@ -46,7 +49,6 @@ KEYWORDS = {
     "sender", "int", "boolean", "time", "true", "false",
 }
 BASE_TYPES = ("int", "boolean", "time")
-RESERVED_NAMES = ("self", "now", "sender")
 
 # The lexemes, tried in this order at each position: digits before words,
 # ``//`` and ``/*`` before the symbol ``/``, and multi-character symbols
@@ -543,9 +545,7 @@ def parse_model(source: str) -> Model:
 class MethodInfo:
     definition: MethodDef
     param_types: list[str]
-    # Filled during checking.
-    choice_sites: list[str] = field(default_factory=list)
-    # The body compiled to closures, once the whole model has checked.
+    # The body compiled to closures by the walk that type-checks it.
     code: Optional[CompiledMethod] = None
 
 
@@ -599,7 +599,7 @@ class _Checker:
 
         for info in self.classes.values():
             for method_info in info.methods.values():
-                self.check_method(info, method_info)
+                method_info.code = compile_method(method_info, info, self)
 
         self.check_main()
 
@@ -614,9 +614,6 @@ class _Checker:
 
         if self.errors:
             raise SourceError(self.errors + self.warnings)
-        for info in self.classes.values():
-            for method_info in info.methods.values():
-                method_info.code = compile_method(method_info.definition, info, self.classes)
         return CheckedModel(
             model=self.model, classes=self.classes,
             env_types=self.env_types, warnings=self.warnings,
@@ -641,7 +638,7 @@ class _Checker:
                 self.error(d.pos, f"duplicate variable {d.name!r}")
             if d.name in self.env_types:
                 self.error(d.pos, f"state variable {d.name!r} shadows an env variable")
-            state_types[d.name] = "time" if d.type == "time" else d.type
+            state_types[d.name] = d.type
         methods: dict[str, MethodInfo] = {}
         for m in cls.methods:
             if m.name in methods:
@@ -662,218 +659,6 @@ class _Checker:
             )
         return ClassInfo(definition=cls, known_types=known_types,
                          state_types=state_types, methods=methods)
-
-    # -- method bodies ------------------------------------------------------
-
-    def check_method(self, cls_info: ClassInfo, method_info: MethodInfo) -> None:
-        method = method_info.definition
-        scope: dict[str, str] = {}  # locals and params -> type ("rebec:C" for rebec-valued)
-        for p, t in zip(method.params, method_info.param_types):
-            scope[p.name] = t
-        site_counter = [0]
-        self.check_block(cls_info, method_info, method.body, dict(scope), site_counter)
-
-    def check_block(self, cls_info, method_info, stmts, scope: dict[str, str],
-                    site_counter: list[int]) -> dict[str, str]:
-        for stmt in stmts:
-            scope = self.check_stmt(cls_info, method_info, stmt, scope, site_counter)
-        return scope
-
-    def check_stmt(self, cls_info: ClassInfo, method_info: MethodInfo, stmt: Stmt,
-                   scope: dict[str, str], site_counter: list[int]) -> dict[str, str]:
-        if isinstance(stmt, Assign):
-            t = self.type_of(cls_info, method_info, stmt.value, scope, site_counter)
-            declared = self.var_slot_type(cls_info, scope, stmt.name, stmt.pos)
-            if declared is None:
-                if stmt.name in RESERVED_NAMES:
-                    self.error(stmt.pos, f"cannot assign to reserved name {stmt.name!r}")
-                elif t is not None:
-                    scope = dict(scope)
-                    scope[stmt.name] = t  # first assignment declares a local
-            elif declared == "rebec-known":
-                self.error(stmt.pos, f"cannot assign to known rebec {stmt.name!r}")
-            elif declared == "env":
-                self.error(stmt.pos, f"cannot assign to env variable {stmt.name!r}")
-            elif t is not None and not self.types_compatible(declared, t):
-                self.error(stmt.pos, f"cannot assign {t} value to {declared} variable {stmt.name!r}")
-            return scope
-        if isinstance(stmt, NewStmt):
-            target = self.classes.get(stmt.class_name)
-            if target is None:
-                self.error(stmt.pos, f"unknown class {stmt.class_name!r} in new")
-                return scope
-            self.new_targets.add(stmt.class_name)
-            initial = target.methods.get("initial")
-            if initial is None:
-                self.error(stmt.pos, f"class {stmt.class_name!r} has no initial message server")
-            else:
-                self.check_args(cls_info, method_info, stmt.args,
-                                initial.param_types, stmt.pos,
-                                f"initial of {stmt.class_name!r}", scope, site_counter)
-            declared = self.var_slot_type(cls_info, scope, stmt.name, stmt.pos)
-            if declared is not None and not declared.startswith("rebec:"):
-                self.error(stmt.pos, f"cannot store a rebec in {declared} variable {stmt.name!r}")
-            if stmt.name in RESERVED_NAMES:
-                self.error(stmt.pos, f"cannot assign to reserved name {stmt.name!r}")
-            scope = dict(scope)
-            scope[stmt.name] = f"rebec:{stmt.class_name}"
-            return scope
-        if isinstance(stmt, SendStmt):
-            self.check_send(cls_info, method_info, stmt, scope, site_counter)
-            return scope
-        if isinstance(stmt, DelayStmt):
-            self.expect_type(cls_info, method_info, stmt.amount, "int", scope,
-                             site_counter, "delay amount")
-            return scope
-        if isinstance(stmt, NowStmt):
-            return scope
-        if isinstance(stmt, IfStmt):
-            self.expect_type(cls_info, method_info, stmt.cond, "boolean", scope,
-                             site_counter, "if condition")
-            after_then = self.check_block(cls_info, method_info, stmt.then_body,
-                                          dict(scope), site_counter)
-            after_else = scope
-            if stmt.else_body is not None:
-                after_else = self.check_block(cls_info, method_info, stmt.else_body,
-                                              dict(scope), site_counter)
-            # Locals introduced in both branches with one type survive the join.
-            merged = dict(scope)
-            for name, t in after_then.items():
-                if name not in scope and after_else.get(name) == t:
-                    merged[name] = t
-            return merged
-        raise TypeError(f"unknown statement node: {stmt!r}")
-
-    def check_send(self, cls_info: ClassInfo, method_info: MethodInfo, stmt: SendStmt,
-                   scope: dict[str, str], site_counter: list[int]) -> None:
-        if stmt.target == "self":
-            target_class = cls_info.definition.name
-        elif stmt.target in cls_info.known_types:
-            target_class = cls_info.known_types[stmt.target]
-            if target_class not in self.classes:
-                self.error(stmt.pos, f"known rebec {stmt.target!r} has unknown class {target_class!r}")
-                return
-        elif stmt.target in scope and scope[stmt.target].startswith("rebec:"):
-            target_class = scope[stmt.target].split(":", 1)[1]
-        else:
-            self.error(stmt.pos,
-                       f"send target {stmt.target!r} is not self, a known rebec,"
-                       " or a rebec-valued local")
-            return
-        target_info = self.classes.get(target_class)
-        if target_info is None:
-            self.error(stmt.pos, f"unknown class {target_class!r}")
-            return
-        target_method = target_info.methods.get(stmt.method)
-        if target_method is None:
-            self.error(stmt.pos,
-                       f"class {target_class!r} has no message server {stmt.method!r}")
-            return
-        stmt.target_class = target_class
-        self.check_args(cls_info, method_info, stmt.args, target_method.param_types,
-                        stmt.pos, f"{target_class}.{stmt.method}", scope, site_counter)
-        if stmt.after is not None:
-            self.expect_type(cls_info, method_info, stmt.after, "int", scope,
-                             site_counter, "after offset")
-        if stmt.deadline is not None:
-            self.expect_type(cls_info, method_info, stmt.deadline, "int", scope,
-                             site_counter, "deadline offset")
-
-    def check_args(self, cls_info, method_info, args, param_types, pos, what,
-                   scope, site_counter) -> None:
-        if len(args) != len(param_types):
-            self.error(pos, f"{what} expects {len(param_types)} argument(s), got {len(args)}")
-        for arg, ptype in zip(args, param_types):
-            self.expect_type(cls_info, method_info, arg, ptype, scope,
-                             site_counter, f"argument of {what}")
-
-    def var_slot_type(self, cls_info: ClassInfo, scope: dict[str, str],
-                      name: str, pos) -> Optional[str]:
-        if name in scope:
-            return scope[name]
-        if name in cls_info.state_types:
-            return cls_info.state_types[name]
-        if name in cls_info.known_types:
-            return "rebec-known"
-        if name in self.env_types:
-            return "env"
-        return None
-
-    def types_compatible(self, declared: str, actual: str) -> bool:
-        ints = ("int", "time")
-        if declared in ints and actual in ints:
-            return True
-        return declared == actual
-
-    def expect_type(self, cls_info, method_info, expr: Expr, expected: str,
-                    scope, site_counter, what: str) -> None:
-        t = self.type_of(cls_info, method_info, expr, scope, site_counter)
-        if t is None:
-            return  # already reported
-        if not self.types_compatible(expected, t):
-            pos = getattr(expr, "pos", None)
-            self.error(pos, f"{what} must be {expected}, found {t}")
-
-    def type_of(self, cls_info: ClassInfo, method_info: MethodInfo, expr: Expr,
-                scope: dict[str, str], site_counter: list[int]) -> Optional[str]:
-        if isinstance(expr, IntLit):
-            return "int"
-        if isinstance(expr, BoolLit):
-            return "boolean"
-        if isinstance(expr, NowExpr):
-            return "time"
-        if isinstance(expr, SelfExpr):
-            return f"rebec:{cls_info.definition.name}"
-        if isinstance(expr, SenderExpr):
-            return "rebec:?"
-        if isinstance(expr, VarRef):
-            t = self.var_slot_type(cls_info, scope, expr.name, expr.pos)
-            if t is None:
-                self.error(expr.pos, f"unknown name {expr.name!r}")
-                return None
-            if t == "rebec-known":
-                return f"rebec:{cls_info.known_types[expr.name]}"
-            if t == "env":
-                return self.env_types[expr.name]
-            return t
-        if isinstance(expr, ChoiceExpr):
-            expr.site_id = (f"{cls_info.definition.name}."
-                            f"{method_info.definition.name}?{site_counter[0]}")
-            site_counter[0] += 1
-            method_info.choice_sites.append(expr.site_id)
-            for opt in expr.options:
-                self.expect_type(cls_info, method_info, opt, "int", scope,
-                                 site_counter, "choice alternative")
-            return "int"
-        if isinstance(expr, UnaryOp):
-            want = "boolean" if expr.op == "!" else "int"
-            self.expect_type(cls_info, method_info, expr.operand, want, scope,
-                             site_counter, f"operand of {expr.op!r}")
-            return want
-        if isinstance(expr, BinaryOp):
-            lt = self.type_of(cls_info, method_info, expr.left, scope, site_counter)
-            rt = self.type_of(cls_info, method_info, expr.right, scope, site_counter)
-            if expr.op in ("&&", "||"):
-                for t, side in ((lt, expr.left), (rt, expr.right)):
-                    if t is not None and t != "boolean":
-                        self.error(getattr(side, "pos", None),
-                                   f"operand of {expr.op!r} must be boolean, found {t}")
-                return "boolean"
-            if expr.op in ("==", "!="):
-                # ``sender`` (``rebec:?``) has no static class: it compares with any rebec.
-                if lt is not None and rt is not None and not (
-                    self.types_compatible(lt, rt) or self.types_compatible(rt, lt)
-                    or ("rebec:?" in (lt, rt) and lt[:6] == rt[:6] == "rebec:")
-                ):
-                    self.error(expr.pos, f"cannot compare {lt} with {rt}")
-                return "boolean"
-            # arithmetic and ordering need numeric operands
-            for t, side in ((lt, expr.left), (rt, expr.right)):
-                if t is not None and t not in ("int", "time"):
-                    self.error(getattr(side, "pos", None),
-                               f"operand of {expr.op!r} must be numeric, found {t}")
-            return "boolean" if expr.op in ("<", "<=", ">", ">=") else "int"
-        raise TypeError(f"unknown expression node: {expr!r}")
 
     # -- main block ----------------------------------------------------------
 
@@ -925,7 +710,7 @@ class _Checker:
                 if t is None:
                     self.error(getattr(arg, "pos", inst.pos),
                                "state initializers must be literals or env variables")
-                elif not self.types_compatible(decl.type, t):
+                elif not types_compatible(decl.type, t):
                     self.error(getattr(arg, "pos", inst.pos),
                                f"state variable {decl.name!r} is {decl.type},"
                                f" initializer is {t}")

@@ -4,7 +4,8 @@ import signal
 import pytest
 
 import trebeca
-from conftest import bundled_text
+from conftest import TICKET_ENV, bundled_text
+from trebeca.explorer import ExploreBounds, explore
 from trebeca.model import EV_SELECTED, IntLit, pretty_print
 from trebeca.parser import SourceError, load_model, parse_model
 from trebeca.scheduler import SchedulePolicy, run
@@ -268,8 +269,9 @@ def test_sender_stays_apart_from_other_types():
 
 
 def test_choice_sites_are_stable_ids(ticket_model):
-    info = ticket_model.classes["TicketService"]
-    assert info.methods["requestTicket"].choice_sites == ["TicketService.requestTicket?0"]
+    res = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=6))
+    sites = {site for e in res.edges for site, _, _ in e.decision.choices}
+    assert sites == {"TicketService.requestTicket?0"}
 
 
 def test_fuzzed_mutations_never_crash_and_report_positions():

@@ -1,6 +1,7 @@
 """One unit test per method-execution rule and per scheduler side condition,
 each asserting the exact post-state the rule prescribes."""
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from trebeca.model import (
     SenderExpr,
     VarRef,
 )
-from trebeca.parser import load_model
+from trebeca.parser import MethodInfo, load_model
 from trebeca.scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
@@ -91,13 +92,22 @@ def no_choice():
     return Resolver()
 
 
+def body_checker(checked):
+    """What the compiling walk needs of a checker, over ``checked``: a body
+    built by hand that does not type-check fails the test."""
+    def error(pos, message):
+        raise AssertionError(f"{pos}: {message}")
+    return SimpleNamespace(classes=checked.classes, env_types=checked.env_types,
+                           new_targets=set(), error=error)
+
+
 def run_stmt(stmt, env, state, resolver, events=None):
     """Compile ``stmt`` as the whole body of a method of ``env``'s class,
     with the compiler every checked method goes through, and run it on
     ``env``; returns the frame's locals by name."""
     checked = state.checked
-    code = compile_method(MethodDef("rule", [], [stmt]), checked.classes[env.class_name],
-                          checked.classes)
+    code = compile_method(MethodInfo(MethodDef("rule", [], [stmt]), []),
+                          checked.classes[env.class_name], body_checker(checked))
     fr = Frame(env, state, resolver, EXTERNAL_ID, list(code.padding))
     for compiled in code.body:
         compiled(fr)
@@ -115,7 +125,7 @@ def recompile(state, class_name, method_name):
     """Compile a method again after a test edited its body."""
     info = state.checked.classes[class_name]
     method = info.methods[method_name]
-    method.code = compile_method(method.definition, info, state.checked.classes)
+    method.code = compile_method(method, info, body_checker(state.checked))
 
 
 def is_int(value, expected):
@@ -144,7 +154,6 @@ def test_eval_choice_consults_resolver():
     state = fresh_state()
     env = state.envs["alpha"]
     expr = ChoiceExpr([IntLit(3), IntLit(4)])
-    expr.site_id = "test?0"
     assert is_int(eval_expr(expr, env, state, Resolver([1])), 4)
     assert is_int(eval_expr(expr, env, state, Resolver([0])), 3)
 
@@ -185,7 +194,6 @@ def test_rule_msg_with_after_and_deadline():
     env.now = 10
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(1)],
                     after=IntLit(4), deadline=IntLit(7))
-    stmt.target_class = "Beta"
     run_stmt(stmt, env, state, no_choice())
     assert state.bag == [Message(receiver="beta", method="ping", args=(1,),
                                  sender="alpha", tt=14, dl=17)]
