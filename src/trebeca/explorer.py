@@ -385,16 +385,19 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
     """Re-execute a decision path from the initial state.
 
     Each decision must name a candidate of the scheduler's next step under
-    the result's deadline mode and horizon. The final run_ended reason is
-    what the scheduler would do next: a path ending where the run ends
-    (empty bag, all expired, horizon) ends the same way a simulation would,
-    anything else is marked partial.
+    the result's deadline mode and horizon, and a path may not be longer
+    than its max-steps bound. The final run_ended reason is what the
+    scheduler would do next: a path ending where the run ends (empty bag,
+    all expired, horizon) ends the same way a simulation would, anything
+    else is marked partial.
     """
     bindings = normalize_env_bindings(result.checked, result.env_bindings)
     state, init_events = build_initial_state(result.checked, bindings)
     trace = Trace(events=list(init_events))
-    horizon = result.bounds.horizon
-    for decision in path:
+    horizon, max_steps = result.bounds.horizon, result.bounds.max_steps
+    for step, decision in enumerate(path):
+        if max_steps is not None and step >= max_steps:
+            raise StalePathError(f"the run ends ({END_MAX_STEPS}) before {decision.message}")
         purge_events, end, candidates = prepare_step(state, result.deadline_check, horizon)
         if end is not None:
             raise StalePathError(f"the run ends ({end}) before {decision.message}")

@@ -124,6 +124,17 @@ def test_replay_rejects_a_path_past_the_horizon(ticket_model):
         replay(res, path)
 
 
+def test_replay_rejects_a_path_past_max_steps(ticket_model):
+    res = explore(ticket_model, TICKET_ENV, ExploreBounds(max_steps=3))
+    path = trace_decisions(run(ticket_model, TICKET_ENV, 0, SchedulePolicy(max_steps=10)))
+    assert len(path) == 10
+    with pytest.raises(StalePathError):
+        follow(res, path)
+    with pytest.raises(StalePathError, match="max-steps"):
+        replay(res, path)
+    assert len(replay(res, path[:3]).selected()) == 3
+
+
 def test_order_independence_of_reachable_keys(ticket_model):
     base = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=15))
     rng = random.Random(5)
