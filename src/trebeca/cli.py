@@ -24,8 +24,6 @@ from .scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
     SchedulePolicy,
-    TIE_FIXED,
-    TIE_SEEDED,
     run,
 )
 
@@ -159,7 +157,7 @@ def cmd_run(args) -> int:
     if args.horizon is None and args.max_steps is None:
         raise _Usage("run needs --horizon or --max-steps")
     policy = SchedulePolicy(
-        tie_break=args.tie_break, deadline_check=args.deadline_check,
+        deadline_check=args.deadline_check,
         horizon=args.horizon, max_steps=args.max_steps,
     )
     spec = _load_monitor(args.monitor, checked)
@@ -307,7 +305,7 @@ def cmd_sweep(args) -> int:
 
     def one(job):  # (index, point, seed, trace, verdict, fault message)
         index, point, seed = job
-        policy = SchedulePolicy(tie_break=TIE_SEEDED, **policy_proto)
+        policy = SchedulePolicy(**policy_proto)
         try:
             trace = run(checked, dict(zip(names, point)), seed, policy)
         except ExecError as exc:
@@ -404,7 +402,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-steps", type=int)
     p.add_argument("--deadline-check", choices=[CHECK_LITERAL, CHECK_EFFECTIVE],
                    default=CHECK_LITERAL)
-    p.add_argument("--tie-break", choices=[TIE_SEEDED, TIE_FIXED], default=TIE_SEEDED)
     p.add_argument("--monitor", metavar="FILE")
     p.add_argument("--trace", metavar="FILE", help="write the JSONL trace here")
     p.add_argument("--json", action="store_true", help="print verdicts as JSON")

@@ -35,9 +35,6 @@ from .model import (
 )
 from .parser import CheckedModel
 
-TIE_SEEDED = "seeded-uniform"
-TIE_FIXED = "fixed-order"
-
 CHECK_LITERAL = "literal"
 CHECK_EFFECTIVE = "effective"
 
@@ -53,7 +50,6 @@ TRUNCATED_REASONS = frozenset({END_HORIZON, END_MAX_STEPS, END_PARTIAL, "truncat
 
 @dataclass
 class SchedulePolicy:
-    tie_break: str = TIE_SEEDED
     deadline_check: str = CHECK_LITERAL
     horizon: Optional[int] = None
     max_steps: Optional[int] = None
@@ -195,12 +191,7 @@ def scheduler_step(state: SystemState, policy: SchedulePolicy,
     if reason is not None:
         return StepOutcome(events=events, reason=reason)
 
-    if len(candidates) == 1 or policy.tie_break == TIE_FIXED:
-        msg = candidates[0]
-    elif policy.tie_break == TIE_SEEDED:
-        msg = candidates[rng.randrange(len(candidates))]
-    else:
-        raise ValueError(f"tie break {policy.tie_break!r} cannot run standalone")
+    msg = candidates[0] if len(candidates) == 1 else candidates[rng.randrange(len(candidates))]
 
     events_after, selected_event = execute_selected(state, msg, Resolver(rng=rng))
     return StepOutcome(events=events + [selected_event] + events_after, selected=msg)

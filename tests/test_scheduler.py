@@ -97,11 +97,3 @@ def test_jsonl_schema_stable(ticket_model):
     assert last["kind"] == "run_ended" and "reason" in last
     infinite = [json.loads(l) for l in lines if json.loads(l)["dl"] == "inf"]
     assert infinite, "infinite deadlines serialize as the string 'inf'"
-
-
-def test_fixed_order_tie_break_is_deterministic_without_seed_use(ping_pong_model):
-    a = run(ping_pong_model, {}, 0,
-            SchedulePolicy(tie_break="fixed-order", horizon=10)).to_jsonl()
-    b = run(ping_pong_model, {}, 99,
-            SchedulePolicy(tie_break="fixed-order", horizon=10)).to_jsonl()
-    assert a == b  # no nondeterministic choices left in this model
