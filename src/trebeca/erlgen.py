@@ -85,14 +85,13 @@ _DEFAULTS = {"int": "0", "time": "0", "boolean": "false"}
 class _Scope:
     """Tracks which Erlang variable currently holds each model variable."""
 
-    def __init__(self, emitter: "_ClassEmitter", parent: Optional["_Scope"] = None):
-        self.emitter = emitter
+    def __init__(self, parent: Optional["_Scope"] = None):
         self.vars: dict[str, str] = dict(parent.vars) if parent else {}
         self.statevars = parent.statevars if parent else "StateVars"
         self.assigned: set[str] = set()
 
     def child(self) -> "_Scope":
-        return _Scope(self.emitter, self)
+        return _Scope(self)
 
 
 class _ClassEmitter:
@@ -156,8 +155,6 @@ class _ClassEmitter:
     # -- statements ----------------------------------------------------------
 
     def stmt(self, s: Stmt, scope: _Scope, indent: str, sender_bound: list[bool]) -> None:
-        if isinstance(s, NewStmt):
-            raise UnsupportedFeatureError("new (rebec creation)", s.pos)
         if isinstance(s, Assign):
             value = self.expr(s.value, scope)
             if s.name in self.info.state_types:
@@ -214,8 +211,14 @@ class _ClassEmitter:
         cond = self.expr(s.cond, scope)
         then_scope = scope.child()
         else_scope = scope.child()
-        then_lines = self.branch_lines(s.then_body, then_scope, indent + "        ", sender_bound)
-        else_lines = self.branch_lines(s.else_body or [], else_scope, indent + "        ", sender_bound)
+        # A Sender binding must stay visible outside the branches; bind it
+        # eagerly if either branch contains an after-send.
+        if not sender_bound[0] and _has_after_send([s]):
+            self.lines.append(f"{indent}Sender = self(),")
+            sender_bound[0] = True
+        inner = indent + "        "
+        then_lines = self.body_lines(s.then_body, then_scope, inner, sender_bound)
+        else_lines = self.body_lines(s.else_body or [], else_scope, inner, sender_bound)
 
         threaded = self.threaded_names(scope, then_scope, else_scope)
         if threaded:
@@ -250,19 +253,14 @@ class _ClassEmitter:
         self.lines.append(f"{indent}        {ret_else}")
         self.lines.append(f"{indent}end,")
 
-    def branch_lines(self, body: list[Stmt], scope: _Scope, indent: str,
-                     sender_bound: list[bool]) -> list[str]:
-        saved = self.lines
-        self.lines = []
-        # A Sender binding must stay visible outside the branch; bind eagerly
-        # if any branch contains an after-send.
-        if not sender_bound[0] and _has_after_send(body):
-            saved.append(f"{indent[:-8]}Sender = self(),")
-            sender_bound[0] = True
+    def body_lines(self, body: list[Stmt], scope: _Scope, indent: str,
+                   sender_bound: list[bool]) -> list[str]:
+        """The lines of ``body`` emitted into ``scope``, apart from the lines
+        being built."""
+        saved, self.lines = self.lines, []
         for stmt in body:
             self.stmt(stmt, scope, indent, sender_bound)
-        lines = self.lines
-        self.lines = saved
+        lines, self.lines = self.lines, saved
         return lines
 
     def threaded_names(self, scope: _Scope, then_scope: _Scope, else_scope: _Scope) -> list[str]:
@@ -281,15 +279,6 @@ class _ClassEmitter:
         return names
 
     # -- methods and stages ---------------------------------------------------
-
-    def method_body(self, method: MethodDef, indent: str) -> _Scope:
-        scope = _Scope(self)
-        for p in method.params:
-            scope.vars[p.name] = _var(p.name)
-        sender_bound = [False]
-        for stmt in method.body:
-            self.stmt(stmt, scope, indent, sender_bound)
-        return scope
 
     def emit_module(self, init_arities: list[int]) -> str:
         cls, module, fun = self.cls, self.module, self.fun
@@ -346,20 +335,10 @@ class _ClassEmitter:
         lines = [f"        {{{{From, SendTime, Deadline}}, initial{extra}}} ->"]
         record_fields = ", ".join(f"{n} = {_var(n)}Init" for n in init_fields)
         lines.append(f"            StateVars = #{module}_statevars{{{record_fields}}},")
-        if initial is not None and initial.body:
-            saved = self.lines
-            self.lines = []
-            scope = _Scope(self)
-            scope.statevars = "StateVars"
-            sender_bound = [False]
-            for stmt in initial.body:
-                self.stmt(stmt, scope, "            ", sender_bound)
-            lines.extend(self.lines)
-            self.lines = saved
-            final_sv = scope.statevars
-        else:
-            final_sv = "StateVars"
-        lines.append(f"            {fun}(KnownRebecs, {final_sv})")
+        scope = _Scope()
+        if initial is not None:
+            lines.extend(self.body_lines(initial.body, scope, "            ", [False]))
+        lines.append(f"            {fun}(KnownRebecs, {scope.statevars})")
         return "\n".join(lines)
 
     def serve_match(self, method: MethodDef) -> str:
@@ -372,16 +351,10 @@ class _ClassEmitter:
         lines.append("                false ->")
         lines.append(f"                    {fun}(KnownRebecs, StateVars);")
         lines.append("                true ->")
-        saved = self.lines
-        self.lines = []
-        scope = _Scope(self)
+        scope = _Scope()
         for p in method.params:
             scope.vars[p.name] = _var(p.name)
-        sender_bound = [False]
-        for stmt in method.body:
-            self.stmt(stmt, scope, "                    ", sender_bound)
-        lines.extend(self.lines)
-        self.lines = saved
+        lines.extend(self.body_lines(method.body, scope, "                    ", [False]))
         lines.append(f"                    {fun}(KnownRebecs, {scope.statevars})")
         lines.append("            end")
         return "\n".join(lines)
@@ -462,7 +435,7 @@ def _emit_main(checked: CheckedModel) -> str:
         knowns = ", ".join(_var(a) for a in inst.known_args)
         body.append(f"    {_var(inst.name)} ! {{{knowns}}},")
     for inst in checked.model.main:
-        scope = _Scope(emit_ctx)
+        scope = _Scope()
         args = "".join(f", {emit_ctx.expr(a, scope)}" for a in inst.init_args)
         body.append(f"    {_var(inst.name)} ! {{{{main, now(), inf}}, initial{args}}},")
     body.append("    ok.")
