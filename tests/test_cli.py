@@ -137,6 +137,57 @@ def test_explore_monitor_exit_codes():
     assert code in (2, 3)  # forall fails (some path never issues) or inconclusive
 
 
+COIN_SRC = """reactiveclass Coin {
+    knownrebecs {}
+    statevars {}
+    msgsrv initial() { if (?(0, 1) == 1) { self.heads(); } }
+    msgsrv heads() {}
+}
+main { Coin c():(); }
+"""
+
+# work arrives at 2 with deadline 1: literal mode checks the receiver's idle
+# clock (0) and serves it, effective mode checks the start time and purges it.
+LATE_SRC = """reactiveclass Late {
+    knownrebecs {}
+    statevars {}
+    msgsrv initial() { self.work() after(2) deadline(1); }
+    msgsrv work() {}
+}
+main { Late l():(); }
+"""
+
+
+def write_model(tmp_path, name, source, clause):
+    model, monitor = tmp_path / f"{name}.rebeca", tmp_path / f"{name}.monitor"
+    model.write_text(source)
+    monitor.write_text(clause + "\n")
+    return str(model), str(monitor)
+
+
+def test_explore_exit_on_exists(tmp_path):
+    model, monitor = write_model(tmp_path, "coin", COIN_SRC, "EVENTUALLY selected c.heads")
+    args = ["explore", model, "--max-steps", "5", "--monitor", monitor]
+    assert main(args) == 2  # the tails path never selects heads
+    assert main(args + ["--exit-on", "exists"]) == 0
+
+
+def test_explore_json_verdicts(tmp_path, capsys):
+    model, monitor = write_model(tmp_path, "coin", COIN_SRC, "EVENTUALLY selected c.heads")
+    assert main(["explore", model, "--max-steps", "5", "--monitor", monitor, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"clauses": [
+        {"clause": "EVENTUALLY selected c.heads", "exists": "pass", "forall": "fail"}]}
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_deadline_check_effective_changes_the_verdict(tmp_path, command):
+    model, monitor = write_model(tmp_path, "late", LATE_SRC, "NEVER purged l.work")
+    args = [command, model, "--max-steps", "5", "--monitor", monitor]
+    assert main(args) == 0
+    assert main(args + ["--deadline-check", "literal"]) == 0
+    assert main(args + ["--deadline-check", "effective"]) == 2
+
+
 def test_end_of_input_inside_main_exits_1(tmp_path, capsys):
     model = tmp_path / "cut.rebeca"
     model.write_text("main {")
