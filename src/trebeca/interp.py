@@ -382,6 +382,8 @@ class _Compiler:
 
     def send(self, s: SendStmt, scope: Scope) -> Optional[Code]:
         target, method, pos, server = s.target, self.method, s.pos, s.method
+        # A target is self, a known rebec or a local; unlike lookup, knowns come
+        # first, which differs only for a name that has already drawn an error.
         if target == "self":
             target_class = self.class_info.definition.name
             receiver = lambda fr: fr.env.rebec_id
