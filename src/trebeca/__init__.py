@@ -12,7 +12,7 @@ _MODELS = Path(__file__).parent / "models"
 
 
 def bundled(name: str) -> Path:
-    """Path of a bundled example model, monitor or env file."""
+    """Path of a bundled example model, monitor, env or sweep file."""
     path = _MODELS / name
     if not path.exists():
         raise FileNotFoundError(f"no bundled file {name!r} (looked in {_MODELS})")

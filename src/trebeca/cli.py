@@ -1,9 +1,9 @@
 """Command-line entry point: check, run, explore, sweep, emit.
 
-Exit codes are stable: 0 success / all clauses pass, 1 model errors,
-2 monitor failure, 3 inconclusive verdicts, 4 unsupported feature in
-emission, 64 usage errors, 74 I/O errors. Diagnostics go to stderr, data
-to files or stdout.
+Exit codes are stable: 0 success / all clauses pass, 1 model errors and
+runtime faults, 2 monitor failure, 3 inconclusive verdicts, 4 unsupported
+feature in emission, 64 usage errors, 74 I/O errors. Diagnostics go to
+stderr, data to files or stdout.
 """
 from __future__ import annotations
 
@@ -209,21 +209,22 @@ def cmd_explore(args) -> int:
         _write_file(args.graph, result.to_json())
     if args.dot:
         _write_file(args.dot, result.to_dot())
-    if spec is None:
-        return EXIT_OK
-    verdict = monitors.check_graph(result, spec)
-    if args.json:
-        doc = {"clauses": [
-            {"clause": str(c.clause), "exists": c.exists_status, "forall": c.forall_status}
-            for c in verdict.clauses
-        ]}
-        print(json.dumps(doc, indent=2))
-    else:
-        for c in verdict.clauses:
-            print(str(c))
-    if args.exit_on == "exists":
-        return _verdict_exit([c.exists_status for c in verdict.clauses])
-    return _verdict_exit([c.forall_status for c in verdict.clauses])
+    code = EXIT_OK
+    if spec is not None:
+        verdict = monitors.check_graph(result, spec)
+        if args.json:
+            doc = {"clauses": [
+                {"clause": str(c.clause), "exists": c.exists_status, "forall": c.forall_status}
+                for c in verdict.clauses
+            ]}
+            print(json.dumps(doc, indent=2))
+        else:
+            for c in verdict.clauses:
+                print(str(c))
+        code = _verdict_exit([c.exists_status if args.exit_on == "exists" else c.forall_status
+                              for c in verdict.clauses])
+    # A runtime fault is a model error, whatever the verdicts say, as in sweep.
+    return EXIT_MODEL_ERROR if result.error_branches else code
 
 
 @dataclass

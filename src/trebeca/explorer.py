@@ -226,18 +226,12 @@ def _enumerate_decisions(base: SystemState, msg: Message):
 
 def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             deadline_check: str = CHECK_LITERAL,
-            stop_on: Optional[Callable[[TraceEvent], bool]] = None,
-            guide: Optional[list[Decision]] = None,
             _tie_permute: Optional[Callable[[list], list]] = None) -> ExploreResult:
-    """Enumerate every reachable state within the bounds.
+    """Enumerate every reachable state within the bounds, breadth first.
 
-    ``stop_on`` cuts the search as soon as an edge emits a matching event
-    (useful for pure existence checks; the result is marked truncated).
-    ``guide`` restricts expansion to the states along one decision path
-    (plus their one-step fringe): a cheap way to certify a witness found by
-    simulation inside a sound, truncation-flagged subgraph.
-    The reachable key set is independent of tie enumeration order whenever
-    no bound is hit.
+    States left unexpanded when ``max_states`` cuts the search become
+    truncated terminals. The reachable key set is independent of tie
+    enumeration order whenever no bound is hit.
     """
     bounds.require_bound()
     bindings = normalize_env_bindings(checked, env_bindings)
@@ -245,32 +239,23 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
 
     keys: dict[str, int] = {}
     nodes: list[Node] = []
-    states: dict[int, SystemState] = {}  # interned but not yet expanded
-    frontier: deque[int] = deque()
+    frontier: deque[tuple[int, SystemState]] = deque()  # interned, not yet expanded
     edges: list[Edge] = []
     error_branches: list[ErrorBranch] = []
     truncated = False
-    stop_hit = False
 
     def intern_state(st: SystemState, depth: int) -> int:
+        # FIFO order interns every key first at its least depth.
         key = state_key(st)
         nid = keys.get(key)
-        if nid is not None:
-            if depth < nodes[nid].depth:
-                nodes[nid].depth = depth
-            return nid
-        nid = len(nodes)
-        keys[key] = nid
-        nodes.append(Node(key=key, depth=depth))
-        states[nid] = st
-        frontier.append(nid)
+        if nid is None:
+            nid = keys[key] = len(nodes)
+            nodes.append(Node(key=key, depth=depth))
+            frontier.append((nid, st))
         return nid
 
-    root_id = intern_state(root_state, 0)
-
-    def expand(nid: int) -> None:
-        nonlocal truncated, stop_hit
-        state = states.pop(nid)
+    def expand(nid: int, state: SystemState) -> None:
+        nonlocal truncated
         node = nodes[nid]
         depth = node.depth
         if bounds.max_steps is not None and depth >= bounds.max_steps:
@@ -291,39 +276,17 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
                 if result_state is None:
                     error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
-                step_events = purge_events + payload
                 dst = intern_state(result_state, depth + 1)
                 edges.append(Edge(src=nid, dst=dst, decision=decision,
-                                  time=payload[0].time, events=tuple(step_events)))
-                if stop_on is not None and any(stop_on(ev) for ev in step_events):
-                    stop_hit = True
+                                  time=payload[0].time, events=tuple(purge_events + payload)))
 
     def over_budget() -> bool:
         return bounds.max_states is not None and len(nodes) >= bounds.max_states
 
-    if guide is not None:
-        cur = root_id
-        steps: dict[int, dict[Decision, int]] = {}  # out-edges of the expanded path states
-        for decision in guide:
-            if stop_hit or over_budget():
-                break
-            if cur in states:
-                first = len(edges)
-                expand(cur)
-                steps[cur] = {e.decision: e.dst for e in edges[first:]}
-            nxt = steps.get(cur, {}).get(decision)
-            if nxt is None:
-                raise StalePathError(f"guide decision not available: {decision}")
-            cur = nxt
-        if cur in states and not stop_hit:
-            expand(cur)
-    else:
-        while frontier and not (stop_hit or over_budget()):
-            expand(frontier.popleft())
-
-    # States left unexpanded (guide fringe, a budget or stop_on cut) become
-    # truncated terminals.
-    for nid in states:
+    intern_state(root_state, 0)
+    while frontier and not over_budget():
+        expand(*frontier.popleft())
+    for nid, _ in frontier:
         nodes[nid].terminal = END_TRUNCATED
         truncated = True
 

@@ -343,20 +343,28 @@ class _Compiler:
                                 if name not in scope and after_else.get(name) == t}}, branch
         raise TypeError(f"unknown statement node: {s!r}")
 
-    def assign(self, s: Assign, scope: Scope) -> tuple[Scope, Code]:
-        (t, value), name = self.expr(s.value, scope, s.pos), s.name
+    def store(self, name: str, t: Optional[str], scope: Scope, pos: Optional[Pos]) -> Scope:
+        """Check a write of a ``t`` value to ``name``, by an assignment or a
+        ``new``: a body may not write a reserved name, a known rebec, an env
+        variable or a variable of another type. Returns the scope after the
+        write; the first write to a fresh name declares a local."""
         declared, _ = self.lookup(name, scope)
         if declared is None:
             if name in RESERVED_NAMES:
-                self.error(s.pos, f"cannot assign to reserved name {name!r}")
+                self.error(pos, f"cannot assign to reserved name {name!r}")
             elif t is not None:
-                scope = {**scope, name: t}  # the first assignment declares a local
+                scope = {**scope, name: t}
         elif declared == "rebec-known":
-            self.error(s.pos, f"cannot assign to known rebec {name!r}")
+            self.error(pos, f"cannot assign to known rebec {name!r}")
         elif declared == "env":
-            self.error(s.pos, f"cannot assign to env variable {name!r}")
+            self.error(pos, f"cannot assign to env variable {name!r}")
         elif t is not None and not types_compatible(declared, t):
-            self.error(s.pos, f"cannot assign {t} value to {declared} variable {name!r}")
+            self.error(pos, f"cannot assign {t} value to {declared} variable {name!r}")
+        return scope
+
+    def assign(self, s: Assign, scope: Scope) -> tuple[Scope, Code]:
+        (t, value), name = self.expr(s.value, scope, s.pos), s.name
+        scope = self.store(name, t, scope, s.pos)
         if name not in scope:
             return scope, lambda fr: fr.env.set_var(name, value(fr))
         slot = self.slots.setdefault(name, len(self.slots))
@@ -459,12 +467,7 @@ class _Compiler:
         else:
             args = self.args(s.args, initial.param_types, scope, s.pos,
                              f"initial of {class_name!r}")
-        declared, _ = self.lookup(s.name, scope)
-        if declared is not None and not declared.startswith("rebec:"):
-            self.error(s.pos, f"cannot store a rebec in {declared} variable {s.name!r}")
-        if s.name in RESERVED_NAMES:
-            self.error(s.pos, f"cannot assign to reserved name {s.name!r}")
-        scope = {**scope, s.name: f"rebec:{class_name}"}
+        scope = self.store(s.name, f"rebec:{class_name}", scope, s.pos)
         slot = self.slots.setdefault(s.name, len(self.slots))
 
         def new(fr: Frame) -> None:

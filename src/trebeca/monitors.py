@@ -321,7 +321,7 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
         # A cycle inside the bounds is a real infinite run (zero-time loop):
         # it never decides the clause, so EVENTUALLY fails along it and the
         # safety clauses hold along it.
-        for prod in _cycle_states(successors):
+        for prod in _cycle_states(successors, start):
             st = prod[1]
             if st == _ST_GOOD:
                 status = PASS
@@ -364,56 +364,30 @@ def _path_to(parents, prod) -> Optional[list[Decision]]:
     return path
 
 
-def _cycle_states(adjacency: dict) -> set:
-    """Product states that can reach themselves again (divergent behaviour):
-    the members of every strongly connected component of the reachable
-    product graph that has an internal edge."""
-    # Iterative Tarjan.
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    counter = [0]
-    cyclic: set = set()
+def _cycle_states(successors: dict, start) -> list:
+    """The target of every back edge of a depth-first search of the product
+    graph from ``start``.
 
-    for root in adjacency:
-        if root in index:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
+    That is all ``check_graph`` needs of the cycles. ``_step`` never leaves
+    GOOD, BAD or SEEN, so the automaton state changes at most once along a
+    path and every product cycle keeps one automaton state. Every cyclic
+    strongly connected component holds a back edge, so the targets cover
+    each automaton state found on a cycle, though not every product state.
+    """
+    targets = []
+    on_path, done = {start}, set()
+    work = [(start, iter(successors[start]))]
+    while work:
+        prod, it = work[-1]
+        for nxt in it:
+            if nxt in on_path:
+                targets.append(nxt)
+            elif nxt not in done:
+                on_path.add(nxt)
+                work.append((nxt, iter(successors[nxt])))
+                break
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or any(
-                    member in adjacency[member] for member in component
-                ):
-                    cyclic.update(component)
-    return cyclic
+            on_path.remove(prod)
+            done.add(prod)
+    return targets

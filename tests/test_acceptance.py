@@ -10,9 +10,9 @@ from conftest import SENSOR_NAMES, TICKET_ENV, TICKET_NAMES, bundled_text
 from gen import generate_model
 from trebeca.cli import main
 from trebeca.erlgen import emit
-from trebeca.explorer import ExploreBounds, explore, follow, trace_decisions
+from trebeca.explorer import ExploreBounds, explore, follow, replay, trace_decisions
 from trebeca.model import EV_SELECTED, pretty_print
-from trebeca.monitors import PASS, check_graph, parse_monitor
+from trebeca.monitors import PASS, check_graph, check_trace, parse_monitor
 from trebeca.parser import load_model, parse_model
 from trebeca.scheduler import SchedulePolicy, run
 
@@ -99,18 +99,22 @@ def test_criterion_4_ticket_service_table():
 
 
 def _mission_witnessed(checked, env, horizon, method):
-    hit = lambda ev: (ev.kind == EV_SELECTED and ev.rebec == "admin"
-                      and ev.method == method)
+    """Find a seeded run that selects admin.<method>, replay its decision
+    path, and check the replayed trace."""
     for seed in range(5000):
         trace = run(checked, env, seed, SchedulePolicy(horizon=horizon))
-        if any(hit(ev) for ev in trace.events):
+        if any(ev.kind == EV_SELECTED and ev.rebec == "admin" and ev.method == method
+               for ev in trace.events):
             break
     else:
         raise AssertionError(f"no witness for {method} under {env}")
-    result = explore(checked, env, ExploreBounds(horizon=horizon),
-                     guide=trace_decisions(trace), stop_on=hit)
-    verdict = check_graph(result, parse_monitor(f"EVENTUALLY selected admin.{method}"))
-    return verdict.clauses[0]
+    # A one-state exploration carries the model, bindings, deadline mode
+    # and horizon that replay re-executes the path under.
+    replayed = replay(explore(checked, env, ExploreBounds(horizon=horizon, max_states=1)),
+                      trace_decisions(trace))
+    assert replayed.events == trace.events
+    assert replayed.to_jsonl() == trace.to_jsonl()
+    return check_trace(replayed, parse_monitor(f"EVENTUALLY selected admin.{method}")).clauses[0]
 
 
 def test_criterion_5_sensor_network_table():
@@ -133,11 +137,11 @@ def test_criterion_5_sensor_network_table():
         for rescue_dl in (5, 6, 7):
             env = dict(zip(SENSOR_NAMES, (2, 1, 1, 1, 4, rescue_dl)))
             clause = _mission_witnessed(checked, env, 18, "missionFailed")
-            assert clause.exists_status == PASS, f"instability rescueDL={rescue_dl}"
+            assert clause.status == PASS, f"instability rescueDL={rescue_dl}"
         # slowing the admin to period 4 recovers success at rescueDL=7
         env = dict(zip(SENSOR_NAMES, (2, 4, 1, 1, 4, 7)))
         clause = _mission_witnessed(checked, env, 18, "missionSuccess")
-        assert clause.exists_status == PASS, "stable admin period row"
+        assert clause.status == PASS, "stable admin period row"
 
 
 def test_criterion_6_property_suite():

@@ -125,10 +125,22 @@ def test_explore_reports_each_runtime_fault(tmp_path, capsys):
     model.write_text("reactiveclass A { knownrebecs {} statevars {}\n"
                      "    msgsrv initial() { delay(9223372036854775807); self.go(); }\n"
                      "    msgsrv go() { delay(5); }\n}\nmain { A a():(); }\n")
-    main(["explore", str(model), "--max-steps", "10"])
+    assert main(["explore", str(model), "--max-steps", "10"]) == 1
     err = capsys.readouterr().err
     assert err == ("explored states=2 edges=1 terminals=0 truncated=False errors=1\n"
                    f"{model}: runtime error: a.go at 3:19: logical time overflow\n")
+    # Only the root faults: no path reaches check_graph, yet explore exits 1.
+    model = tmp_path / "div.rebeca"
+    model.write_text("env int d;\nreactiveclass A { knownrebecs {} statevars { int x; }\n"
+                     "  msgsrv initial() { x = 10 / d; }\n}\nmain { A a():(); }\n")
+    monitor = tmp_path / "div.monitor"
+    monitor.write_text("NEVER selected a.initial\n")
+    assert main(["explore", str(model), "--env", "d=0", "--horizon", "5",
+                 "--monitor", str(monitor)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("explored states=1 edges=0 terminals=0 truncated=False errors=1\n"
+                            f"{model}: runtime error: a.initial at 3:29: division by zero\n")
+    assert captured.out == "exists=FAIL         forall=PASS         NEVER selected a.initial\n"
 
 
 def test_explore_monitor_exit_codes():
@@ -273,6 +285,52 @@ def test_sweep_empty_spec_is_usage_error(tmp_path):
     spec = tmp_path / "empty.txt"
     spec.write_text("requestDeadline: []\n")
     assert main(["sweep", TICKET, str(spec), "--out", str(tmp_path / "o")]) == 64
+
+
+def test_explore_max_states_cuts_the_graph(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert main(["explore", TICKET, *env_args(), "--max-states", "20",
+                 "--graph", str(graph)]) == 0
+    assert capsys.readouterr().err.startswith("explored states=20 ")
+    doc = json.loads(graph.read_text())
+    assert doc["truncated"] is True
+    assert doc["bounds"] == {"horizon": None, "max_steps": None, "max_states": 20}
+    assert len(doc["nodes"]) == 20
+    assert any(n["terminal"] == "truncated" for n in doc["nodes"])
+
+
+# work arrives at w with deadline 1, as in LATE_SRC, with w an env variable
+LATE_ENV_SRC = LATE_SRC.replace("reactiveclass", "env int w;\nreactiveclass", 1).replace(
+    "after(2)", "after(w)")
+
+
+@pytest.mark.parametrize("check, status", [("literal", "pass"), ("effective", "fail")])
+def test_sweep_spec_scalar_keys(tmp_path, check, status):
+    model, monitor = write_model(tmp_path, "late", LATE_ENV_SRC, "NEVER purged l.work")
+    spec = tmp_path / "sweep.txt"
+    spec.write_text(f"seeds: 3\nmax_steps: 1\ndeadline_check: {check}\nw: [2]\n")
+    out = tmp_path / "out"
+    # the spec's max_steps: 1 overrides --max-steps 5, under which the run ends on its own
+    assert main(["sweep", model, str(spec), "--out", str(out), "--monitor", monitor,
+                 "--max-steps", "5"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:5] for row in rows] == [
+        ["0", "2", str(seed), "max-steps", "pass"] for seed in range(3)]
+    spec.write_text(f"seeds: 3\ndeadline_check: {check}\nw: [2]\n")
+    assert main(["sweep", model, str(spec), "--out", str(out), "--monitor", monitor,
+                 "--horizon", "10"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    end = "empty-bag" if check == "literal" else "all-expired"
+    assert [row.split(",")[:5] for row in rows] == [
+        ["0", "2", str(seed), end, status] for seed in range(3)]
+
+
+def test_sweep_unknown_deadline_check_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("horizon: 5\ndeadline_check: eventual\nrequestDeadline: [2]\n")
+    assert main(["sweep", TICKET, str(spec), "--out", str(tmp_path / "o")]) == 64
+    assert capsys.readouterr().err.endswith(
+        f"trebeca: error: {spec}:2: unknown deadline_check 'eventual'\n")
 
 
 def test_bundled_sweep_file_parses():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import SENSOR_ENV, TICKET_ENV
+from conftest import TICKET_ENV
 from trebeca.explorer import (
     Decision,
     ExploreBounds,
@@ -160,16 +160,6 @@ def test_max_steps_depth_bound(ticket_model):
     assert res.truncated
     assert all(n.depth <= 3 for n in res.nodes)
     assert any(t == "max-steps" for _, t in res.terminals())
-
-
-def test_guided_exploration_contains_the_run_path(sensor_model):
-    trace = run(sensor_model, SENSOR_ENV, 2, SchedulePolicy(horizon=12))
-    path = trace_decisions(trace)
-    res = explore(sensor_model, SENSOR_ENV, ExploreBounds(horizon=12), guide=path)
-    assert res.truncated  # fringe states intentionally unexpanded
-    node = follow(res, path)
-    assert res.nodes[node].terminal == trace.end_reason
-    assert replay(res, path).to_jsonl() == trace.to_jsonl()
 
 
 def test_error_branches_recorded_not_raised():

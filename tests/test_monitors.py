@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import TICKET_ENV, bundled_text
-from trebeca.explorer import ExploreBounds, explore, replay
+from trebeca.explorer import ExploreBounds, explore, follow, replay
 from trebeca.monitors import (
     FAIL,
     INCONCLUSIVE,
@@ -202,6 +202,45 @@ def test_two_rebec_zero_time_cycle():
     gv = check_graph(res, spec)
     assert gv.clauses[0].forall_status == FAIL
     assert gv.clauses[1].forall_status == PASS
+
+
+def test_one_graph_cycle_reached_at_two_automaton_states():
+    # Both branches reach the state whose bag holds only spin; it loops on
+    # itself, once after mark was selected and once without it.
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars {} msgsrv initial()"
+        " { if (?(0, 1) == 1) { self.mark(); } else { self.spin(); } }"
+        " msgsrv mark() { self.spin(); } msgsrv spin() { self.spin(); } }"
+        " main { A a():(); }")
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    assert not res.truncated and not res.terminals()
+    spec = parse_monitor("EVENTUALLY selected a.mark\nNEVER selected a.mark\n"
+                         "ALWAYS-PRECEDES(selected a.mark, selected a.spin)\n")
+    clauses = check_graph(res, spec).clauses
+    assert [(c.exists_status, c.forall_status) for c in clauses] == [(PASS, FAIL)] * 3
+    # Each witness leads onto the loop, down the branch its status needs:
+    # (exists, forall) witnesses select mark or not.
+    for clause, want in zip(clauses, [(True, False), (False, True), (True, False)]):
+        marked = []
+        for path in (clause.exists_witness, clause.forall_witness):
+            loop_state = follow(res, path)
+            assert any(e.src == e.dst == loop_state for e in res.edges)
+            marked.append(any(d.message[2] == "mark" for d in path))
+        assert tuple(marked) == want, clause.clause
+
+
+def test_a_state_reached_twice_is_not_a_cycle():
+    # x and y tie at time 0, so both orders reach one state before z runs.
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars {}"
+        " msgsrv initial() { self.x(); self.y(); } msgsrv x() {}"
+        " msgsrv y() { self.z() after(1); } msgsrv z() {} }"
+        " main { A a():(); }")
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    assert len({e.dst for e in res.edges}) < len(res.edges)
+    spec = parse_monitor("EVENTUALLY selected a.z\nNEVER selected a.z\n")
+    assert [(c.exists_status, c.forall_status) for c in check_graph(res, spec).clauses] == [
+        (PASS, PASS), (FAIL, FAIL)]
 
 
 def test_verdict_stability_under_horizon_extension(ticket_model):

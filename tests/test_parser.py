@@ -176,6 +176,28 @@ def test_new_target_must_not_declare_knownrebecs():
     assert any("declares knownrebecs" in e.message for e in errors_of(src))
 
 
+def test_assign_and_new_share_one_write_check():
+    src = ("env int e;\n"
+           "reactiveclass A {\n"
+           "    knownrebecs { B peer; }\n"
+           "    statevars { int n; }\n"
+           "    msgsrv initial() { peer = new B(); e = new B(); n = new B(); r = new B(); r = new C(); }\n"
+           "    msgsrv poke() { peer = self; e = 1; n = true; }\n"
+           "}\n"
+           "reactiveclass B { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+           "reactiveclass C { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+           "main { A a(b):(); B b():(); }\n")
+    assert [e.render() for e in errors_of(src)] == [
+        "<input>:5:24: error: cannot assign to known rebec 'peer'",
+        "<input>:5:40: error: cannot assign to env variable 'e'",
+        "<input>:5:53: error: cannot assign rebec:B value to int variable 'n'",
+        "<input>:5:79: error: cannot assign rebec:C value to rebec:B variable 'r'",
+        "<input>:6:21: error: cannot assign to known rebec 'peer'",
+        "<input>:6:34: error: cannot assign to env variable 'e'",
+        "<input>:6:41: error: cannot assign boolean value to int variable 'n'",
+    ]
+
+
 def test_main_initial_must_be_parameterless():
     src = """
     reactiveclass A {
