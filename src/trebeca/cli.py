@@ -154,8 +154,6 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     checked = _load_checked(args.model)
-    if args.horizon is None and args.max_steps is None:
-        raise _Usage("run needs --horizon or --max-steps")
     policy = SchedulePolicy(
         deadline_check=args.deadline_check,
         horizon=args.horizon, max_steps=args.max_steps,
@@ -189,8 +187,6 @@ def cmd_run(args) -> int:
 
 def cmd_explore(args) -> int:
     checked = _load_checked(args.model)
-    if args.horizon is None and args.max_steps is None and args.max_states is None:
-        raise _Usage("explore needs --horizon, --max-steps or --max-states")
     bounds = ExploreBounds(horizon=args.horizon, max_steps=args.max_steps,
                            max_states=args.max_states)
     spec = _load_monitor(args.monitor, checked)
@@ -246,35 +242,47 @@ class SweepSpec:
         return list(itertools.product(*[values for _, values in self.env_lists]))
 
 
+def _spec_int(text: str, where: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _Usage(f"{where}: {name} must be an integer, got {text!r}") from None
+
+
 def parse_sweep_spec(text: str, path: str) -> SweepSpec:
     spec = SweepSpec(env_lists=[], seeds=[0])
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if ":" not in line:
-            raise _Usage(f"{path}:{lineno}: expected 'name: value'")
+            raise _Usage(f"{where}: expected 'name: value'")
         name, _, value = line.partition(":")
         name, value = name.strip(), value.strip()
         if value.startswith("[") and value.endswith("]"):
             items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
-            values = [_parse_env_value(v) for v in items]
-            if not values:
-                raise _Usage(f"{path}:{lineno}: empty value list for {name!r}")
+            if not items:
+                raise _Usage(f"{where}: empty value list for {name!r}")
             if name == "seeds":
-                spec.seeds = values
+                spec.seeds = [_spec_int(v, where, "a seed") for v in items]
+                if len(set(spec.seeds)) < len(spec.seeds):
+                    raise _Usage(f"{where}: seeds must be distinct, got {value}")
             else:
-                spec.env_lists.append((name, values))
+                spec.env_lists.append((name, [_parse_env_value(v) for v in items]))
         elif name in ("horizon", "max_steps"):
-            setattr(spec, name, int(value))
+            setattr(spec, name, _spec_int(value, where, name))
         elif name == "deadline_check":
             if value not in (CHECK_LITERAL, CHECK_EFFECTIVE):
-                raise _Usage(f"{path}:{lineno}: unknown deadline_check {value!r}")
+                raise _Usage(f"{where}: unknown deadline_check {value!r}")
             spec.deadline_check = value
         elif name == "seeds":
-            spec.seeds = list(range(int(value)))
+            count = _spec_int(value, where, name)
+            if count < 1:
+                raise _Usage(f"{where}: seeds: N needs N >= 1, got {count}")
+            spec.seeds = list(range(count))
         else:
-            raise _Usage(f"{path}:{lineno}: scalar env values must be written as [v]")
+            raise _Usage(f"{where}: scalar env values must be written as [v]")
     if not spec.env_lists:
         raise _Usage(f"{path}: sweep file declares no env variable lists")
     return spec
@@ -283,10 +291,10 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
 def cmd_sweep(args) -> int:
     checked = _load_checked(args.model)
     sweep = parse_sweep_spec(_read_text(args.sweep), args.sweep)
-    horizon = sweep.horizon if sweep.horizon is not None else args.horizon
-    max_steps = sweep.max_steps if sweep.max_steps is not None else args.max_steps
-    if horizon is None and max_steps is None:
-        raise _Usage("sweep needs horizon/max_steps in the spec file or flags")
+    policy = SchedulePolicy(
+        deadline_check=sweep.deadline_check,
+        horizon=sweep.horizon if sweep.horizon is not None else args.horizon,
+        max_steps=sweep.max_steps if sweep.max_steps is not None else args.max_steps)
     spec = _load_monitor(args.monitor, checked)
 
     names = sweep.names
@@ -301,12 +309,9 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     out_dir = Path(args.out)
-    policy_proto = dict(deadline_check=sweep.deadline_check,
-                        horizon=horizon, max_steps=max_steps)
 
     def one(job):  # (index, point, seed, trace, verdict, fault message)
         index, point, seed = job
-        policy = SchedulePolicy(**policy_proto)
         try:
             trace = run(checked, dict(zip(names, point)), seed, policy)
         except ExecError as exc:

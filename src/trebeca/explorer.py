@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .interp import ExecError, Resolver
 from .model import (
@@ -26,22 +26,18 @@ from .scheduler import (
     END_HORIZON,
     END_MAX_STEPS,
     END_PARTIAL,
+    END_TRUNCATED,
     Trace,
     build_initial_state,
     execute_selected,
     normalize_env_bindings,
     prepare_step,
+    require_bounds,
 )
-
-END_TRUNCATED = "truncated"
 
 # Canonical identity of a message, JSON-friendly: the explorer's decisions
 # (``Message.key``) and the trace's msg_selected events both reduce to this.
 MessageKey = tuple  # (tt, receiver, method, (args...), sender, dl)
-
-
-def event_message_key(ev: TraceEvent) -> MessageKey:
-    return (ev.tt, ev.rebec, ev.method, tuple(ev.args), ev.sender, ev.dl)
 
 
 @dataclass(frozen=True)
@@ -55,10 +51,8 @@ class Decision:
 
 def trace_decisions(trace: Trace) -> list[Decision]:
     """Recover the decision path a simulation took from its trace."""
-    return [
-        Decision(message=event_message_key(ev), choices=tuple(ev.choices))
-        for ev in trace.selected()
-    ]
+    return [Decision((ev.tt, ev.rebec, ev.method, ev.args, ev.sender, ev.dl), ev.choices)
+            for ev in trace.selected()]
 
 
 def state_key(state: SystemState) -> str:
@@ -82,8 +76,9 @@ class ExploreBounds:
     max_states: Optional[int] = None
 
     def require_bound(self) -> None:
-        if self.horizon is None and self.max_steps is None and self.max_states is None:
-            raise ValueError("exploration needs a horizon, max-steps or max-states bound")
+        require_bounds("exploration needs a horizon, max-steps or max-states bound",
+                       horizon=self.horizon, max_steps=self.max_steps,
+                       max_states=self.max_states)
 
 
 @dataclass
@@ -206,27 +201,21 @@ def _enumerate_decisions(base: SystemState, msg: Message):
         prefix = pending.pop()
         work = base.clone()
         resolver = Resolver(prefix)
-        error: Optional[str] = None
         try:
-            exec_events, selected_event = execute_selected(work, msg, resolver)
+            events = execute_selected(work, msg, resolver)
         except ExecError as exc:
-            error = str(exc)
+            work, events = None, str(exc)
         taken = resolver.taken
         # Queue the unexplored siblings of every choice made past the prefix.
         for p in range(len(prefix), len(taken)):
             _site, arity, idx = taken[p]
             for alt in range(idx + 1, arity):
                 pending.append([t[2] for t in taken[:p]] + [alt])
-        decision = Decision(message=msg.key, choices=tuple(taken))
-        if error is not None:
-            yield decision, None, error
-        else:
-            yield decision, work, [selected_event] + exec_events
+        yield Decision(message=msg.key, choices=tuple(taken)), work, events
 
 
 def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
-            deadline_check: str = CHECK_LITERAL,
-            _tie_permute: Optional[Callable[[list], list]] = None) -> ExploreResult:
+            deadline_check: str = CHECK_LITERAL) -> ExploreResult:
     """Enumerate every reachable state within the bounds, breadth first.
 
     States left unexpanded when ``max_states`` cuts the search become
@@ -269,8 +258,6 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             node.terminal_events = tuple(purge_events)
             truncated = truncated or end == END_HORIZON
             return
-        if _tie_permute is not None:
-            candidates = _tie_permute(candidates)
         for msg in candidates:
             for decision, result_state, payload in _enumerate_decisions(state, msg):
                 if result_state is None:
@@ -355,8 +342,8 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
     else is marked partial.
     """
     bindings = normalize_env_bindings(result.checked, result.env_bindings)
-    state, init_events = build_initial_state(result.checked, bindings)
-    trace = Trace(events=list(init_events))
+    state, events = build_initial_state(result.checked, bindings)
+    trace = Trace(events)
     horizon, max_steps = result.bounds.horizon, result.bounds.max_steps
     for step, decision in enumerate(path):
         if max_steps is not None and step >= max_steps:
@@ -369,17 +356,17 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
             raise StalePathError(f"no eligible message matches {decision.message}")
         resolver = Resolver([idx for _, _, idx in decision.choices])
         try:
-            exec_events, selected_event = execute_selected(state, msg, resolver)
+            step_events = execute_selected(state, msg, resolver)
         except ExecError as exc:
             raise StalePathError(f"stale decision vector: {exc}") from exc
         if tuple(resolver.taken) != decision.choices:
             raise StalePathError(f"stale decision vector: recorded {decision.choices},"
                                  f" the body took {tuple(resolver.taken)}")
-        trace.append(*purge_events, selected_event, *exec_events)
+        events += purge_events + step_events
     purge_events, end, _ = prepare_step(state, result.deadline_check, horizon)
     if end is None:
         end = END_PARTIAL  # the purges belong to a step the path does not take
     else:
-        trace.append(*purge_events)
+        events += purge_events
     trace.end(end, horizon)
     return trace

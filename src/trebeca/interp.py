@@ -50,7 +50,6 @@ from .model import (
     TraceEvent,
     UnaryOp,
     VarRef,
-    deadline_text,
 )
 
 
@@ -142,8 +141,6 @@ def _advance(env: RebecEnv, amount: int, method: str, pos: Optional[Pos]) -> int
         raise ExecError("logical time overflow", env.rebec_id, method, pos)
     return ticks
 
-
-NEVER_TEXT = deadline_text(NEVER)
 
 _BINARY: dict[str, Callable[[Code, Code], Code]] = {
     "+": lambda l, r: lambda fr: l(fr) + r(fr),
@@ -438,20 +435,16 @@ class _Compiler:
                                     env.rebec_id, method, pos)
                 tt = _advance(env, offset, method, pos)
             if deadline is None:
-                dl, dl_text = NEVER, NEVER_TEXT
+                dl = NEVER
             else:
                 rel = deadline(fr)
                 if rel <= 0:
                     raise ExecError(f"deadline offset must be positive, got {rel}",
                                     env.rebec_id, method, pos)
                 dl = _advance(env, rel, method, pos)
-                dl_text = deadline_text(dl)
             msg = Message(receiver_id, server, values, env.rebec_id, tt, dl)
             fr.state.add_message(msg)
-            # Positional, since a keyword call costs about twice as much:
-            # kind, time, rebec, method, sender, tt, dl, reason, args.
-            fr.events.append(TraceEvent(EV_SENT, env.now, receiver_id, server, msg.sender,
-                                        tt, dl_text, None, msg.canon_args))
+            fr.events.append(msg.event(EV_SENT, env.now))
         return send
 
     def new(self, s: NewStmt, scope: Scope) -> tuple[Scope, Optional[Code]]:
@@ -482,10 +475,7 @@ class _Compiler:
             fr.events.append(TraceEvent(
                 kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
             ))
-            fr.events.append(TraceEvent(
-                kind=EV_SENT, time=env.now, rebec=new_id, method="initial",
-                sender=env.rebec_id, tt=msg.tt, dl=NEVER_TEXT, args=msg.canon_args,
-            ))
+            fr.events.append(msg.event(EV_SENT, env.now))
         return scope, new
 
 

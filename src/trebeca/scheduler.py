@@ -29,7 +29,6 @@ from .model import (
     UnaryOp,
     Value,
     VarRef,
-    deadline_text,
     json_int,
     json_str,
 )
@@ -39,13 +38,25 @@ CHECK_LITERAL = "literal"
 CHECK_EFFECTIVE = "effective"
 
 # Termination reasons. The first two end a run for good; the others mean the
-# run was cut short and more behaviour exists beyond the bound.
+# run was cut short and more behaviour exists beyond the bound. A truncated
+# node is one the explorer left unexpanded when its state cap cut the search.
 END_EMPTY = "empty-bag"
 END_EXPIRED = "all-expired"
 END_HORIZON = "horizon"
 END_MAX_STEPS = "max-steps"
 END_PARTIAL = "partial"
-TRUNCATED_REASONS = frozenset({END_HORIZON, END_MAX_STEPS, END_PARTIAL, "truncated"})
+END_TRUNCATED = "truncated"
+TRUNCATED_REASONS = frozenset({END_HORIZON, END_MAX_STEPS, END_PARTIAL, END_TRUNCATED})
+
+
+def require_bounds(missing: str, **bounds: Optional[int]) -> None:
+    """The one bound rule of runs and explorations: raise ``ValueError``
+    with ``missing`` when no bound is set, or naming a negative bound."""
+    if all(value is None for value in bounds.values()):
+        raise ValueError(missing)
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name.replace('_', '-')} must be non-negative, got {value}")
 
 
 @dataclass
@@ -55,16 +66,13 @@ class SchedulePolicy:
     max_steps: Optional[int] = None
 
     def require_bound(self) -> None:
-        if self.horizon is None and self.max_steps is None:
-            raise ValueError("a run needs a horizon or a max-steps bound")
+        require_bounds("a run needs a horizon or a max-steps bound",
+                       horizon=self.horizon, max_steps=self.max_steps)
 
 
 @dataclass
 class Trace:
     events: list[TraceEvent] = field(default_factory=list)
-
-    def append(self, *events: TraceEvent) -> None:
-        self.events.extend(events)
 
     @property
     def end_reason(self) -> Optional[str]:
@@ -130,11 +138,7 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
         if msg.dl == NEVER or eligible(msg, state, mode):
             keep.append(msg)
         else:
-            events.append(TraceEvent(
-                kind=EV_PURGED, time=state.envs[msg.receiver].now, rebec=msg.receiver,
-                method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
-                args=msg.canon_args,
-            ))
+            events.append(msg.event(EV_PURGED, state.envs[msg.receiver].now))
     state.bag = keep
     return events
 
@@ -175,32 +179,11 @@ def prepare_step(state: SystemState, deadline_check: str,
     return events, None, min_tt_candidates(state)
 
 
-@dataclass
-class StepOutcome:
-    events: list[TraceEvent]
-    reason: Optional[str] = None  # set when the step terminated the run
-    selected: Optional[Message] = None
-
-
-def scheduler_step(state: SystemState, policy: SchedulePolicy,
-                   rng: random.Random) -> StepOutcome:
-    """One system transition, mutating ``state``; the caller owns the state.
-
-    ``rng`` breaks time-tag ties and resolves the body's ``?(...)`` choices."""
-    events, reason, candidates = prepare_step(state, policy.deadline_check, policy.horizon)
-    if reason is not None:
-        return StepOutcome(events=events, reason=reason)
-
-    msg = candidates[0] if len(candidates) == 1 else candidates[rng.randrange(len(candidates))]
-
-    events_after, selected_event = execute_selected(state, msg, Resolver(rng=rng))
-    return StepOutcome(events=events + [selected_event] + events_after, selected=msg)
-
-
 def execute_selected(state: SystemState, msg: Message,
-                     resolver: Resolver) -> tuple[list[TraceEvent], TraceEvent]:
+                     resolver: Resolver) -> list[TraceEvent]:
     """Remove ``msg`` from the bag and run its method; shared by simulator,
-    explorer and replay so their traces agree byte for byte.
+    explorer and replay so their traces agree byte for byte. Returns the
+    step's events in trace order: ``msg_selected``, then the body's.
 
     ``msg`` must be an object taken from ``state.bag``: it is removed by
     identity, since any of several equal copies is the same transition.
@@ -214,14 +197,9 @@ def execute_selected(state: SystemState, msg: Message,
         raise ValueError("selected message is not in the bag")
     receiver = state.envs[msg.receiver]
     exec_time = max(msg.tt, receiver.now)
-    exec_events = exec_method(msg, state, resolver)
-    selected_event = TraceEvent(
-        kind=EV_SELECTED, time=exec_time, rebec=msg.receiver,
-        method=msg.method, sender=msg.sender, tt=msg.tt, dl=deadline_text(msg.dl),
-        args=msg.canon_args,
-        choices=tuple(resolver.taken),
-    )
-    return exec_events, selected_event
+    events = exec_method(msg, state, resolver)
+    events.insert(0, msg.event(EV_SELECTED, exec_time, tuple(resolver.taken)))
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +256,7 @@ def build_initial_state(checked: CheckedModel,
         msg = Message(receiver=inst.name, method="initial", args=(),
                       sender=EXTERNAL_ID, tt=0, dl=NEVER)
         state.add_message(msg)
-        events.append(TraceEvent(
-            kind=EV_SENT, time=0, rebec=inst.name, method="initial",
-            sender=EXTERNAL_ID, tt=0, dl=deadline_text(NEVER),
-        ))
+        events.append(msg.event(EV_SENT, 0))
     return state, events
 
 
@@ -294,16 +269,20 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     """
     policy.require_bound()
     bindings = normalize_env_bindings(checked, env_bindings)
-    state, init_events = build_initial_state(checked, bindings)
-    trace = Trace(events=list(init_events))
+    state, events = build_initial_state(checked, bindings)
+    trace = Trace(events)
     rng = random.Random(seed)
     steps = 0
     while policy.max_steps is None or steps < policy.max_steps:
-        outcome = scheduler_step(state, policy, rng)
-        trace.append(*outcome.events)
-        if outcome.reason is not None:
-            trace.end(outcome.reason, policy.horizon)
+        purge_events, end, candidates = prepare_step(state, policy.deadline_check,
+                                                     policy.horizon)
+        events += purge_events
+        if end is not None:
+            trace.end(end, policy.horizon)
             return trace
+        # Draw only on a tie, then in the body: every seeded trace assumes it.
+        msg = candidates[0] if len(candidates) == 1 else candidates[rng.randrange(len(candidates))]
+        events += execute_selected(state, msg, Resolver(rng=rng))
         steps += 1
     trace.end(END_MAX_STEPS, policy.horizon)
     return trace

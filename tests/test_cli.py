@@ -11,6 +11,7 @@ TICKET = str(trebeca.bundled("ticket_service.rebeca"))
 TICKET_ENV_FILE = str(trebeca.bundled("ticket_service.env"))
 ISSUED_MON = str(trebeca.bundled("ticket_issued.monitor"))
 CHOICE = str(trebeca.bundled("choice_delay.rebeca"))
+PING = str(trebeca.bundled("ping_pong.rebeca"))
 
 
 def env_args(bindings=TICKET_ENV):
@@ -279,6 +280,43 @@ def test_sweep_cap_refusal(tmp_path):
     assert main(["sweep", TICKET, str(spec), "--out", str(out), "--cap", "3"]) == 64
     assert main(["sweep", TICKET, str(spec), "--out", str(out), "--cap", "3",
                  "--force"]) == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("horizon: abc", "horizon must be an integer, got 'abc'"),
+    ("max_steps: 1.5", "max_steps must be an integer, got '1.5'"),
+    ("seeds: x", "seeds must be an integer, got 'x'"),
+    ("seeds: 0", "seeds: N needs N >= 1, got 0"),
+    ("seeds: [1, 1]", "seeds must be distinct, got [1, 1]"),
+    ("seeds: [0, true]", "a seed must be an integer, got 'true'"),
+], ids=["horizon", "max-steps", "seed-count", "zero-seeds", "duplicate-seeds", "bool-seed"])
+def test_sweep_spec_scalar_errors_are_positioned(tmp_path, capsys, line, message):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text(f"requestDeadline: [2]\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", TICKET, str(spec), "--out", str(out), "--horizon", "5"]) == 64
+    assert capsys.readouterr().err == f"trebeca: error: {spec}:2: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", PING, "--horizon", "-3"], "horizon must be non-negative, got -3"),
+    (["run", PING, "--max-steps", "-1"], "max-steps must be non-negative, got -1"),
+    (["explore", PING, "--max-states", "-1"], "max-states must be non-negative, got -1"),
+    (["explore", PING, "--horizon", "4", "--max-steps", "-2"],
+     "max-steps must be non-negative, got -2"),
+    (["sweep", PING, "SPEC", "--out", "OUT", "--horizon", "-4"],
+     "horizon must be non-negative, got -4"),
+], ids=["run-horizon", "run-max-steps", "explore-max-states", "explore-max-steps",
+        "sweep-horizon"])
+def test_a_negative_bound_is_a_usage_error(tmp_path, capsys, argv, message):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("unused: [0]\n")
+    out = tmp_path / "out"
+    argv = [{"SPEC": str(spec), "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 64
+    assert capsys.readouterr().err.endswith(f"trebeca: error: {message}\n")
+    assert not out.exists()
 
 
 def test_sweep_empty_spec_is_usage_error(tmp_path):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import TICKET_ENV
+from trebeca import scheduler
 from trebeca.explorer import (
     Decision,
     ExploreBounds,
@@ -135,16 +136,22 @@ def test_replay_rejects_a_path_past_max_steps(ticket_model):
     assert len(replay(res, path[:3]).selected()) == 3
 
 
-def test_order_independence_of_reachable_keys(ticket_model):
+def test_order_independence_of_reachable_keys(ticket_model, monkeypatch):
     base = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=15))
     rng = random.Random(5)
+    ties = []
+    min_tt_candidates = scheduler.min_tt_candidates
 
-    def permute(candidates):
+    def shuffled_candidates(state):
+        candidates = min_tt_candidates(state)
+        if len(candidates) > 1:
+            ties.append(len(candidates))
         rng.shuffle(candidates)
         return candidates
 
-    shuffled = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=15),
-                       _tie_permute=permute)
+    monkeypatch.setattr(scheduler, "min_tt_candidates", shuffled_candidates)
+    shuffled = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=15))
+    assert ties  # the explorer saw the shuffled order
     assert base.key_set() == shuffled.key_set()
     assert len(base.edges) == len(shuffled.edges)
 
@@ -153,6 +160,17 @@ def test_max_states_truncates(ticket_model):
     res = explore(ticket_model, TICKET_ENV, ExploreBounds(horizon=50, max_states=50))
     assert res.truncated
     assert any(reason == "truncated" for _, reason in res.terminals())
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (dict(), "exploration needs a horizon, max-steps or max-states bound"),
+    (dict(horizon=-1), "horizon must be non-negative, got -1"),
+    (dict(max_steps=-2), "max-steps must be non-negative, got -2"),
+    (dict(horizon=5, max_states=-1), "max-states must be non-negative, got -1"),
+], ids=["none", "horizon", "max-steps", "max-states"])
+def test_bounds_are_set_and_non_negative(ticket_model, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        explore(ticket_model, TICKET_ENV, ExploreBounds(**bounds))
 
 
 def test_max_steps_depth_bound(ticket_model):

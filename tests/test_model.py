@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from conftest import bundled_text
@@ -17,9 +15,9 @@ from trebeca.scheduler import (
     execute_selected,
     min_tt_candidates,
     normalize_env_bindings,
+    prepare_step,
     purge_expired,
     run,
-    scheduler_step,
 )
 
 # ``initial`` moves the clock to MAX_TICKS; ``go`` then tries to pass it.
@@ -143,11 +141,10 @@ def test_a_parameter_shadows_an_env_variable():
                          " msgsrv initial() { self.m(5); n = k; } msgsrv m(int k) { n = k; } }"
                          " main { A a():(); }")
     state, _ = build_initial_state(checked, normalize_env_bindings(checked, {"k": 9}))
-    policy = SchedulePolicy(max_steps=2)
-    scheduler_step(state, policy, random.Random(0))
-    assert state.envs["a"].state_vars["n"] == 9
-    scheduler_step(state, policy, random.Random(0))
-    assert state.envs["a"].state_vars["n"] == 5
+    for n in (9, 5):
+        _, _, (msg,) = prepare_step(state, CHECK_LITERAL, None)
+        execute_selected(state, msg, Resolver())
+        assert state.envs["a"].state_vars["n"] == n
 
 
 def test_env_bindings_keep_bool_and_int_apart():

@@ -5,8 +5,10 @@ its own scale; the plain tests keep counts modest for everyday runs.
 """
 import random
 from collections import Counter
+from unittest import mock
 
 from gen import generate_model
+from trebeca import scheduler
 from trebeca.explorer import ExploreBounds, explore, follow, trace_decisions
 from trebeca.interp import ExecError
 from trebeca.model import (
@@ -95,8 +97,10 @@ def budget_truncated(result) -> bool:
 def check_order_independence(count: int, min_compared: int) -> None:
     compared = 0
     rng = random.Random(99)
+    min_tt_candidates = scheduler.min_tt_candidates
 
-    def permute(candidates):
+    def shuffled_candidates(state):
+        candidates = min_tt_candidates(state)
         rng.shuffle(candidates)
         return candidates
 
@@ -106,7 +110,8 @@ def check_order_independence(count: int, min_compared: int) -> None:
         base = explore(checked, env_for(model), bounds)
         if budget_truncated(base):
             continue
-        shuffled = explore(checked, env_for(model), bounds, _tie_permute=permute)
+        with mock.patch.object(scheduler, "min_tt_candidates", shuffled_candidates):
+            shuffled = explore(checked, env_for(model), bounds)
         assert base.key_set() == shuffled.key_set(), f"seed {seed}"
         compared += 1
     assert compared >= min_compared

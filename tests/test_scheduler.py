@@ -12,6 +12,15 @@ def test_policy_requires_a_bound(ticket_model):
         run(ticket_model, TICKET_ENV, 0, SchedulePolicy())
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (dict(horizon=-3), "horizon must be non-negative, got -3"),
+    (dict(horizon=5, max_steps=-1), "max-steps must be non-negative, got -1"),
+], ids=["horizon", "max-steps"])
+def test_policy_rejects_a_negative_bound(ticket_model, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        run(ticket_model, TICKET_ENV, 0, SchedulePolicy(**bounds))
+
+
 def test_missing_env_binding_reported(ticket_model):
     partial = dict(TICKET_ENV)
     partial.pop("serviceTime1")

@@ -1,6 +1,5 @@
 """One unit test per method-execution rule and per scheduler side condition,
 each asserting the exact post-state the rule prescribes."""
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -29,12 +28,12 @@ from trebeca.parser import MethodInfo, load_model
 from trebeca.scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
-    SchedulePolicy,
     build_initial_state,
     eligible,
+    execute_selected,
     min_tt_candidates,
     normalize_env_bindings,
-    scheduler_step,
+    prepare_step,
 )
 
 HARNESS_SRC = """
@@ -276,6 +275,16 @@ def _msg(receiver, method, tt, dl=None, args=(), sender="alpha"):
                    sender=sender, tt=tt, dl=NEVER if dl is None else dl)
 
 
+def system_step(state, horizon):
+    """One system transition of a state with at most one candidate:
+    ``(events in trace order, end reason or None)``."""
+    events, end, candidates = prepare_step(state, CHECK_LITERAL, horizon)
+    if end is None:
+        (msg,) = candidates
+        events += execute_selected(state, msg, no_choice())
+    return events, end
+
+
 def test_scheduler_now_becomes_max_of_tt_and_clock():
     state = fresh_state()
     env = state.envs["alpha"]
@@ -328,9 +337,9 @@ def test_scheduler_purges_expired_deadline():
     env.now = 9
     state.add_message(_msg("alpha", "probe", tt=0, dl=8, args=(1,)))
     assert not eligible(state.bag[0], state, CHECK_LITERAL)
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
-    assert outcome.reason == "all-expired"
-    assert [ev.kind for ev in outcome.events] == ["msg_purged"]
+    events, end = system_step(state, horizon=100)
+    assert end == "all-expired"
+    assert [ev.kind for ev in events] == ["msg_purged"]
     assert state.bag == []
 
 
@@ -356,8 +365,9 @@ def test_scheduler_selects_minimal_time_tag():
     state.add_message(m2)
     state.add_message(m1)
     assert min_tt_candidates(state) == [m1]
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
-    assert outcome.selected == m1
+    events, end = system_step(state, horizon=100)
+    assert end is None
+    assert (events[0].kind, events[0].rebec, events[0].tt) == ("msg_selected", "alpha", 3)
     assert state.bag == [m2]
 
 
@@ -369,22 +379,22 @@ def test_scheduler_purges_before_selecting():
     valid = _msg("beta", "ping", tt=5, args=(2,))
     state.add_message(expired)
     state.add_message(valid)
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
-    assert [ev.kind for ev in outcome.events[:2]] == ["msg_purged", "msg_selected"]
-    assert outcome.selected == valid
+    events, end = system_step(state, horizon=100)
+    assert [ev.kind for ev in events[:2]] == ["msg_purged", "msg_selected"]
+    assert (events[1].rebec, events[1].tt) == ("beta", 5)
+    assert state.bag == []
 
 
 def test_scheduler_empty_bag_terminates():
     state = fresh_state()
-    outcome = scheduler_step(state, SchedulePolicy(horizon=100), random.Random(0))
-    assert outcome.reason == "empty-bag"
+    assert system_step(state, horizon=100) == ([], "empty-bag")
 
 
 def test_scheduler_horizon_stops_before_executing():
     state = fresh_state()
     state.add_message(_msg("alpha", "probe", tt=31, args=(1,)))
-    outcome = scheduler_step(state, SchedulePolicy(horizon=30), random.Random(0))
-    assert outcome.reason == "horizon"
+    events, end = system_step(state, horizon=30)
+    assert (events, end) == ([], "horizon")
     assert state.bag != []  # nothing executed
 
 
