@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -24,6 +25,7 @@ from .scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
     SchedulePolicy,
+    normalize_env_bindings,
     run,
 )
 
@@ -72,7 +74,7 @@ def _load_checked(path: str) -> CheckedModel:
     return checked
 
 
-def _parse_env_value(text: str):
+def _parse_env_value(text: str, where: Optional[str] = None):
     if text == "true":
         return True
     if text == "false":
@@ -80,7 +82,8 @@ def _parse_env_value(text: str):
     try:
         return int(text)
     except ValueError:
-        raise _Usage(f"env values must be integers or true/false, got {text!r}")
+        message = f"env values must be integers or true/false, got {text!r}"
+        raise _Usage(f"{where}: {message}" if where else message) from None
 
 
 def _collect_env(args) -> dict:
@@ -93,7 +96,7 @@ def _collect_env(args) -> dict:
             if "=" not in line:
                 raise _Usage(f"{args.env_file}:{lineno}: expected name=value")
             name, _, value = line.partition("=")
-            bindings[name.strip()] = _parse_env_value(value.strip())
+            bindings[name.strip()] = _parse_env_value(value.strip(), f"{args.env_file}:{lineno}")
     for item in getattr(args, "env", None) or []:
         if "=" not in item:
             raise _Usage(f"--env expects name=value, got {item!r}")
@@ -251,6 +254,7 @@ def _spec_int(text: str, where: str, name: str) -> int:
 
 def parse_sweep_spec(text: str, path: str) -> SweepSpec:
     spec = SweepSpec(env_lists=[], seeds=[0])
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -260,6 +264,9 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
             raise _Usage(f"{where}: expected 'name: value'")
         name, _, value = line.partition(":")
         name, value = name.strip(), value.strip()
+        if name in seen:
+            raise _Usage(f"{where}: duplicate key {name!r}")
+        seen.add(name)
         if value.startswith("[") and value.endswith("]"):
             items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
             if not items:
@@ -268,8 +275,10 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
                 spec.seeds = [_spec_int(v, where, "a seed") for v in items]
                 if len(set(spec.seeds)) < len(spec.seeds):
                     raise _Usage(f"{where}: seeds must be distinct, got {value}")
+                if min(spec.seeds) < 0:
+                    raise _Usage(f"{where}: seeds must be non-negative, got {value}")
             else:
-                spec.env_lists.append((name, [_parse_env_value(v) for v in items]))
+                spec.env_lists.append((name, [_parse_env_value(v, where) for v in items]))
         elif name in ("horizon", "max_steps"):
             setattr(spec, name, _spec_int(value, where, name))
         elif name == "deadline_check":
@@ -299,7 +308,7 @@ def cmd_sweep(args) -> int:
 
     names = sweep.names
     points = sweep.points()
-    seeds = sweep.seeds
+    seeds = sorted(sweep.seeds)  # seeds listed out of order write the same files
     total = len(points) * len(seeds)
     print(f"sweep: {len(points)} parameter point(s) x {len(seeds)} seed(s)"
           f" = {total} run(s)", file=sys.stderr)
@@ -307,61 +316,49 @@ def cmd_sweep(args) -> int:
         print(f"refusing to run {total} > cap {args.cap} runs (use --force)",
               file=sys.stderr)
         return EXIT_USAGE
-
-    out_dir = Path(args.out)
-
-    def one(job):  # (index, point, seed, trace, verdict, fault message)
-        index, point, seed = job
-        try:
-            trace = run(checked, dict(zip(names, point)), seed, policy)
-        except ExecError as exc:
-            return index, point, seed, None, None, str(exc)
-        verdict = monitors.check_trace(trace, spec) if spec else None
-        return index, point, seed, trace, verdict, None
-
-    jobs = [(i, point, seed) for i, point in enumerate(points) for seed in seeds]
-    try:
-        rows = [one(job) for job in jobs]
+    try:  # a usage error writes nothing
+        policy.require_bound()
+        for point in points:
+            normalize_env_bindings(checked, dict(zip(names, point)))
     except ValueError as exc:
         raise _Usage(str(exc))
-    rows.sort(key=lambda r: (r[0], r[2]))  # seeds listed out of order write the same files
-    faults = [r[5] for r in rows if r[5] is not None]
-    for fault in faults:
-        print(f"{args.model}: runtime error: {fault}", file=sys.stderr)
 
+    out_dir = Path(args.out)
+    clause_names = [str(c) for c in spec.clauses] if spec else []
+    faulted = False
     try:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-        clause_names = [str(c) for c in spec.clauses] if spec else []
-        with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point", *names, "seed", "end_reason",
-                             *clause_names, "trace"])
-            for index, point, seed, trace, verdict, fault in rows:
-                if fault is not None:
-                    writer.writerow([index, *point, seed, "runtime-error",
-                                     *[""] * len(clause_names), ""])
-                    continue
-                rel = f"traces/point{index:04d}_seed{seed:04d}.jsonl"
-                (out_dir / rel).write_text(trace.to_jsonl(), encoding="utf-8")
-                statuses = [c.status for c in verdict.clauses] if verdict else []
-                writer.writerow([index, *point, seed, trace.end_reason, *statuses, rel])
-        with (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point", *names, "seeds",
-                             *[f"{c} [pass/fail/inconclusive]" for c in clause_names]])
+        with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as rfh, \
+                (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as sfh:
+            results, summary = csv.writer(rfh), csv.writer(sfh)
+            results.writerow(["point", *names, "seed", "end_reason", *clause_names, "trace"])
+            summary.writerow(["point", *names, "seeds",
+                              *[f"{c} [pass/fail/inconclusive]" for c in clause_names]])
             for index, point in enumerate(points):
-                of_point = [r for r in rows if r[0] == index]
-                cells = []
-                for ci in range(len(clause_names)):
-                    statuses = [r[4].clauses[ci].status for r in of_point if r[4]]
-                    cells.append(f"{statuses.count('pass')}/{statuses.count('fail')}"
-                                 f"/{statuses.count('inconclusive')}")
-                writer.writerow([index, *point, len(of_point), *cells])
+                counts = [Counter() for _ in clause_names]
+                for seed in seeds:
+                    try:
+                        trace = run(checked, dict(zip(names, point)), seed, policy)
+                    except ExecError as exc:
+                        print(f"{args.model}: runtime error: {exc}", file=sys.stderr)
+                        faulted = True
+                        results.writerow([index, *point, seed, "runtime-error",
+                                          *[""] * len(clause_names), ""])
+                        continue
+                    rel = f"traces/point{index:04d}_seed{seed:04d}.jsonl"
+                    (out_dir / rel).write_text(trace.to_jsonl(), encoding="utf-8")
+                    statuses = ([c.status for c in monitors.check_trace(trace, spec).clauses]
+                                if spec else [])
+                    for count, status in zip(counts, statuses):
+                        count[status] += 1
+                    results.writerow([index, *point, seed, trace.end_reason, *statuses, rel])
+                summary.writerow([index, *point, len(seeds), *[
+                    f"{c['pass']}/{c['fail']}/{c['inconclusive']}" for c in counts]])
     except OSError as exc:
         print(f"cannot write sweep output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(rows)} run(s) under {out_dir}", file=sys.stderr)
-    return EXIT_MODEL_ERROR if faults else EXIT_OK
+    print(f"wrote {total} run(s) under {out_dir}", file=sys.stderr)
+    return EXIT_MODEL_ERROR if faulted else EXIT_OK
 
 
 def cmd_emit(args) -> int:

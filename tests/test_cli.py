@@ -289,7 +289,10 @@ def test_sweep_cap_refusal(tmp_path):
     ("seeds: 0", "seeds: N needs N >= 1, got 0"),
     ("seeds: [1, 1]", "seeds must be distinct, got [1, 1]"),
     ("seeds: [0, true]", "a seed must be an integer, got 'true'"),
-], ids=["horizon", "max-steps", "seed-count", "zero-seeds", "duplicate-seeds", "bool-seed"])
+    ("seeds: [0, -1]", "seeds must be non-negative, got [0, -1]"),
+    ("requestDeadline: [3, 4]", "duplicate key 'requestDeadline'"),
+], ids=["horizon", "max-steps", "seed-count", "zero-seeds", "duplicate-seeds", "bool-seed",
+        "negative-seed", "duplicate-key"])
 def test_sweep_spec_scalar_errors_are_positioned(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.txt"
     spec.write_text(f"requestDeadline: [2]\n{line}\n")
@@ -317,6 +320,42 @@ def test_a_negative_bound_is_a_usage_error(tmp_path, capsys, argv, message):
     assert main(argv) == 64
     assert capsys.readouterr().err.endswith(f"trebeca: error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["sweep", TICKET, "FILE", "--out", "OUT"], "horizon: 5\nrequestDeadline: [2, x]\n"),
+    (["run", TICKET, "--env-file", "FILE", "--horizon", "5"],
+     "requestDeadline=2\ncheckIssuedPeriod=x\n"),
+], ids=["sweep-list", "env-file"])
+def test_env_value_errors_are_positioned(tmp_path, capsys, argv, text):
+    path = tmp_path / "values.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == (
+        f"trebeca: error: {path}:2: env values must be integers or true/false, got 'x'\n")
+    assert not out.exists()
+
+
+def test_sweep_writes_each_run_before_the_next_starts(tmp_path, monkeypatch):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("seeds: [1, 0]\nhorizon: 10\nrequestDeadline: [2]\n"
+                    "checkIssuedPeriod: [1, 2]\nretryRequestPeriod: [1]\n"
+                    "newRequestPeriod: [1]\nserviceTime1: [3]\nserviceTime2: [7]\n")
+    out = tmp_path / "out"
+    started = []
+
+    def run_after_the_last_trace_is_written(checked, env, seed, policy):
+        written = sorted(p.name for p in (out / "traces").glob("*.jsonl"))
+        assert written == [f"point{i:04d}_seed{s:04d}.jsonl" for i, s in started]
+        started.append((env["checkIssuedPeriod"] - 1, seed))
+        return real_run(checked, env, seed, policy)
+
+    real_run = trebeca.cli.run
+    monkeypatch.setattr(trebeca.cli, "run", run_after_the_last_trace_is_written)
+    assert main(["sweep", TICKET, str(spec), "--out", str(out)]) == 0
+    assert started == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_sweep_empty_spec_is_usage_error(tmp_path):
