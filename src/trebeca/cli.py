@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -233,6 +233,7 @@ class SweepSpec:
 
     env_lists: list  # (name, [values]) in file order
     seeds: list
+    lines: dict = field(default_factory=dict)  # env list name -> its line in the file
     horizon: Optional[int] = None
     max_steps: Optional[int] = None
     deadline_check: str = CHECK_LITERAL
@@ -279,8 +280,12 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
                     raise _Usage(f"{where}: seeds must be non-negative, got {value}")
             else:
                 spec.env_lists.append((name, [_parse_env_value(v, where) for v in items]))
+                spec.lines[name] = lineno
         elif name in ("horizon", "max_steps"):
-            setattr(spec, name, _spec_int(value, where, name))
+            bound = _spec_int(value, where, name)
+            if bound < 0:
+                raise _Usage(f"{where}: {name} must be non-negative, got {bound}")
+            setattr(spec, name, bound)
         elif name == "deadline_check":
             if value not in (CHECK_LITERAL, CHECK_EFFECTIVE):
                 raise _Usage(f"{where}: unknown deadline_check {value!r}")
@@ -318,6 +323,9 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     try:  # a usage error writes nothing
         policy.require_bound()
+        for name in names:
+            if name not in checked.env_types:
+                raise _Usage(f"{args.sweep}:{sweep.lines[name]}: unknown env variable {name!r}")
         for point in points:
             normalize_env_bindings(checked, dict(zip(names, point)))
     except ValueError as exc:

@@ -393,6 +393,10 @@ class RebecEnv:
         return f"RebecEnv({self.rebec_id}:{self.class_name} now={self._now})"
 
 
+# A rebec's clock, as a ``key=`` or ``map`` function: a slot read, not the property.
+rebec_clock = attrgetter("_now")
+
+
 class SystemState:
     """A pair of rebec environments and the message bag, plus bookkeeping.
 
@@ -400,6 +404,11 @@ class SystemState:
     all times: messages enter it only through ``add_message``, and nothing
     reorders it. The messages with the smallest time tag are its prefix, and
     a state key joins it as it stands.
+
+    ``dl_floor`` lies at or below every finite deadline in the bag; it is −1
+    while the bag may hold a time tag past its deadline, and ``NEVER`` while
+    it holds no finite deadline. ``add_message`` lowers it, a removal leaves
+    it a valid bound, and a purge that scans the bag makes it exact.
 
     Owned by exactly one executor at a time. ``clone`` copies the ``envs``
     dict and the bag list but shares the rebec records with the original,
@@ -410,11 +419,12 @@ class SystemState:
     each step copies one record.
     """
 
-    __slots__ = ("envs", "bag", "fresh", "env_bindings", "checked", "_owned")
+    __slots__ = ("envs", "bag", "dl_floor", "fresh", "env_bindings", "checked", "_owned")
 
     def __init__(self, checked, env_bindings: dict[str, Value]):
         self.envs: dict[str, RebecEnv] = {}
         self.bag: list[Message] = []
+        self.dl_floor = NEVER
         self.fresh = 0
         self.env_bindings = env_bindings
         self.checked = checked
@@ -424,6 +434,7 @@ class SystemState:
         st = SystemState(self.checked, self.env_bindings)
         st.envs = dict(self.envs)
         st.bag = list(self.bag)
+        st.dl_floor = self.dl_floor
         st.fresh = self.fresh
         self._owned = set()  # every record is now shared with the clone
         return st
@@ -450,6 +461,9 @@ class SystemState:
     def add_message(self, msg: Message) -> None:
         """Put ``msg`` into the bag at its place in canonical order."""
         insort(self.bag, msg, key=message_sort_key)
+        dl = msg.dl
+        if dl != NEVER:  # the one comparison a message without a deadline costs
+            self.dl_floor = min(self.dl_floor, dl if msg.tt <= dl else -1)
 
 
 # ---------------------------------------------------------------------------

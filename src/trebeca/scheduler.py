@@ -31,6 +31,7 @@ from .model import (
     VarRef,
     json_int,
     json_str,
+    rebec_clock,
 )
 from .parser import CheckedModel
 
@@ -128,18 +129,32 @@ def eligible(msg: Message, state: SystemState, mode: str = CHECK_LITERAL) -> boo
 
 
 def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
-    """Drop every ineligible message, in canonical bag order."""
+    """Drop every ineligible message, in canonical bag order.
+
+    The bag is scanned only once some clock has passed ``state.dl_floor``:
+    until then every message is eligible in both modes (a floor of −1, which
+    marks a time tag past its deadline, lies below every clock).
+    """
     if mode not in (CHECK_LITERAL, CHECK_EFFECTIVE):
         raise ValueError(f"unknown deadline check mode {mode!r}")
+    floor = state.dl_floor
+    if floor == NEVER or max(map(rebec_clock, state.envs.values())) <= floor:
+        return []
     events: list[TraceEvent] = []
     keep: list[Message] = []
+    floor = NEVER
     for msg in state.bag:
+        dl = msg.dl
         # A message without a deadline is eligible in every mode.
-        if msg.dl == NEVER or eligible(msg, state, mode):
+        if dl == NEVER:
             keep.append(msg)
+        elif eligible(msg, state, mode):
+            keep.append(msg)
+            floor = min(floor, dl if msg.tt <= dl else -1)
         else:
             events.append(msg.event(EV_PURGED, state.envs[msg.receiver].now))
     state.bag = keep
+    state.dl_floor = floor
     return events
 
 

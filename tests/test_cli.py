@@ -291,14 +291,26 @@ def test_sweep_cap_refusal(tmp_path):
     ("seeds: [0, true]", "a seed must be an integer, got 'true'"),
     ("seeds: [0, -1]", "seeds must be non-negative, got [0, -1]"),
     ("requestDeadline: [3, 4]", "duplicate key 'requestDeadline'"),
+    ("horizon: -4", "horizon must be non-negative, got -4"),
+    ("max_steps: -1", "max_steps must be non-negative, got -1"),
 ], ids=["horizon", "max-steps", "seed-count", "zero-seeds", "duplicate-seeds", "bool-seed",
-        "negative-seed", "duplicate-key"])
+        "negative-seed", "duplicate-key", "negative-horizon", "negative-max-steps"])
 def test_sweep_spec_scalar_errors_are_positioned(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.txt"
     spec.write_text(f"requestDeadline: [2]\n{line}\n")
     out = tmp_path / "out"
     assert main(["sweep", TICKET, str(spec), "--out", str(out), "--horizon", "5"]) == 64
     assert capsys.readouterr().err == f"trebeca: error: {spec}:2: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_unknown_env_name_is_positioned(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("horizon: 5\nrequestDeadline: [2]\nbogus: [1]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", TICKET, str(spec), "--out", str(out)]) == 64
+    assert capsys.readouterr().err.endswith(
+        f"trebeca: error: {spec}:3: unknown env variable 'bogus'\n")
     assert not out.exists()
 
 

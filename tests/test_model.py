@@ -159,8 +159,8 @@ def test_env_bindings_keep_bool_and_int_apart():
 
 
 def deadline_state(now, *messages):
-    checked = load_model("reactiveclass A { knownrebecs {} statevars {}"
-                         " msgsrv initial() {} msgsrv m(int v) {} } main { A a():(); }")
+    checked = load_model("reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {}"
+                         " msgsrv m(int v) {} msgsrv slow() { delay(3); } } main { A a():(); }")
     state, _ = build_initial_state(checked, normalize_env_bindings(checked, {}))
     state.envs["a"].now = now
     state.bag.clear()
@@ -188,6 +188,37 @@ def test_deadline_one_tick_past_is_purged():
         (event,) = purge_expired(state, mode)
         assert (event.kind, event.time, event.dl) == ("msg_purged", 6, "5")
         assert state.bag == [live]
+
+
+def test_a_tag_past_its_deadline_is_purged_in_effective_mode_at_the_next_step():
+    checked = load_model("reactiveclass A { knownrebecs {} statevars {}"
+                         " msgsrv initial() { self.m() after(3) deadline(1); } msgsrv m() {} }"
+                         " main { A a():(); }")
+    for mode, purged in ((CHECK_LITERAL, 0), (CHECK_EFFECTIVE, 1)):
+        state, _ = build_initial_state(checked, {})
+        _, _, (initial,) = prepare_step(state, mode, None)
+        execute_selected(state, initial, Resolver())
+        (late,) = state.bag
+        assert (late.tt, late.dl, state.envs["a"].now) == (3, 1, 0)  # no clock is past 1
+        events, end, candidates = prepare_step(state, mode, None)
+        assert [(ev.kind, ev.time, ev.tt, ev.dl) for ev in events] == [
+            ("msg_purged", 0, 3, "1")] * purged
+        assert (end, candidates) == ((scheduler.END_EXPIRED, []) if purged else (None, [late]))
+
+
+def test_a_clone_purges_an_inherited_deadline_its_receiver_passes():
+    for mode in (CHECK_LITERAL, CHECK_EFFECTIVE):
+        state = deadline_state(0, msg(tt=0, dl=2), Message(receiver="a", method="slow", args=(),
+                                                           sender="a", tt=0, dl=NEVER))
+        assert purge_expired(state, mode) == []
+        child = state.clone()
+        (slow,) = [m for m in child.bag if m.method == "slow"]
+        execute_selected(child, slow, Resolver())
+        assert child.envs["a"].now == 3
+        (event,) = purge_expired(child, mode)
+        assert (event.kind, event.time, event.method, event.dl) == ("msg_purged", 3, "m", "2")
+        assert child.bag == []
+        assert purge_expired(state, mode) == [] and len(state.bag) == 2
 
 
 def test_never_sorts_after_an_equal_finite_deadline():

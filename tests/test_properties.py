@@ -17,10 +17,12 @@ from trebeca.model import (
     EV_PURGED,
     EV_SELECTED,
     EV_SENT,
+    NEVER,
+    SystemState,
     pretty_print,
 )
 from trebeca.parser import parse_model, validate_model
-from trebeca.scheduler import SchedulePolicy, run
+from trebeca.scheduler import CHECK_EFFECTIVE, CHECK_LITERAL, SchedulePolicy, eligible, run
 
 RUN_POLICY = SchedulePolicy(horizon=12, max_steps=200)
 
@@ -133,6 +135,55 @@ def check_containment(count: int) -> None:
         assert result.nodes[node].terminal == trace.end_reason, f"seed {seed}"
 
 
+def full_scan(state, mode):
+    """The purge rule stated plainly, on a copy of ``state``: every message
+    that ``eligible`` rejects is purged, in bag order."""
+    copy = SystemState(state.checked, state.env_bindings)
+    copy.envs = {rid: env.copy() for rid, env in state.envs.items()}
+    copy.bag = list(state.bag)
+    events = [msg.event(EV_PURGED, copy.envs[msg.receiver].now)
+              for msg in copy.bag if not eligible(msg, copy, mode)]
+    return events, [msg for msg in copy.bag if eligible(msg, copy, mode)]
+
+
+def assert_floor_bounds_bag(state):
+    """``dl_floor`` is at or below every finite deadline, and below every
+    clock while some time tag is past its deadline."""
+    for msg in state.bag:
+        if msg.dl != NEVER:
+            assert state.dl_floor <= msg.dl
+            assert msg.tt <= msg.dl or state.dl_floor < 0
+
+
+def check_purge_oracle(count: int) -> None:
+    purge_expired = scheduler.purge_expired
+    removed = Counter()
+
+    def oracle_purge(state, mode):
+        assert_floor_bounds_bag(state)
+        expected = full_scan(state, mode)
+        events = purge_expired(state, mode)
+        assert (events, state.bag) == expected
+        assert_floor_bounds_bag(state)
+        removed[mode] += len(events)
+        removed[mode, "tt>dl"] += sum(ev.tt > int(ev.dl) for ev in events)
+        return events
+
+    with mock.patch.object(scheduler, "purge_expired", oracle_purge):
+        for seed in range(count):
+            model, checked = checked_model(seed)
+            for mode in (CHECK_LITERAL, CHECK_EFFECTIVE):
+                policy = SchedulePolicy(deadline_check=mode, horizon=12, max_steps=200)
+                try:
+                    run(checked, env_for(model), seed, policy)
+                except ExecError:
+                    pass
+                explore(checked, env_for(model), ExploreBounds(horizon=6, max_states=200),
+                        deadline_check=mode)
+    # The oracle saw real purges, including effective mode's tt > dl rule.
+    assert removed[CHECK_LITERAL] > 0 and removed[CHECK_EFFECTIVE, "tt>dl"] > 0
+
+
 def test_runs_satisfy_semantic_invariants():
     check_many_runs(300)
 
@@ -147,3 +198,7 @@ def test_explorer_order_independence():
 
 def test_runs_contained_in_graphs():
     check_containment(60)
+
+
+def test_purges_match_a_full_scan():
+    check_purge_oracle(120)
