@@ -25,6 +25,7 @@ from .scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
     SchedulePolicy,
+    check_env_value,
     normalize_env_bindings,
     run,
 )
@@ -323,11 +324,17 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     try:  # a usage error writes nothing
         policy.require_bound()
-        for name in names:
+        for name, values in sweep.env_lists:
+            where = f"{args.sweep}:{sweep.lines[name]}"
             if name not in checked.env_types:
-                raise _Usage(f"{args.sweep}:{sweep.lines[name]}: unknown env variable {name!r}")
-        for point in points:
-            normalize_env_bindings(checked, dict(zip(names, point)))
+                raise _Usage(f"{where}: unknown env variable {name!r}")
+            for value in values:
+                try:
+                    check_env_value(checked, name, value)
+                except ValueError as exc:
+                    raise _Usage(f"{where}: {exc}") from None
+        # Every value is typed, so one point finds any missing binding.
+        normalize_env_bindings(checked, dict(zip(names, points[0])))
     except ValueError as exc:
         raise _Usage(str(exc))
 

@@ -214,6 +214,51 @@ def _enumerate_decisions(base: SystemState, msg: Message):
         yield Decision(message=msg.key, choices=tuple(taken)), work, events
 
 
+def transition_key(state: SystemState, msg: Message):
+    """The memo key of serving ``msg`` in ``state``: its receiver's record
+    and the message, all that a message server reads (``_local_transitions``)."""
+    return state.envs[msg.receiver].key(), msg.sort_key
+
+
+def _local_transitions(memo: dict, base: SystemState, msg: Message):
+    """``_enumerate_decisions``, run once per receiver record and message.
+
+    A message server reads only its receiver's record, the message, the env
+    bindings and the model, and writes only the receiver, the bag and new
+    rebecs. The one other read is the check that a send's target exists.
+    Rebecs are never removed, and a rebec id is known only through ``new``, a
+    known rebec, ``self`` or ``sender``, so that check gives the same result
+    for equal (record, message) pairs. So every branch that serves ``msg`` in
+    a state with an equal ``transition_key`` is that state minus ``msg``, plus
+    the stored receiver record and sent messages.
+
+    ``new`` reads the state's rebec counter, and a fault's text may depend on
+    it, so ``memo`` stores an enumeration only when every branch completes
+    and none creates a rebec.
+    """
+    key = transition_key(base, msg)
+    outcomes = memo.get(key)
+    if outcomes is None:
+        results = list(_enumerate_decisions(base, msg))
+        if all(work is not None and work.fresh == base.fresh for _, work, _ in results):
+            queued = {id(m) for m in base.bag}
+            # A result state owns its stored record but never writes it: the
+            # explorer clones every state before it runs a step there.
+            memo[key] = [(decision, work.envs[msg.receiver],
+                          [m for m in work.bag if id(m) not in queued], events)
+                         for decision, work, events in results]
+        yield from results
+        return
+    for decision, record, sent, events in outcomes:
+        work = base.clone()
+        work.remove_message(msg)
+        # Shared, not owned: a clone owns no record, so a later write copies it.
+        work.envs[msg.receiver] = record
+        for m in sent:
+            work.add_message(m)
+        yield decision, work, events
+
+
 def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             deadline_check: str = CHECK_LITERAL) -> ExploreResult:
     """Enumerate every reachable state within the bounds, breadth first.
@@ -232,6 +277,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     edges: list[Edge] = []
     error_branches: list[ErrorBranch] = []
     truncated = False
+    memo: dict = {}  # transition_key -> stored outcomes (_local_transitions)
 
     def intern_state(st: SystemState, depth: int) -> int:
         # FIFO order interns every key first at its least depth.
@@ -259,7 +305,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             truncated = truncated or end == END_HORIZON
             return
         for msg in candidates:
-            for decision, result_state, payload in _enumerate_decisions(state, msg):
+            for decision, result_state, payload in _local_transitions(memo, state, msg):
                 if result_state is None:
                     error_branches.append(ErrorBranch(nid, decision, payload))
                     continue

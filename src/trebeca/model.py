@@ -465,6 +465,16 @@ class SystemState:
         if dl != NEVER:  # the one comparison a message without a deadline costs
             self.dl_floor = min(self.dl_floor, dl if msg.tt <= dl else -1)
 
+    def remove_message(self, msg: Message) -> None:
+        """Take ``msg``, an object from the bag, out of it by identity: any
+        of several equal copies is the same transition."""
+        bag = self.bag
+        for i, queued in enumerate(bag):
+            if queued is msg:
+                del bag[i]
+                return
+        raise ValueError("selected message is not in the bag")
+
 
 # ---------------------------------------------------------------------------
 # Trace events

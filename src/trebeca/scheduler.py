@@ -200,16 +200,10 @@ def execute_selected(state: SystemState, msg: Message,
     explorer and replay so their traces agree byte for byte. Returns the
     step's events in trace order: ``msg_selected``, then the body's.
 
-    ``msg`` must be an object taken from ``state.bag``: it is removed by
-    identity, since any of several equal copies is the same transition.
+    ``msg`` must be an object taken from ``state.bag``
+    (``SystemState.remove_message``).
     """
-    bag = state.bag
-    for i, queued in enumerate(bag):
-        if queued is msg:
-            del bag[i]
-            break
-    else:
-        raise ValueError("selected message is not in the bag")
+    state.remove_message(msg)
     receiver = state.envs[msg.receiver]
     exec_time = max(msg.tt, receiver.now)
     events = exec_method(msg, state, resolver)
@@ -232,12 +226,18 @@ def normalize_env_bindings(checked: CheckedModel, raw: dict) -> dict[str, Value]
     if missing:
         raise ValueError(f"missing env binding(s): {', '.join(sorted(missing))}")
     for name, value in raw.items():
-        expected = checked.env_types[name]
-        if expected == "boolean" and type(value) is not bool:
-            raise ValueError(f"env variable {name!r} must be boolean")
-        if expected == "int" and type(value) is not int:
-            raise ValueError(f"env variable {name!r} must be an integer")
+        check_env_value(checked, name, value)
     return dict(raw)
+
+
+def check_env_value(checked: CheckedModel, name: str, value: Value) -> None:
+    """Raise ``ValueError`` unless ``value`` has the type of the declared
+    env variable ``name``."""
+    expected = checked.env_types[name]
+    if expected == "boolean" and type(value) is not bool:
+        raise ValueError(f"env variable {name!r} must be boolean")
+    if expected == "int" and type(value) is not int:
+        raise ValueError(f"env variable {name!r} must be an integer")
 
 
 def _init_arg_value(expr, bindings: dict[str, Value]) -> Value:

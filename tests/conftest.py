@@ -1,12 +1,13 @@
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import trebeca
-from trebeca import load_model
+from trebeca import explorer, load_model
 
 TICKET_ENV = {
     "requestDeadline": 2, "checkIssuedPeriod": 2, "retryRequestPeriod": 1,
@@ -21,6 +22,22 @@ TICKET_NAMES = ["requestDeadline", "checkIssuedPeriod", "retryRequestPeriod",
 
 def bundled_text(name: str) -> str:
     return trebeca.bundled(name).read_text(encoding="utf-8")
+
+
+def explore_without_memo(*args, **kwargs):
+    """``explore`` with a memo key that never repeats, so every lookup
+    misses and every step runs its message server."""
+    with mock.patch.object(explorer, "transition_key", lambda state, msg: object()):
+        return explorer.explore(*args, **kwargs)
+
+
+def graph_outputs(result) -> tuple:
+    """All that an exploration hands on: the graph JSON, the events of
+    every edge and terminal, and the error branches."""
+    return (result.to_json(),
+            [(e.src, e.dst, e.decision, e.events) for e in result.edges],
+            [(n.terminal, n.terminal_events) for n in result.nodes],
+            [(b.src, b.decision, b.message) for b in result.error_branches])
 
 
 @pytest.fixture(scope="session")

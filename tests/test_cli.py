@@ -314,6 +314,16 @@ def test_sweep_unknown_env_name_is_positioned(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_mistyped_env_value_is_positioned(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("horizon: 5\nrequestDeadline: [2]\nserviceTime1: [3, true]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", TICKET, str(spec), "--out", str(out)]) == 64
+    assert capsys.readouterr().err.endswith(
+        f"trebeca: error: {spec}:3: env variable 'serviceTime1' must be an integer\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", PING, "--horizon", "-3"], "horizon must be non-negative, got -3"),
     (["run", PING, "--max-steps", "-1"], "max-steps must be non-negative, got -1"),

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import TICKET_ENV
-from trebeca import scheduler
+from conftest import TICKET_ENV, explore_without_memo, graph_outputs
+from trebeca import explorer, scheduler
 from trebeca.explorer import (
     Decision,
     ExploreBounds,
@@ -255,3 +256,75 @@ def test_rebec_key_never_goes_stale(choice_delay_model):
     assert keys == ["w:Waiter:0:finished=0:", "w:Waiter:0:finished=3:", "w:Waiter:2:finished=3:"]
     with pytest.raises(TypeError):
         env.state_vars["finished"] = 4  # read-only view: no write can bypass the cache
+
+
+def _count_method_runs(monkeypatch) -> Counter:
+    """Count every method body the scheduler runs, by message server name."""
+    runs: Counter = Counter()
+    exec_method = scheduler.exec_method
+
+    def counted(msg, state, resolver):
+        runs[msg.method] += 1
+        return exec_method(msg, state, resolver)
+
+    monkeypatch.setattr(scheduler, "exec_method", counted)
+    return runs
+
+
+def test_a_body_with_new_is_never_memoized(monkeypatch):
+    # a's record does not change, so both ticks see the same (record, message).
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars {}"
+        " msgsrv initial() { self.tick(); self.tick(); } msgsrv tick() { c = new B(); } }"
+        " reactiveclass B { knownrebecs {} statevars {} msgsrv initial() {} }"
+        " main { A a():(); }")
+    runs = _count_method_runs(monkeypatch)
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    ticks = [e for e in res.edges if e.decision.message[2] == "tick"]
+    assert runs["tick"] == len(ticks) > 1
+    assert graph_outputs(res) == graph_outputs(explore_without_memo(checked, {},
+                                                                    ExploreBounds(horizon=5)))
+
+
+def test_a_faulting_branch_is_reported_on_every_visit_and_never_memoized(monkeypatch):
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars {}"
+        " msgsrv initial() { self.go(); self.go(); } msgsrv go() { x = 1 / ?(0, 1); } }"
+        " main { A a():(); }")
+    runs = _count_method_runs(monkeypatch)
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    # go runs both branches from each of the two states that hold a go.
+    assert runs["go"] == 4
+    assert len(res.error_branches) == 2
+    assert len({b.src for b in res.error_branches}) == 2
+    for branch in res.error_branches:
+        assert branch.message.startswith("a.go at ")
+        assert branch.message.endswith("division by zero")
+    assert graph_outputs(res) == graph_outputs(explore_without_memo(checked, {},
+                                                                    ExploreBounds(horizon=5)))
+
+
+def test_one_path_fires_a_memoized_transition_twice(monkeypatch):
+    checked = load_model(
+        "reactiveclass A { knownrebecs { B k; } statevars {}"
+        " msgsrv initial() { self.go(); self.go(); } msgsrv go() { k.hit(); } }"
+        " reactiveclass B { knownrebecs {} statevars { int n; }"
+        " msgsrv initial() {} msgsrv hit() { n = n + 1; } }"
+        " main { A a(b):(); B b():(); }")
+    runs = _count_method_runs(monkeypatch)
+    bags = []
+    state_key = explorer.state_key
+
+    def recording_key(state):
+        bags.append(list(state.bag))
+        return state_key(state)
+
+    monkeypatch.setattr(explorer, "state_key", recording_key)
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    # The second go reuses the first one's stored hit message.
+    assert runs["go"] == 1
+    assert any(len({id(m) for m in bag}) < len(bag) for bag in bags)
+    assert graph_outputs(res) == graph_outputs(explore_without_memo(checked, {},
+                                                                    ExploreBounds(horizon=5)))
+    assert [t for _, t in res.terminals()] == ["empty-bag"]
+    assert res.nodes[res.terminals()[0][0]].key.split("#")[0].endswith("b:B:0:n=2:")

@@ -7,8 +7,9 @@ import random
 from collections import Counter
 from unittest import mock
 
+from conftest import explore_without_memo, graph_outputs
 from gen import generate_model
-from trebeca import scheduler
+from trebeca import explorer, scheduler
 from trebeca.explorer import ExploreBounds, explore, follow, trace_decisions
 from trebeca.interp import ExecError
 from trebeca.model import (
@@ -184,6 +185,33 @@ def check_purge_oracle(count: int) -> None:
     assert removed[CHECK_LITERAL] > 0 and removed[CHECK_EFFECTIVE, "tt>dl"] > 0
 
 
+def check_memo_oracle(count: int) -> None:
+    """The explorer gives the same graphs, events and error branches with
+    its memo as with a memo key that never repeats."""
+    runs = Counter()
+    side = ["memo"]
+    execute_selected = explorer.execute_selected
+
+    def counted(*args):
+        runs[side[0]] += 1
+        return execute_selected(*args)
+
+    bounds = ExploreBounds(horizon=6, max_states=300)
+    with mock.patch.object(explorer, "execute_selected", counted):
+        for seed in range(count):
+            model, checked = checked_model(seed)
+            for mode in (CHECK_LITERAL, CHECK_EFFECTIVE):
+                side[0] = "memo"
+                memo = explore(checked, env_for(model), bounds, deadline_check=mode)
+                side[0] = "all-miss"
+                plain = explore_without_memo(checked, env_for(model), bounds,
+                                             deadline_check=mode)
+                assert graph_outputs(memo) == graph_outputs(plain), f"seed {seed} {mode}"
+    # The memo was used. Generated bodies cannot fault (they divide by
+    # nothing), so test_explorer holds the faulting cases.
+    assert runs["memo"] < runs["all-miss"]
+
+
 def test_runs_satisfy_semantic_invariants():
     check_many_runs(300)
 
@@ -202,3 +230,7 @@ def test_runs_contained_in_graphs():
 
 def test_purges_match_a_full_scan():
     check_purge_oracle(120)
+
+
+def test_memo_matches_an_explorer_that_always_misses():
+    check_memo_oracle(120)
