@@ -242,8 +242,6 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
         results = list(_enumerate_decisions(base, msg))
         if all(work is not None and work.fresh == base.fresh for _, work, _ in results):
             queued = {id(m) for m in base.bag}
-            # A result state owns its stored record but never writes it: the
-            # explorer clones every state before it runs a step there.
             memo[key] = [(decision, work.envs[msg.receiver],
                           [m for m in work.bag if id(m) not in queued], events)
                          for decision, work, events in results]
@@ -252,7 +250,6 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
     for decision, record, sent, events in outcomes:
         work = base.clone()
         work.remove_message(msg)
-        # Shared, not owned: a clone owns no record, so a later write copies it.
         work.envs[msg.receiver] = record
         for m in sent:
             work.add_message(m)

@@ -11,12 +11,16 @@ is left.
 
 ``exec_method`` runs one method atomically against a SystemState: the
 receiver's clock jumps to max(message time tag, its current clock), the
-body executes to completion, and the only cross-rebec effects are new
-messages in the bag and freshly created rebecs.
+body executes to completion in a frame that holds the receiver's working
+clock and state variables, and the step ends by putting the receiver's new
+record into the state. No record is ever written, so a body that faults
+leaves its receiver's record as it found it. The only cross-rebec effects
+are new messages in the bag and freshly created rebecs.
 """
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -49,6 +53,7 @@ from .model import (
     SystemState,
     TraceEvent,
     UnaryOp,
+    Value,
     VarRef,
 )
 
@@ -102,15 +107,19 @@ class Resolver:
 
 
 class Frame:
-    """One activation of a compiled body: the receiver's record, the state
-    it writes to, the resolver for its choices, the sender's id, the locals
-    by slot and the events emitted so far."""
+    """One activation of a compiled body: the receiver's record as the step
+    found it, the receiver's working clock (``now``) and state variables
+    (``vars``, a copy of the record's), the state its sends and ``new``s
+    change, the resolver for its choices, the sender's id, the locals by slot and the events
+    emitted so far."""
 
-    __slots__ = ("env", "state", "resolver", "sender", "locals", "events")
+    __slots__ = ("env", "now", "vars", "state", "resolver", "sender", "locals", "events")
 
-    def __init__(self, env: RebecEnv, state: SystemState, resolver: Resolver,
+    def __init__(self, env: RebecEnv, now: int, state: SystemState, resolver: Resolver,
                  sender: str, locals_: list):
         self.env = env
+        self.now = now
+        self.vars = env.state_vars.copy()
         self.state = state
         self.resolver = resolver
         self.sender = sender
@@ -134,11 +143,11 @@ class CompiledMethod(NamedTuple):
     padding: tuple[None, ...]
 
 
-def _advance(env: RebecEnv, amount: int, method: str, pos: Optional[Pos]) -> int:
-    """``env.now + amount``; a tick past MAX_TICKS is a fault at ``pos``."""
-    ticks = env.now + amount
+def _advance(fr: Frame, amount: int, method: str, pos: Optional[Pos]) -> int:
+    """``fr.now + amount``; a tick past MAX_TICKS is a fault at ``pos``."""
+    ticks = fr.now + amount
     if ticks > MAX_TICKS:
-        raise ExecError("logical time overflow", env.rebec_id, method, pos)
+        raise ExecError("logical time overflow", fr.env.rebec_id, method, pos)
     return ticks
 
 
@@ -178,7 +187,7 @@ class _Compiler:
     ``error(pos, message)``. A body with an error is walked to its end, so
     that every error is reported, and its code is never run.
 
-    Positions given to faults are compile-time constants: an operator's own
+    Positions given to faults are compile-time constants: the operator's
     position, else that of the innermost enclosing statement (``at``).
     """
 
@@ -209,7 +218,7 @@ class _Compiler:
             slot = self.slots[name]
             return scope[name], lambda fr: fr.locals[slot]
         if name in self.class_info.state_types:
-            return self.class_info.state_types[name], lambda fr: fr.env.state_vars[name]
+            return self.class_info.state_types[name], lambda fr: fr.vars[name]
         if name in self.class_info.known_types:
             return "rebec-known", lambda fr: fr.env.knowns[name]
         if name in self.env_types:
@@ -232,7 +241,7 @@ class _Compiler:
                 t = self.env_types[e.name]
             return t, code
         if isinstance(e, NowExpr):
-            return "time", lambda fr: fr.env.now
+            return "time", lambda fr: fr.now
         if isinstance(e, SelfExpr):
             return f"rebec:{self.class_info.definition.name}", lambda fr: RebecRef(fr.env.rebec_id)
         if isinstance(e, SenderExpr):
@@ -363,7 +372,9 @@ class _Compiler:
         (t, value), name = self.expr(s.value, scope, s.pos), s.name
         scope = self.store(name, t, scope, s.pos)
         if name not in scope:
-            return scope, lambda fr: fr.env.set_var(name, value(fr))
+            def assign_var(fr: Frame) -> None:
+                fr.vars[name] = value(fr)
+            return scope, assign_var
         slot = self.slots.setdefault(name, len(self.slots))
 
         def assign_local(fr: Frame) -> None:
@@ -375,13 +386,13 @@ class _Compiler:
         method, pos = self.method, s.pos
 
         def delay(fr: Frame) -> None:
-            env = fr.env
+            rebec_id = fr.env.rebec_id
             ticks = amount(fr)
             if ticks < 0:
-                raise ExecError(f"negative delay amount {ticks}", env.rebec_id, method, pos)
-            env.now = _advance(env, ticks, method, pos)
+                raise ExecError(f"negative delay amount {ticks}", rebec_id, method, pos)
+            fr.now = _advance(fr, ticks, method, pos)
             fr.events.append(TraceEvent(
-                kind=EV_DELAY, time=env.now, rebec=env.rebec_id, method=method,
+                kind=EV_DELAY, time=fr.now, rebec=rebec_id, method=method,
             ))
         return delay
 
@@ -420,31 +431,31 @@ class _Compiler:
                     else self.expect(s.deadline, "int", scope, pos, "deadline offset"))
 
         def send(fr: Frame) -> None:
-            env = fr.env
+            rebec_id = fr.env.rebec_id
             receiver_id = receiver(fr)
             if receiver_id not in fr.state.envs:
                 raise ExecError(f"send to unbound rebec {receiver_id!r}",
-                                env.rebec_id, method, pos)
+                                rebec_id, method, pos)
             values = tuple([arg(fr) for arg in args]) if args else ()
             if after is None:
-                tt = env.now
+                tt = fr.now
             else:
                 offset = after(fr)
                 if offset < 0:
                     raise ExecError(f"negative after offset {offset}",
-                                    env.rebec_id, method, pos)
-                tt = _advance(env, offset, method, pos)
+                                    rebec_id, method, pos)
+                tt = _advance(fr, offset, method, pos)
             if deadline is None:
                 dl = NEVER
             else:
                 rel = deadline(fr)
                 if rel <= 0:
                     raise ExecError(f"deadline offset must be positive, got {rel}",
-                                    env.rebec_id, method, pos)
-                dl = _advance(env, rel, method, pos)
-            msg = Message(receiver_id, server, values, env.rebec_id, tt, dl)
+                                    rebec_id, method, pos)
+                dl = _advance(fr, rel, method, pos)
+            msg = Message(receiver_id, server, values, rebec_id, tt, dl)
             fr.state.add_message(msg)
-            fr.events.append(msg.event(EV_SENT, env.now))
+            fr.events.append(msg.event(EV_SENT, fr.now))
         return send
 
     def new(self, s: NewStmt, scope: Scope) -> tuple[Scope, Optional[Code]]:
@@ -464,18 +475,18 @@ class _Compiler:
         slot = self.slots.setdefault(s.name, len(self.slots))
 
         def new(fr: Frame) -> None:
-            env, state = fr.env, fr.state
+            rebec_id, state, now = fr.env.rebec_id, fr.state, fr.now
             values = tuple([arg(fr) for arg in args])
             new_id = state.fresh_rebec_id(class_name)
-            state.add_rebec(make_rebec_env(new_id, info, now=env.now))
+            state.envs[new_id] = make_rebec_env(new_id, info, now, {})
             fr.locals[slot] = RebecRef(new_id)
             msg = Message(receiver=new_id, method="initial", args=values,
-                          sender=env.rebec_id, tt=env.now, dl=NEVER)
+                          sender=rebec_id, tt=now, dl=NEVER)
             state.add_message(msg)
             fr.events.append(TraceEvent(
-                kind=EV_CREATED, time=env.now, rebec=new_id, sender=env.rebec_id,
+                kind=EV_CREATED, time=now, rebec=new_id, sender=rebec_id,
             ))
-            fr.events.append(msg.event(EV_SENT, env.now))
+            fr.events.append(msg.event(EV_SENT, now))
         return scope, new
 
 
@@ -493,11 +504,15 @@ def compile_method(method_info, class_info, checker) -> CompiledMethod:
 _DEFAULTS = {"int": 0, "boolean": False, "time": 0}
 
 
-def make_rebec_env(rebec_id: str, class_info, now: int) -> RebecEnv:
-    env = RebecEnv(rebec_id, class_info.definition.name, now)
-    for decl in class_info.definition.state_decls:
-        env.set_var(decl.name, _DEFAULTS[decl.type])
-    return env
+def make_rebec_env(rebec_id: str, class_info, now: int, knowns: dict[str, RebecRef],
+                   values: Sequence[Value] = ()) -> RebecEnv:
+    """The first record of a rebec of ``class_info``'s class: ``values``
+    initialize a prefix of its state variables, defaults the rest."""
+    decls = class_info.definition.state_decls
+    state_vars = {decl.name: _DEFAULTS[decl.type] for decl in decls}
+    state_vars.update(zip([decl.name for decl in decls], values))
+    return RebecEnv(rebec_id, class_info.definition.name, now, state_vars,
+                    MappingProxyType(knowns))
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +521,18 @@ def make_rebec_env(rebec_id: str, class_info, now: int) -> RebecEnv:
 
 def exec_method(msg: Message, state: SystemState,
                 resolver: Resolver) -> list[TraceEvent]:
-    """Run a selected message's method body atomically; mutates ``state``
+    """Run a selected message's method body atomically; changes ``state``
     and returns the events the execution emitted.
 
-    The receiver's clock becomes max(msg.tt, clock) before the body runs
-    and keeps its final value afterwards; the sender and the locals live in
-    a frame that is discarded.
+    The receiver's clock becomes max(msg.tt, clock) before the body runs.
+    Once the body completes, a new record with the frame's final clock and
+    state variables replaces the receiver's; the sender and the locals
+    lived in the frame, which is discarded. A fault leaves the receiver's
+    record in place.
     """
     if msg.receiver not in state.envs:
         raise ExecError(f"message receiver {msg.receiver!r} does not exist")
-    env = state.own(msg.receiver)  # the body writes to its receiver only
+    env = state.envs[msg.receiver]
     method = state.checked.classes[env.class_name].methods.get(msg.method)
     if method is None:
         raise ExecError(f"no message server {msg.method!r}", env.rebec_id)
@@ -524,9 +541,11 @@ def exec_method(msg: Message, state: SystemState,
             f"{msg.method} expects {len(method.param_types)} argument(s),"
             f" message carries {len(msg.args)}", env.rebec_id, msg.method)
 
-    env.now = max(msg.tt, env.now)
     code = method.code
-    fr = Frame(env, state, resolver, msg.sender, [*msg.args, *code.padding])
+    fr = Frame(env, max(msg.tt, env.now), state, resolver, msg.sender,
+               [*msg.args, *code.padding])
     for stmt in code.body:
         stmt(fr)
+    state.envs[msg.receiver] = RebecEnv(env.rebec_id, env.class_name, fr.now, fr.vars,
+                                        env.knowns)
     return fr.events

@@ -1,9 +1,14 @@
 """Core data model for Timed Rebeca.
 
 Everything the other modules share lives here: the syntax tree produced
-by the parser, runtime values, messages, rebec environments, whole-system
+by the parser, runtime values, messages, rebec records, whole-system
 states, trace events, and the canonical pretty-printer used by round-trip
 tests.
+
+Messages, rebec records and trace events are values: nothing writes one
+after it is built. A step changes a state by building its receiver's new
+record and adding and removing messages, so states share records and
+messages freely.
 
 Logical time is a plain ``int`` of ticks everywhere: rebec clocks, message
 time tags and deadlines alike. ``NEVER`` marks a deadline that never
@@ -331,45 +336,28 @@ message_sort_key = attrgetter("sort_key")
 
 
 class RebecEnv:
-    """The private store of one rebec: its clock, state variables and known
-    rebecs. A method's sender and locals live in its frame, not here.
+    """One record of a rebec's private store: its clock, state variables and
+    known rebecs. A method's sender and locals live in its frame, not here.
 
-    ``key()`` caches the rebec's part of a state key. Every change to
-    ``now``, the state variables or the known rebecs goes through the
-    ``now`` setter, ``set_var`` or ``set_known`` and drops that cache;
-    ``state_vars`` and ``knowns`` are read-only views.
+    A record is a value: nothing writes it after it is built. A step builds
+    its receiver's new record (``interp.exec_method``), so states, clones and
+    the explorer's memo share records freely. ``state_vars`` is a read-only
+    view of the dict the record is built from, which the caller gives up;
+    ``knowns`` is a read-only view that every record of one rebec shares,
+    since a rebec's known rebecs never change. ``key()`` caches the record's
+    part of a state key.
     """
 
-    __slots__ = ("rebec_id", "class_name", "_now", "_vars", "_knowns",
-                 "state_vars", "knowns", "_key")
+    __slots__ = ("rebec_id", "class_name", "now", "state_vars", "knowns", "_key")
 
     def __init__(self, rebec_id: str, class_name: str, now: int,
-                 state_vars: Optional[dict] = None, knowns: Optional[dict] = None):
+                 state_vars: dict[str, Value], knowns: MappingProxyType):
         self.rebec_id = rebec_id
         self.class_name = class_name
-        self._now = now
-        self._vars: dict[str, Value] = {} if state_vars is None else state_vars
-        self._knowns: dict[str, RebecRef] = {} if knowns is None else knowns
-        self.state_vars = MappingProxyType(self._vars)
-        self.knowns = MappingProxyType(self._knowns)
+        self.now = now
+        self.state_vars = MappingProxyType(state_vars)
+        self.knowns = knowns
         self._key: Optional[str] = None
-
-    @property
-    def now(self) -> int:
-        return self._now
-
-    @now.setter
-    def now(self, value: int) -> None:
-        self._now = value
-        self._key = None
-
-    def set_var(self, name: str, value: Value) -> None:
-        self._vars[name] = value
-        self._key = None
-
-    def set_known(self, name: str, ref: RebecRef) -> None:
-        self._knowns[name] = ref
-        self._key = None
 
     def key(self) -> str:
         """``id:class:now:vars:knowns``. State variables keep declaration
@@ -377,24 +365,18 @@ class RebecEnv:
         name."""
         key = self._key
         if key is None:
-            svs = ",".join([f"{name}={canon_value(v)}" for name, v in self._vars.items()])
+            svs = ",".join([f"{name}={canon_value(v)}" for name, v in self.state_vars.items()])
             kns = ",".join([f"{name}=@{ref.rebec_id}"
-                            for name, ref in sorted(self._knowns.items())])
-            key = self._key = f"{self.rebec_id}:{self.class_name}:{self._now}:{svs}:{kns}"
+                            for name, ref in sorted(self.knowns.items())])
+            key = self._key = f"{self.rebec_id}:{self.class_name}:{self.now}:{svs}:{kns}"
         return key
 
-    def copy(self) -> "RebecEnv":
-        env = RebecEnv(self.rebec_id, self.class_name, self._now,
-                       dict(self._vars), dict(self._knowns))
-        env._key = self._key
-        return env
-
     def __repr__(self) -> str:
-        return f"RebecEnv({self.rebec_id}:{self.class_name} now={self._now})"
+        return f"RebecEnv({self.rebec_id}:{self.class_name} now={self.now})"
 
 
-# A rebec's clock, as a ``key=`` or ``map`` function: a slot read, not the property.
-rebec_clock = attrgetter("_now")
+# A rebec's clock, as a ``key=`` or ``map`` function.
+rebec_clock = attrgetter("now")
 
 
 class SystemState:
@@ -410,16 +392,12 @@ class SystemState:
     it holds no finite deadline. ``add_message`` lowers it, a removal leaves
     it a valid bound, and a purge that scans the bag makes it exact.
 
-    Owned by exactly one executor at a time. ``clone`` copies the ``envs``
-    dict and the bag list but shares the rebec records with the original,
-    so a clone costs O(rebecs + bag) pointer copies. A shared record is never
-    mutated: a state writes to a rebec only through ``own``, which first
-    replaces a record the state did not create or copy since its last clone
-    with a private copy. Method execution writes only to its receiver, so
-    each step copies one record.
+    ``clone`` copies the ``envs`` dict and the bag list and shares the
+    records, which nothing writes, so a clone costs O(rebecs + bag) pointer
+    copies.
     """
 
-    __slots__ = ("envs", "bag", "dl_floor", "fresh", "env_bindings", "checked", "_owned")
+    __slots__ = ("envs", "bag", "dl_floor", "fresh", "env_bindings", "checked")
 
     def __init__(self, checked, env_bindings: dict[str, Value]):
         self.envs: dict[str, RebecEnv] = {}
@@ -428,7 +406,6 @@ class SystemState:
         self.fresh = 0
         self.env_bindings = env_bindings
         self.checked = checked
-        self._owned: set[str] = set()  # ids of the records no other state holds
 
     def clone(self) -> "SystemState":
         st = SystemState(self.checked, self.env_bindings)
@@ -436,20 +413,7 @@ class SystemState:
         st.bag = list(self.bag)
         st.dl_floor = self.dl_floor
         st.fresh = self.fresh
-        self._owned = set()  # every record is now shared with the clone
         return st
-
-    def add_rebec(self, env: RebecEnv) -> None:
-        self.envs[env.rebec_id] = env
-        self._owned.add(env.rebec_id)
-
-    def own(self, rebec_id: str) -> RebecEnv:
-        """The record of ``rebec_id``, made private to this state first."""
-        env = self.envs[rebec_id]
-        if rebec_id not in self._owned:
-            env = self.envs[rebec_id] = env.copy()
-            self._owned.add(rebec_id)
-        return env
 
     def fresh_rebec_id(self, class_name: str) -> str:
         rid = f"{class_name.lower()}#{self.fresh}"
@@ -467,7 +431,11 @@ class SystemState:
 
     def remove_message(self, msg: Message) -> None:
         """Take ``msg``, an object from the bag, out of it by identity: any
-        of several equal copies is the same transition."""
+        of several equal copies is the same transition.
+
+        The scan starts at the front: a selected message is a candidate, so
+        it lies in the prefix of least time tags, in practice within the
+        first few messages, where a scan beats a bisection of the bag."""
         bag = self.bag
         for i, queued in enumerate(bag):
             if queued is msg:

@@ -178,7 +178,7 @@ def _step(clause: Clause, st: int, ev: TraceEvent) -> tuple[int, Optional[TraceE
             return _ST_BAD, ev
         return st, None
     # PRECEDES: clause.event must never occur before clause.before has;
-    # the same event cannot be its own predecessor.
+    # an event cannot precede itself.
     if st == _ST_OPEN and clause.event.matches(ev):
         return _ST_BAD, ev
     if st == _ST_OPEN and clause.before is not None and clause.before.matches(ev):
@@ -269,6 +269,10 @@ class GraphVerdict:
     clauses: list[GraphClauseVerdict]
 
 
+# The status of a path that ends in an automaton state, where it is final.
+_DECIDED = {_ST_GOOD: PASS, _ST_BAD: FAIL}
+
+
 def _fold_events(clause: Clause, st: int, events) -> int:
     for ev in events:
         st, _ = _step(clause, st, ev)
@@ -278,13 +282,16 @@ def _fold_events(clause: Clause, st: int, events) -> int:
 def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
     """Exists/forall verdicts over all maximal paths of an exploration graph.
 
-    Per-path semantics match ``check_trace`` on the replayed path. The one
-    addition: a cycle inside the bounds is a real infinite run (a zero-time
+    Per-path semantics match ``check_trace`` on the replayed path. Two
+    additions: a cycle inside the bounds is a real infinite run (a zero-time
     loop), so an EVENTUALLY clause that stays unmet on it fails, while the
     safety clauses hold along it; the reported witness path then leads to
-    the looping state.
+    the looping state. And a branch that faults is a path that ends at its
+    source state: it passes or fails where the clause is already decided
+    there, and is inconclusive otherwise.
     """
     out_edges = result.out_edges()
+    faulted = {branch.src for branch in result.error_branches}
     horizon = result.bounds.horizon
     verdicts = []
     for clause in spec.clauses:
@@ -312,6 +319,8 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
                 bound = horizon if node.terminal == END_HORIZON else None
                 status = _end_status(clause, st_final, end_ev, bound)
                 path_outcomes.setdefault(status, prod)
+            if nid in faulted:
+                path_outcomes.setdefault(_DECIDED.get(st, INCONCLUSIVE), prod)
             for edge in out_edges[nid]:
                 nxt = (edge.dst, _fold_events(clause, st, edge.events))
                 succs.append(nxt)
@@ -321,17 +330,9 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
         # A cycle inside the bounds is a real infinite run (zero-time loop):
         # it never decides the clause, so EVENTUALLY fails along it and the
         # safety clauses hold along it.
+        undecided = FAIL if clause.op == EVENTUALLY else PASS
         for prod in _cycle_states(successors, start):
-            st = prod[1]
-            if st == _ST_GOOD:
-                status = PASS
-            elif st == _ST_BAD:
-                status = FAIL
-            elif clause.op == EVENTUALLY:
-                status = FAIL
-            else:
-                status = PASS
-            path_outcomes.setdefault(status, prod)
+            path_outcomes.setdefault(_DECIDED.get(prod[1], undecided), prod)
 
         exists_status = _aggregate(path_outcomes, prefer=(PASS, INCONCLUSIVE, FAIL))
         forall_status = _aggregate(path_outcomes, prefer=(FAIL, INCONCLUSIVE, PASS))

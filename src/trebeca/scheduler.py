@@ -258,12 +258,10 @@ def build_initial_state(checked: CheckedModel,
     events: list[TraceEvent] = []
     for inst in checked.model.main:
         info = checked.classes[inst.class_name]
-        env = make_rebec_env(inst.name, info, now=0)
-        for decl, arg in zip(info.definition.known_decls, inst.known_args):
-            env.set_known(decl.name, RebecRef(arg))
-        for decl, arg in zip(info.definition.state_decls, inst.init_args):
-            env.set_var(decl.name, _init_arg_value(arg, env_bindings))
-        state.add_rebec(env)
+        knowns = {decl.name: RebecRef(arg)
+                  for decl, arg in zip(info.definition.known_decls, inst.known_args)}
+        values = [_init_arg_value(arg, env_bindings) for arg in inst.init_args]
+        state.envs[inst.name] = make_rebec_env(inst.name, info, 0, knowns, values)
         events.append(TraceEvent(
             kind=EV_CREATED, time=0, rebec=inst.name, sender=EXTERNAL_ID,
         ))

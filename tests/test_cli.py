@@ -130,7 +130,7 @@ def test_explore_reports_each_runtime_fault(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("explored states=2 edges=1 terminals=0 truncated=False errors=1\n"
                    f"{model}: runtime error: a.go at 3:19: logical time overflow\n")
-    # Only the root faults: no path reaches check_graph, yet explore exits 1.
+    # Only the root faults: its error branch is the one path, undecided at the root.
     model = tmp_path / "div.rebeca"
     model.write_text("env int d;\nreactiveclass A { knownrebecs {} statevars { int x; }\n"
                      "  msgsrv initial() { x = 10 / d; }\n}\nmain { A a():(); }\n")
@@ -141,7 +141,7 @@ def test_explore_reports_each_runtime_fault(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ("explored states=1 edges=0 terminals=0 truncated=False errors=1\n"
                             f"{model}: runtime error: a.initial at 3:29: division by zero\n")
-    assert captured.out == "exists=FAIL         forall=PASS         NEVER selected a.initial\n"
+    assert captured.out == "exists=INCONCLUSIVE forall=INCONCLUSIVE NEVER selected a.initial\n"
 
 
 def test_explore_monitor_exit_codes():

@@ -16,6 +16,7 @@ from trebeca.explorer import (
     trace_decisions,
 )
 from trebeca.interp import Resolver
+from trebeca.model import RebecEnv
 from trebeca.parser import load_model
 from trebeca.scheduler import (
     SchedulePolicy,
@@ -206,7 +207,10 @@ def test_state_key_distinguishes_clock_and_values(choice_delay_model):
     a, _ = build_initial_state(choice_delay_model, bindings)
     b, _ = build_initial_state(choice_delay_model, bindings)
     assert state_key(a) == state_key(b)
-    b.envs["w"].now += 1
+    env = b.envs["w"]
+    b.envs["w"] = RebecEnv("w", env.class_name, env.now + 1, dict(env.state_vars), env.knowns)
+    assert state_key(a) != state_key(b)
+    b.envs["w"] = RebecEnv("w", env.class_name, env.now, {"finished": 1}, env.knowns)
     assert state_key(a) != state_key(b)
 
 
@@ -244,16 +248,16 @@ def test_clone_copies_only_the_receiver_it_executes():
     assert state_key(work) != key
 
 
-def test_rebec_key_never_goes_stale(choice_delay_model):
+def test_a_step_never_writes_a_record(choice_delay_model):
     bindings = normalize_env_bindings(choice_delay_model, {})
     state, _ = build_initial_state(choice_delay_model, bindings)
     env = state.envs["w"]
-    keys = [env.key()]
-    env.set_var("finished", 3)
-    keys.append(env.key())
-    env.now += 2
-    keys.append(env.key())
-    assert keys == ["w:Waiter:0:finished=0:", "w:Waiter:0:finished=3:", "w:Waiter:2:finished=3:"]
+    assert env.key() == "w:Waiter:0:finished=0:"  # caches the key
+    (msg,) = state.bag
+    execute_selected(state, msg, Resolver([1]))  # the state itself, not a clone
+    assert state.envs["w"].key() == "w:Waiter:1:finished=1:"
+    assert (env.now, dict(env.state_vars), env.key()) == (0, {"finished": 0},
+                                                        "w:Waiter:0:finished=0:")
     with pytest.raises(TypeError):
         env.state_vars["finished"] = 4  # read-only view: no write can bypass the cache
 

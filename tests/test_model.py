@@ -1,9 +1,11 @@
+from types import MappingProxyType
+
 import pytest
 
 from conftest import bundled_text
 from trebeca import explorer, scheduler
 from trebeca.explorer import ExploreBounds, explore
-from trebeca.interp import ExecError, Resolver
+from trebeca.interp import ExecError, Resolver, make_rebec_env
 from trebeca.model import MAX_TICKS, NEVER, Message, RebecEnv, message_sort_key, pretty_print
 from trebeca.parser import load_model, parse_model
 from trebeca.scheduler import (
@@ -126,10 +128,21 @@ def test_decision_out_of_range_blames_the_innermost_statement():
         "a.initial at 2:24: decision index 2 out of range at site A.initial?0")
 
 
+def test_a_body_that_faults_leaves_its_receivers_record_as_it_found_it():
+    checked = load_model("env int d; reactiveclass A { knownrebecs {} statevars { int n; }"
+                         " msgsrv initial() { delay(2); n = 5; x = 1 / d; } }"
+                         " main { A a():(); }")
+    state, _ = build_initial_state(checked, normalize_env_bindings(checked, {"d": 0}))
+    record = state.envs["a"]
+    (msg,) = state.bag
+    with pytest.raises(ExecError, match="a.initial at 1:108: division by zero"):
+        execute_selected(state, msg, Resolver())
+    assert state.envs["a"] is record
+    assert (record.now, dict(record.state_vars), record.key()) == (0, {"n": 0}, "a:A:0:n=0:")
+
+
 def test_int_one_and_boolean_true_stay_apart():
-    one, true = RebecEnv("r", "C", 0), RebecEnv("r", "C", 0)
-    one.set_var("v", 1)
-    true.set_var("v", True)
+    one, true = (RebecEnv("r", "C", 0, {"v": v}, MappingProxyType({})) for v in (1, True))
     assert (one.key(), true.key()) == ("r:C:0:v=1:", "r:C:0:v=true:")
     sent = [Message(receiver="r", method="m", args=(v,), sender="r", tt=0, dl=NEVER)
             for v in (1, True)]
@@ -162,7 +175,7 @@ def deadline_state(now, *messages):
     checked = load_model("reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {}"
                          " msgsrv m(int v) {} msgsrv slow() { delay(3); } } main { A a():(); }")
     state, _ = build_initial_state(checked, normalize_env_bindings(checked, {}))
-    state.envs["a"].now = now
+    state.envs["a"] = make_rebec_env("a", checked.classes["A"], now, {})
     state.bag.clear()
     for m in messages:
         state.add_message(m)
@@ -241,6 +254,17 @@ def test_a_bag_filled_in_reverse_gives_the_same_candidates():
     assert [m.sort_key for m in candidates] == sorted({m.sort_key for m in messages
                                                        if m.tt == 2})
     assert forward.bag == backward.bag == sorted(messages, key=message_sort_key)
+    # messages[1] and messages[2] are equal copies: each removal takes the
+    # very object it is given, wherever it sits in their run.
+    first, second = messages[1], messages[2]
+    for state in (forward, backward):
+        state.remove_message(second)
+        (kept,) = [m for m in state.bag if m == first]
+        assert kept is first
+        with pytest.raises(ValueError, match="not in the bag"):
+            state.remove_message(second)
+        state.remove_message(first)
+        assert state.bag == sorted(set(messages) - {first}, key=message_sort_key)
 
 
 def test_every_reached_bag_is_in_canonical_order(monkeypatch):

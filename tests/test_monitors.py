@@ -243,6 +243,22 @@ def test_a_state_reached_twice_is_not_a_cycle():
         (PASS, PASS), (FAIL, FAIL)]
 
 
+def test_an_error_branch_ends_a_path_at_its_source():
+    # go faults on its first choice, after initial was selected and before done.
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars { int n; }"
+        " msgsrv initial() { self.go(); } msgsrv go() { n = 10 / ?(0, 1); self.done(); }"
+        " msgsrv done() {} } main { A a():(); }")
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    (branch,) = res.error_branches
+    assert branch.message == "a.go at 1:108: division by zero"
+    assert [t for _, t in res.terminals()] == ["empty-bag"]
+    spec = parse_monitor("EVENTUALLY selected a.done\nEVENTUALLY selected a.initial\n"
+                         "NEVER selected a.initial\nNEVER selected a.done\n")
+    assert [(c.exists_status, c.forall_status) for c in check_graph(res, spec).clauses] == [
+        (PASS, INCONCLUSIVE), (PASS, PASS), (FAIL, FAIL), (INCONCLUSIVE, FAIL)]
+
+
 def test_verdict_stability_under_horizon_extension(ticket_model):
     spec = parse_monitor("NEVER selected a.ticketIssued\n"
                          "EVENTUALLY selected a.ticketIssued\n")

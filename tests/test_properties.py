@@ -140,7 +140,7 @@ def full_scan(state, mode):
     """The purge rule stated plainly, on a copy of ``state``: every message
     that ``eligible`` rejects is purged, in bag order."""
     copy = SystemState(state.checked, state.env_bindings)
-    copy.envs = {rid: env.copy() for rid, env in state.envs.items()}
+    copy.envs = dict(state.envs)
     copy.bag = list(state.bag)
     events = [msg.event(EV_PURGED, copy.envs[msg.receiver].now)
               for msg in copy.bag if not eligible(msg, copy, mode)]

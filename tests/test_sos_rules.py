@@ -19,6 +19,7 @@ from trebeca.model import (
     NEVER,
     NewStmt,
     NowExpr,
+    RebecEnv,
     RebecRef,
     SendStmt,
     SenderExpr,
@@ -100,24 +101,33 @@ def body_checker(checked):
                            new_targets=set(), error=error)
 
 
-def run_stmt(stmt, env, state, resolver, events=None):
-    """Compile ``stmt`` as the whole body of a method of ``env``'s class,
-    with the compiler every checked method goes through, and run it on
-    ``env``; returns the frame's locals by name."""
-    checked = state.checked
+def run_stmt(stmt, state, resolver, events=None, rebec_id="alpha"):
+    """Compile ``stmt`` as the whole body of a method of ``rebec_id``'s
+    class, with the compiler every checked method goes through, run it on
+    that rebec's record and put the record it builds into ``state``, as
+    ``exec_method`` does; returns the frame's locals by name."""
+    checked, env = state.checked, state.envs[rebec_id]
     code = compile_method(MethodInfo(MethodDef("rule", [], [stmt]), []),
                           checked.classes[env.class_name], body_checker(checked))
-    fr = Frame(env, state, resolver, EXTERNAL_ID, list(code.padding))
+    fr = Frame(env, env.now, state, resolver, EXTERNAL_ID, list(code.padding))
     for compiled in code.body:
         compiled(fr)
+    state.envs[rebec_id] = RebecEnv(rebec_id, env.class_name, fr.now, fr.vars, env.knowns)
     if events is not None:
         events.extend(fr.events)
     return dict(zip(code.local_names, fr.locals))
 
 
-def eval_expr(expr, env, state, resolver):
+def eval_expr(expr, state, resolver):
     """The value of ``expr``, compiled as the right side of an assignment."""
-    return run_stmt(Assign("result", expr), env, state, resolver)["result"]
+    return run_stmt(Assign("result", expr), state, resolver)["result"]
+
+
+def set_clock(state, rebec_id, now):
+    """Replace ``rebec_id``'s record by one whose clock reads ``now``."""
+    env = state.envs[rebec_id]
+    state.envs[rebec_id] = RebecEnv(rebec_id, env.class_name, now, dict(env.state_vars),
+                                    env.knowns)
 
 
 def recompile(state, class_name, method_name):
@@ -137,24 +147,21 @@ def is_int(value, expected):
 
 def test_eval_arithmetic():
     state = fresh_state()
-    env = state.envs["alpha"]
-    value = eval_expr(BinaryOp("+", IntLit(2), IntLit(3)), env, state, no_choice())
+    value = eval_expr(BinaryOp("+", IntLit(2), IntLit(3)), state, no_choice())
     assert is_int(value, 5)
 
 
 def test_eval_now_reads_local_clock():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 7
-    assert is_int(eval_expr(NowExpr(), env, state, no_choice()), 7)
+    set_clock(state, "alpha", 7)
+    assert is_int(eval_expr(NowExpr(), state, no_choice()), 7)
 
 
 def test_eval_choice_consults_resolver():
     state = fresh_state()
-    env = state.envs["alpha"]
     expr = ChoiceExpr([IntLit(3), IntLit(4)])
-    assert is_int(eval_expr(expr, env, state, Resolver([1])), 4)
-    assert is_int(eval_expr(expr, env, state, Resolver([0])), 3)
+    assert is_int(eval_expr(expr, state, Resolver([1])), 4)
+    assert is_int(eval_expr(expr, state, Resolver([0])), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -163,49 +170,44 @@ def test_eval_choice_consults_resolver():
 
 def test_rule_assign():
     state = fresh_state()
-    env = state.envs["alpha"]
     stmt = Assign("x", BinaryOp("+", IntLit(2), IntLit(3)))
-    run_stmt(stmt, env, state, no_choice())
+    run_stmt(stmt, state, no_choice())
+    env = state.envs["alpha"]
     assert is_int(env.state_vars["x"], 5)
     assert state.bag == [] and env.now == 0
 
 
 def test_rule_delay():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 5
-    run_stmt(DelayStmt(IntLit(3)), env, state, no_choice())
-    assert env.now == 8
+    set_clock(state, "alpha", 5)
+    run_stmt(DelayStmt(IntLit(3)), state, no_choice())
+    assert state.envs["alpha"].now == 8
     assert state.bag == []
 
 
 def test_rule_delay_rejects_negative():
     state = fresh_state()
-    env = state.envs["alpha"]
     with pytest.raises(ExecError):
-        run_stmt(DelayStmt(BinaryOp("-", IntLit(0), IntLit(1))), env, state,
-                 no_choice())
+        run_stmt(DelayStmt(BinaryOp("-", IntLit(0), IntLit(1))), state, no_choice())
 
 
 def test_rule_msg_with_after_and_deadline():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 10
+    set_clock(state, "alpha", 10)
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(1)],
                     after=IntLit(4), deadline=IntLit(7))
-    run_stmt(stmt, env, state, no_choice())
+    run_stmt(stmt, state, no_choice())
     assert state.bag == [Message(receiver="beta", method="ping", args=(1,),
                                  sender="alpha", tt=14, dl=17)]
     assert type(state.bag[0].args[0]) is int
-    assert env.now == 10  # sending does not advance the clock
+    assert state.envs["alpha"].now == 10  # sending does not advance the clock
 
 
 def test_rule_msg_defaults_zero_after_infinite_deadline():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 10
+    set_clock(state, "alpha", 10)
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)])
-    run_stmt(stmt, env, state, no_choice())
+    run_stmt(stmt, state, no_choice())
     (msg,) = state.bag
     assert msg.tt == 10
     assert msg.dl == NEVER
@@ -213,19 +215,16 @@ def test_rule_msg_defaults_zero_after_infinite_deadline():
 
 def test_rule_msg_rejects_nonpositive_deadline():
     state = fresh_state()
-    env = state.envs["alpha"]
     stmt = SendStmt(target="peer", method="ping", args=[IntLit(0)], deadline=IntLit(0))
     with pytest.raises(ExecError):
-        run_stmt(stmt, env, state, no_choice())
+        run_stmt(stmt, state, no_choice())
 
 
 def test_rule_create():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 6
+    set_clock(state, "alpha", 6)
     events = []
-    locals_ = run_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), env, state, no_choice(),
-                       events)
+    locals_ = run_stmt(NewStmt("fresh", "Spawned", [IntLit(4)]), state, no_choice(), events)
     new_id = "spawned#0"
     assert locals_["fresh"] == RebecRef(new_id)
     created = state.envs[new_id]
@@ -238,30 +237,28 @@ def test_rule_create():
 
 def test_rule_cond1_true_branch():
     state = fresh_state()
-    env = state.envs["alpha"]
     stmt = IfStmt(BinaryOp("==", IntLit(1), IntLit(1)),
                   [Assign("x", IntLit(1))], [Assign("x", IntLit(2))])
-    run_stmt(stmt, env, state, no_choice())
-    assert is_int(env.state_vars["x"], 1)
+    run_stmt(stmt, state, no_choice())
+    assert is_int(state.envs["alpha"].state_vars["x"], 1)
 
 
 def test_rule_cond2_false_branch():
     state = fresh_state()
-    env = state.envs["alpha"]
     stmt = IfStmt(BinaryOp("==", IntLit(1), IntLit(2)),
                   [Assign("x", IntLit(1))], [Assign("x", IntLit(2))])
-    run_stmt(stmt, env, state, no_choice())
-    assert is_int(env.state_vars["x"], 2)
+    run_stmt(stmt, state, no_choice())
+    assert is_int(state.envs["alpha"].state_vars["x"], 2)
 
 
 def test_rule_seq_threads_effects_left_to_right():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 5
+    set_clock(state, "alpha", 5)
     events = []
     # delay(2); x = now();  entered at now=5 leaves x = 7
-    run_stmt(DelayStmt(IntLit(2)), env, state, no_choice(), events)
-    run_stmt(Assign("t", NowExpr()), env, state, no_choice(), events)
+    run_stmt(DelayStmt(IntLit(2)), state, no_choice(), events)
+    run_stmt(Assign("t", NowExpr()), state, no_choice(), events)
+    env = state.envs["alpha"]
     assert is_int(env.state_vars["t"], 7)
     assert env.now == 7
 
@@ -287,18 +284,16 @@ def system_step(state, horizon):
 
 def test_scheduler_now_becomes_max_of_tt_and_clock():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 2
+    set_clock(state, "alpha", 2)
     exec_method(_msg("alpha", "initial", tt=5), state, no_choice())
-    assert env.now == 5
+    assert state.envs["alpha"].now == 5
 
 
 def test_scheduler_now_keeps_larger_clock():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 9
+    set_clock(state, "alpha", 9)
     exec_method(_msg("alpha", "initial", tt=5), state, no_choice())
-    assert env.now == 9
+    assert state.envs["alpha"].now == 9
 
 
 def test_exec_method_touches_only_the_receiver():
@@ -318,13 +313,13 @@ def test_exec_method_touches_only_the_receiver():
 
 def test_scheduler_binds_sender_and_params_then_discards():
     state = fresh_state()
-    env = state.envs["alpha"]
     # probe(v) { x = v; if (sender == peer) { t = v; } }
     state.checked.classes["Alpha"].methods["probe"].definition.body.append(
         IfStmt(BinaryOp("==", SenderExpr(), VarRef("peer")), [Assign("t", VarRef("v"))]))
     recompile(state, "Alpha", "probe")
     exec_method(_msg("alpha", "probe", tt=0, args=(42,), sender="beta"), state,
                 no_choice())
+    env = state.envs["alpha"]
     assert is_int(env.state_vars["x"], 42) and is_int(env.state_vars["t"], 42)
     # The record keeps its clock, state variables and knowns; the sender and
     # the locals lived in the discarded frame.
@@ -333,8 +328,7 @@ def test_scheduler_binds_sender_and_params_then_discards():
 
 def test_scheduler_purges_expired_deadline():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 9
+    set_clock(state, "alpha", 9)
     state.add_message(_msg("alpha", "probe", tt=0, dl=8, args=(1,)))
     assert not eligible(state.bag[0], state, CHECK_LITERAL)
     events, end = system_step(state, horizon=100)
@@ -373,8 +367,7 @@ def test_scheduler_selects_minimal_time_tag():
 
 def test_scheduler_purges_before_selecting():
     state = fresh_state()
-    env = state.envs["alpha"]
-    env.now = 2
+    set_clock(state, "alpha", 2)
     expired = _msg("alpha", "probe", tt=3, dl=1, args=(1,))
     valid = _msg("beta", "ping", tt=5, args=(2,))
     state.add_message(expired)
