@@ -347,16 +347,18 @@ def cmd_sweep(args) -> int:
                 (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as sfh:
             results, summary = csv.writer(rfh), csv.writer(sfh)
             results.writerow(["point", *names, "seed", "end_reason", *clause_names, "trace"])
-            summary.writerow(["point", *names, "seeds",
+            summary.writerow(["point", *names, "seeds", "runtime_errors",
                               *[f"{c} [pass/fail/inconclusive]" for c in clause_names]])
             for index, point in enumerate(points):
                 counts = [Counter() for _ in clause_names]
+                errors = 0
                 for seed in seeds:
                     try:
                         trace = run(checked, dict(zip(names, point)), seed, policy)
                     except ExecError as exc:
                         print(f"{args.model}: runtime error: {exc}", file=sys.stderr)
                         faulted = True
+                        errors += 1
                         results.writerow([index, *point, seed, "runtime-error",
                                           *[""] * len(clause_names), ""])
                         continue
@@ -367,7 +369,7 @@ def cmd_sweep(args) -> int:
                     for count, status in zip(counts, statuses):
                         count[status] += 1
                     results.writerow([index, *point, seed, trace.end_reason, *statuses, rel])
-                summary.writerow([index, *point, len(seeds), *[
+                summary.writerow([index, *point, len(seeds), errors, *[
                     f"{c['pass']}/{c['fail']}/{c['inconclusive']}" for c in counts]])
     except OSError as exc:
         print(f"cannot write sweep output: {exc}", file=sys.stderr)

@@ -104,6 +104,7 @@ class ErrorBranch:
     src: int
     decision: Decision
     message: str
+    purge_events: tuple[TraceEvent, ...] = ()  # the faulting step's purges
 
 
 @dataclass
@@ -143,22 +144,16 @@ class ExploreResult:
             f'      "terminal": {json_str(n.terminal)}\n    }}'
             for i, n in enumerate(self.nodes)
         ]
+        # Memo hits share their Decision objects, so each block is written
+        # once per object; the edges keep every decision alive meanwhile.
+        blocks: dict[int, str] = {}
         edges = []
         for e in self.edges:
-            tt, receiver, method, args, sender, dl = e.decision.message
-            arg_items = [f"          {json_str(a)}" for a in args]
-            choice_items = [
-                f"        [\n          {json_str(site)},\n          {arity},\n"
-                f"          {idx}\n        ]"
-                for site, arity, idx in e.decision.choices
-            ]
-            edges.append(
-                f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n      "time": {e.time},\n'
-                f'      "message": [\n        {tt},\n        {json_str(receiver)},\n'
-                f'        {json_str(method)},\n        {_json_array(arg_items, "        ")},\n'
-                f'        {json_str(sender)},\n        {json_str(dl)}\n      ],\n'
-                f'      "choices": {_json_array(choice_items, "      ")}\n    }}'
-            )
+            block = blocks.get(id(e.decision))
+            if block is None:
+                block = blocks[id(e.decision)] = _decision_json(e.decision)
+            edges.append(f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
+                         f'      "time": {e.time},\n{block}')
         return (
             f'{{\n  "root": 0,\n  "truncated": {"true" if self.truncated else "false"},\n'
             f'  "bounds": {{\n    "horizon": {json_int(self.bounds.horizon)},\n'
@@ -181,6 +176,21 @@ class ExploreResult:
         return "\n".join(lines) + "\n"
 
 
+def _decision_json(decision: Decision) -> str:
+    """An edge's ``"message"`` and ``"choices"`` members and its closing brace."""
+    tt, receiver, method, args, sender, dl = decision.message
+    arg_items = [f"          {json_str(a)}" for a in args]
+    choice_items = [
+        f"        [\n          {json_str(site)},\n          {arity},\n"
+        f"          {idx}\n        ]"
+        for site, arity, idx in decision.choices
+    ]
+    return (f'      "message": [\n        {tt},\n        {json_str(receiver)},\n'
+            f'        {json_str(method)},\n        {_json_array(arg_items, "        ")},\n'
+            f'        {json_str(sender)},\n        {json_str(dl)}\n      ],\n'
+            f'      "choices": {_json_array(choice_items, "      ")}\n    }}')
+
+
 def _json_array(items: list[str], pad: str) -> str:
     """A JSON array of written, indented items; ``pad`` indents its ``]``."""
     return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
@@ -193,7 +203,7 @@ class StalePathError(Exception):
 def _enumerate_decisions(base: SystemState, msg: Message):
     """Run ``msg``'s method under every nondeterministic-choice vector.
 
-    Yields (decision, state-after, step-events) per vector, and
+    Yields (decision, state-after, step-events tuple) per vector, and
     (decision, None, error-text) for vectors whose execution faults.
     """
     pending: list[list[int]] = [[]]
@@ -202,7 +212,7 @@ def _enumerate_decisions(base: SystemState, msg: Message):
         work = base.clone()
         resolver = Resolver(prefix)
         try:
-            events = execute_selected(work, msg, resolver)
+            events = tuple(execute_selected(work, msg, resolver))
         except ExecError as exc:
             work, events = None, str(exc)
         taken = resolver.taken
@@ -234,7 +244,9 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
 
     ``new`` reads the state's rebec counter, and a fault's text may depend on
     it, so ``memo`` stores an enumeration only when every branch completes
-    and none creates a rebec.
+    and none creates a rebec. The miss and every later hit yield the same
+    Decision and events tuple objects, which ``check_graph`` and ``to_json``
+    rely on to do their work once per shared transition.
     """
     key = transition_key(base, msg)
     outcomes = memo.get(key)
@@ -296,19 +308,21 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             return
         # The state is expanded once and then dropped, so it is purged in place.
         purge_events, end, candidates = prepare_step(state, deadline_check, bounds.horizon)
+        purged = tuple(purge_events)
         if end is not None:
             node.terminal = end
-            node.terminal_events = tuple(purge_events)
+            node.terminal_events = purged
             truncated = truncated or end == END_HORIZON
             return
         for msg in candidates:
             for decision, result_state, payload in _local_transitions(memo, state, msg):
                 if result_state is None:
-                    error_branches.append(ErrorBranch(nid, decision, payload))
+                    error_branches.append(ErrorBranch(nid, decision, payload, purged))
                     continue
                 dst = intern_state(result_state, depth + 1)
-                edges.append(Edge(src=nid, dst=dst, decision=decision,
-                                  time=payload[0].time, events=tuple(purge_events + payload)))
+                # Without purges an edge keeps the memo's own events tuple.
+                edges.append(Edge(src=nid, dst=dst, decision=decision, time=payload[0].time,
+                                  events=purged + payload if purged else payload))
 
     def over_budget() -> bool:
         return bounds.max_states is not None and len(nodes) >= bounds.max_states

@@ -279,6 +279,21 @@ def _fold_events(clause: Clause, st: int, events) -> int:
     return st
 
 
+def _fold_shared(folds: dict, clause: Clause, st: int, events) -> int:
+    """``_fold_events`` once per automaton state and events object.
+
+    Memo hits share their events tuples (``explorer._local_transitions``),
+    so ``folds``, one dict per clause, is keyed by the object's id. The
+    graph holds every events object while ``check_graph`` runs, so no id is
+    reused meanwhile.
+    """
+    key = (st, id(events))
+    nxt = folds.get(key)
+    if nxt is None:
+        nxt = folds[key] = _fold_events(clause, st, events)
+    return nxt
+
+
 def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
     """Exists/forall verdicts over all maximal paths of an exploration graph.
 
@@ -287,20 +302,25 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
     loop), so an EVENTUALLY clause that stays unmet on it fails, while the
     safety clauses hold along it; the reported witness path then leads to
     the looping state. And a branch that faults is a path that ends at its
-    source state: it passes or fails where the clause is already decided
-    there, and is inconclusive otherwise.
+    source state, after the purges of the faulting step: it passes or fails
+    where the clause is decided once those purges are folded in, and is
+    inconclusive otherwise.
+
+    Each clause folds an (automaton state, events object) pair once, however
+    many product states and edges share it (``_fold_shared``).
     """
     out_edges = result.out_edges()
-    faulted = {branch.src for branch in result.error_branches}
+    # The branches of one source share that step's purges.
+    faulted = {branch.src: branch.purge_events for branch in result.error_branches}
     horizon = result.bounds.horizon
     verdicts = []
     for clause in spec.clauses:
+        folds: dict[tuple[int, int], int] = {}
         root_state = _fold_events(clause, _ST_OPEN, result.root_events)
         start = (result.root, root_state)
         # parents: product node -> (previous product node, edge taken)
         parents: dict[tuple[int, int], Optional[tuple[tuple[int, int], object]]] = {start: None}
-        # product node -> one successor per out-edge, for the cycle search;
-        # each (product node, edge) pair is folded once, here.
+        # product node -> one successor per out-edge, for the cycle search.
         successors: dict[tuple[int, int], list[tuple[int, int]]] = {}
         queue = deque([start])
         path_outcomes: dict[str, tuple[int, int]] = {}  # status -> product node
@@ -320,9 +340,10 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
                 status = _end_status(clause, st_final, end_ev, bound)
                 path_outcomes.setdefault(status, prod)
             if nid in faulted:
-                path_outcomes.setdefault(_DECIDED.get(st, INCONCLUSIVE), prod)
+                st_fault = _fold_shared(folds, clause, st, faulted[nid])
+                path_outcomes.setdefault(_DECIDED.get(st_fault, INCONCLUSIVE), prod)
             for edge in out_edges[nid]:
-                nxt = (edge.dst, _fold_events(clause, st, edge.events))
+                nxt = (edge.dst, _fold_shared(folds, clause, st, edge.events))
                 succs.append(nxt)
                 if nxt not in parents:
                     parents[nxt] = (prod, edge)

@@ -267,8 +267,9 @@ def test_sweep_writes_a_faulting_run_as_a_row(tmp_path, capsys):
     ]
     assert sorted(p.name for p in (out / "traces").iterdir()) == [
         "point0000_seed0000.jsonl", "point0002_seed0000.jsonl"]
-    assert (out / "summary.csv").read_text().splitlines()[1:] == [
-        "0,1,1,1/0/0", "1,0,1,0/0/0", "2,2,1,1/0/0"]
+    assert (out / "summary.csv").read_text().splitlines() == [
+        "point,d,seeds,runtime_errors,EVENTUALLY selected a.initial [pass/fail/inconclusive]",
+        "0,1,1,0,1/0/0", "1,0,1,1,0/0/0", "2,2,1,0,1/0/0"]
 
 
 def test_sweep_cap_refusal(tmp_path):

@@ -4,10 +4,14 @@ from collections import Counter
 import pytest
 
 from conftest import TICKET_ENV, explore_without_memo, graph_outputs
+from test_writers import reference_graph_json
 from trebeca import explorer, scheduler
 from trebeca.explorer import (
     Decision,
+    Edge,
     ExploreBounds,
+    ExploreResult,
+    Node,
     StalePathError,
     explore,
     follow,
@@ -200,6 +204,26 @@ def test_graph_exports(choice_delay_model, tmp_path):
     assert '"nodes"' in doc and '"edges"' in doc
     dot = res.to_dot()
     assert dot.startswith("digraph") and "->" in dot
+
+
+def test_a_shared_decision_is_written_with_each_edges_own_fields():
+    # to_json writes each Decision object's block once; equal decisions in
+    # distinct objects are written once each, to the same text.
+    def decision():
+        return Decision(message=(2, "a", "m", ("1", "@x#0"), "b", "inf"),
+                        choices=(("A.m?0", 2, 1),))
+
+    shared, twin = decision(), decision()
+    assert shared == twin and shared is not twin
+    other = Decision(message=(3, "b", "n", (), "a", "7"))
+    result = ExploreResult(
+        checked=None, env_bindings={}, bounds=ExploreBounds(horizon=9), deadline_check="literal",
+        nodes=[Node(key=f"k{i}", depth=i) for i in range(4)],
+        edges=[Edge(0, 1, shared, 2, ()), Edge(0, 2, other, 3, ()), Edge(1, 3, shared, 5, ()),
+               Edge(2, 3, twin, 4, ()), Edge(2, 1, shared, 4, ())],
+        root_events=(), truncated=False,
+    )
+    assert result.to_json() == reference_graph_json(result)
 
 
 def test_state_key_distinguishes_clock_and_values(choice_delay_model):

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import TICKET_ENV, bundled_text
 from trebeca.explorer import ExploreBounds, explore, follow, replay
+from trebeca.model import EV_PURGED
 from trebeca.monitors import (
     FAIL,
     INCONCLUSIVE,
@@ -257,6 +258,22 @@ def test_an_error_branch_ends_a_path_at_its_source():
                          "NEVER selected a.initial\nNEVER selected a.done\n")
     assert [(c.exists_status, c.forall_status) for c in check_graph(res, spec).clauses] == [
         (PASS, INCONCLUSIVE), (PASS, PASS), (FAIL, FAIL), (INCONCLUSIVE, FAIL)]
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_an_error_branch_is_judged_after_its_steps_purges(d):
+    # m misses its deadline while initial delays, so the step that serves
+    # boom at time 3 purges m first, whether or not boom then faults.
+    checked = load_model(
+        "env int d;\nreactiveclass A { knownrebecs {} statevars { int n; }\n"
+        "  msgsrv initial() { self.m() deadline(1); delay(3); self.boom(); }\n"
+        "  msgsrv m() {}\n  msgsrv boom() { n = 1 / d; }\n}\nmain { A a():(); }\n")
+    res = explore(checked, {"d": d}, ExploreBounds(horizon=10))
+    purges = [b.purge_events for b in res.error_branches] or [res.edges[-1].events[:1]]
+    assert [[(ev.kind, ev.method) for ev in p] for p in purges] == [[(EV_PURGED, "m")]]
+    spec = parse_monitor("NEVER purged a.m\nEVENTUALLY purged a.m\n")
+    assert [(c.exists_status, c.forall_status) for c in check_graph(res, spec).clauses] == [
+        (FAIL, FAIL), (PASS, PASS)]
 
 
 def test_verdict_stability_under_horizon_extension(ticket_model):

@@ -7,9 +7,10 @@ import random
 from collections import Counter
 from unittest import mock
 
-from conftest import explore_without_memo, graph_outputs
+from conftest import bundled_text, explore_without_memo, graph_outputs
 from gen import generate_model
-from trebeca import explorer, scheduler
+from test_golden import BUNDLED_CASES
+from trebeca import explorer, monitors, scheduler
 from trebeca.explorer import ExploreBounds, explore, follow, trace_decisions
 from trebeca.interp import ExecError
 from trebeca.model import (
@@ -22,7 +23,7 @@ from trebeca.model import (
     SystemState,
     pretty_print,
 )
-from trebeca.parser import parse_model, validate_model
+from trebeca.parser import load_model, parse_model, validate_model
 from trebeca.scheduler import CHECK_EFFECTIVE, CHECK_LITERAL, SchedulePolicy, eligible, run
 
 RUN_POLICY = SchedulePolicy(horizon=12, max_steps=200)
@@ -212,6 +213,66 @@ def check_memo_oracle(count: int) -> None:
     assert runs["memo"] < runs["all-miss"]
 
 
+BUNDLED_MONITORS = ("ticket_issued.monitor", "ticket_not_issued.monitor",
+                    "mission_failed.monitor", "mission_success.monitor")
+# Wildcard clauses that every model can decide, whatever its names.
+ANY_MONITOR = ("EVENTUALLY purged *.*\nNEVER purged *.*\nEVENTUALLY sent *.* WITHIN 2\n"
+               "ALWAYS-PRECEDES(purged *.*, selected *.*)\n")
+
+
+def generated_monitor(model, seed: int) -> str:
+    """Clauses over one instance and two methods drawn from ``model``."""
+    rng = random.Random(seed)
+    inst = rng.choice(model.main).name
+    m1, m2 = (rng.choice([m.name for c in model.classes for m in c.methods]) for _ in "ab")
+    return (f"EVENTUALLY selected {inst}.{m1}\nNEVER selected *.{m2}\n"
+            f"ALWAYS-PRECEDES(selected *.{m1}, selected {inst}.{m2})\n"
+            f"EVENTUALLY selected *.{m2} WITHIN 3\n" + ANY_MONITOR)
+
+
+def check_fold_memo_oracle(count: int) -> None:
+    """``check_graph`` gives the same statuses and witnesses with its fold
+    memo as with one ``_fold_events`` per product state and edge, on graphs
+    whose edges share events objects and on graphs where none do."""
+    folds = Counter()
+    side = ["memo"]
+    fold_events = monitors._fold_events
+
+    def counted(*args):
+        folds[side[0]] += 1
+        return fold_events(*args)
+
+    def per_edge(_folds, clause, st, events):
+        return counted(clause, st, events)
+
+    def outcomes(result, spec):
+        side[0] = "memo"
+        shared = monitors.check_graph(result, spec)
+        side[0] = "per-edge"
+        with mock.patch.object(monitors, "_fold_shared", per_edge):
+            plain = monitors.check_graph(result, spec)
+        got = [[(c.exists_status, c.forall_status, c.exists_witness, c.forall_witness)
+                for c in verdict.clauses] for verdict in (shared, plain)]
+        assert got[0] == got[1]
+        return got[0]
+
+    bundled_spec = monitors.parse_monitor(
+        "".join(bundled_text(name) for name in BUNDLED_MONITORS) + ANY_MONITOR)
+    with mock.patch.object(monitors, "_fold_events", counted):
+        for name, env, bounds, mode in BUNDLED_CASES.values():
+            result = explore(load_model(bundled_text(name)), env, bounds, deadline_check=mode)
+            outcomes(result, bundled_spec)
+        for seed in range(count):
+            model, checked = checked_model(seed)
+            spec = monitors.parse_monitor(generated_monitor(model, seed))
+            bounds = ExploreBounds(horizon=6, max_states=300)
+            memo = explore(checked, env_for(model), bounds)
+            plain = explore_without_memo(checked, env_for(model), bounds)
+            assert outcomes(memo, spec) == outcomes(plain, spec), f"seed {seed}"
+    # The memo was used.
+    assert folds["memo"] < folds["per-edge"]
+
+
 def test_runs_satisfy_semantic_invariants():
     check_many_runs(300)
 
@@ -234,3 +295,7 @@ def test_purges_match_a_full_scan():
 
 def test_memo_matches_an_explorer_that_always_misses():
     check_memo_oracle(120)
+
+
+def test_graph_verdicts_match_a_fold_per_edge():
+    check_fold_memo_oracle(120)
