@@ -24,7 +24,6 @@ from .model import (
     IfStmt,
     IntLit,
     MethodDef,
-    NewStmt,
     NowExpr,
     NowStmt,
     SelfExpr,
@@ -370,24 +369,12 @@ def _has_after_send(stmts: list[Stmt]) -> bool:
     return False
 
 
-def _reject_new(checked: CheckedModel) -> None:
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, NewStmt):
-                raise UnsupportedFeatureError("new (rebec creation)", s.pos)
-            if isinstance(s, IfStmt):
-                walk(s.then_body)
-                walk(s.else_body or [])
-
-    for info in checked.classes.values():
-        for method in info.definition.methods:
-            walk(method.body)
-
-
 def emit(checked: CheckedModel) -> EmittedProgram:
     """Translate a checked model to Erlang source files, one per class plus
     a bootstrap module (and an env module when the model has parameters)."""
-    _reject_new(checked)
+    if checked.new_targets:  # reported at the first new in the source
+        raise UnsupportedFeatureError("new (rebec creation)",
+                                      next(iter(checked.new_targets.values())))
     files: dict[str, str] = {}
 
     init_arities: dict[str, list[int]] = {}

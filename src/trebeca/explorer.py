@@ -23,10 +23,10 @@ from .model import (
 from .parser import CheckedModel
 from .scheduler import (
     CHECK_LITERAL,
-    END_HORIZON,
     END_MAX_STEPS,
     END_PARTIAL,
     END_TRUNCATED,
+    TRUNCATED_REASONS,
     Trace,
     build_initial_state,
     execute_selected,
@@ -87,24 +87,28 @@ class Edge:
     dst: int
     decision: Decision
     time: int  # execution time of the step
-    events: tuple[TraceEvent, ...]
+    events: tuple[TraceEvent, ...]  # the step's own, msg_selected first
 
 
 @dataclass
 class Node:
+    """A state of the graph. Its terminal, its error branches and every one
+    of its out-edges come after its ``purge_events``."""
+
     key: str
     depth: int
     terminal: Optional[str] = None  # reason, for states with no outgoing edges
-    terminal_events: tuple[TraceEvent, ...] = ()
+    purge_events: tuple[TraceEvent, ...] = ()
     earliest_time: int = 0
 
 
 @dataclass
 class ErrorBranch:
+    """A branch whose body faulted, after its source node's purges."""
+
     src: int
     decision: Decision
     message: str
-    purge_events: tuple[TraceEvent, ...] = ()  # the faulting step's purges
 
 
 @dataclass
@@ -245,8 +249,8 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
     ``new`` reads the state's rebec counter, and a fault's text may depend on
     it, so ``memo`` stores an enumeration only when every branch completes
     and none creates a rebec. The miss and every later hit yield the same
-    Decision and events tuple objects, which ``check_graph`` and ``to_json``
-    rely on to do their work once per shared transition.
+    Decision and events tuple objects, which become the edges' own, so
+    ``check_graph`` and ``to_json`` do their work once per shared transition.
     """
     key = transition_key(base, msg)
     outcomes = memo.get(key)
@@ -285,7 +289,6 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     frontier: deque[tuple[int, SystemState]] = deque()  # interned, not yet expanded
     edges: list[Edge] = []
     error_branches: list[ErrorBranch] = []
-    truncated = False
     memo: dict = {}  # transition_key -> stored outcomes (_local_transitions)
 
     def intern_state(st: SystemState, depth: int) -> int:
@@ -299,30 +302,24 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
         return nid
 
     def expand(nid: int, state: SystemState) -> None:
-        nonlocal truncated
         node = nodes[nid]
         depth = node.depth
         if bounds.max_steps is not None and depth >= bounds.max_steps:
             node.terminal = END_MAX_STEPS
-            truncated = True
             return
         # The state is expanded once and then dropped, so it is purged in place.
         purge_events, end, candidates = prepare_step(state, deadline_check, bounds.horizon)
-        purged = tuple(purge_events)
+        node.purge_events = tuple(purge_events)
         if end is not None:
             node.terminal = end
-            node.terminal_events = purged
-            truncated = truncated or end == END_HORIZON
             return
         for msg in candidates:
             for decision, result_state, payload in _local_transitions(memo, state, msg):
                 if result_state is None:
-                    error_branches.append(ErrorBranch(nid, decision, payload, purged))
+                    error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
                 dst = intern_state(result_state, depth + 1)
-                # Without purges an edge keeps the memo's own events tuple.
-                edges.append(Edge(src=nid, dst=dst, decision=decision, time=payload[0].time,
-                                  events=purged + payload if purged else payload))
+                edges.append(Edge(nid, dst, decision, payload[0].time, payload))
 
     def over_budget() -> bool:
         return bounds.max_states is not None and len(nodes) >= bounds.max_states
@@ -332,12 +329,12 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
         expand(*frontier.popleft())
     for nid, _ in frontier:
         nodes[nid].terminal = END_TRUNCATED
-        truncated = True
 
     result = ExploreResult(
         checked=checked, env_bindings=dict(env_bindings), bounds=bounds,
         deadline_check=deadline_check, nodes=nodes, edges=edges,
-        root_events=tuple(root_events), truncated=truncated,
+        root_events=tuple(root_events),
+        truncated=any(n.terminal in TRUNCATED_REASONS for n in nodes),
         error_branches=error_branches,
     )
     _canonicalize(result)

@@ -183,7 +183,8 @@ class _Compiler:
     whose error is already reported.
 
     ``checker`` gives ``classes`` (every ClassInfo by class name),
-    ``env_types``, ``new_targets`` (the classes some ``new`` creates) and
+    ``env_types``, ``new_targets`` (each class some ``new`` creates, mapped
+    to the position of the first such ``new`` compiled) and
     ``error(pos, message)``. A body with an error is walked to its end, so
     that every error is reported, and its code is never run.
 
@@ -463,7 +464,7 @@ class _Compiler:
         if info is None:
             self.error(s.pos, f"unknown class {class_name!r} in new")
             return scope, None
-        self.new_targets.add(class_name)
+        self.new_targets.setdefault(class_name, s.pos)
         initial = info.methods.get("initial")
         if initial is None:
             self.error(s.pos, f"class {class_name!r} has no initial message server")

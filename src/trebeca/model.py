@@ -483,22 +483,12 @@ class TraceEvent:
 # ---------------------------------------------------------------------------
 # Pretty-printer
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
-_UNARY_PREC = 7
+# Binary operators by precedence level, loosest first; all are left
+# associative. The parser and the printer both read this table.
+BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
+                 ("+", "-"), ("*", "/", "%"))
+_PREC = {op: level for level, ops in enumerate(BINARY_LEVELS, start=1) for op in ops}
+_UNARY_PREC = len(BINARY_LEVELS) + 1
 
 
 def format_expr(e: Expr, parent_prec: int = 0) -> str:

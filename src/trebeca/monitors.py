@@ -186,16 +186,15 @@ def _step(clause: Clause, st: int, ev: TraceEvent) -> tuple[int, Optional[TraceE
     return st, None
 
 
-def _end_status(clause: Clause, st: int, end: Optional[TraceEvent],
+def _end_status(clause: Clause, st: int, reason: Optional[str],
                 horizon: Optional[int]) -> str:
-    """Verdict for a finished path given its final automaton state and how
-    the path ended (``end`` is the run_ended event, None for open graph
-    paths that merely hit the exploration bound)."""
+    """Verdict for a finished path given its final automaton state and the
+    reason it ended (None for a trace without a run_ended event)."""
     if st == _ST_GOOD:
         return PASS
     if st == _ST_BAD:
         return FAIL
-    truncated = end is None or end.reason in TRUNCATED_REASONS
+    truncated = reason is None or reason in TRUNCATED_REASONS
     if clause.op == EVENTUALLY:
         if not truncated:
             return FAIL
@@ -230,7 +229,8 @@ class Verdict:
 def check_trace(trace: Trace, spec: MonitorSpec) -> Verdict:
     """Evaluate every clause over one complete trace."""
     end = next((ev for ev in reversed(trace.events) if ev.kind == EV_ENDED), None)
-    horizon = end.time if end is not None and end.reason == END_HORIZON else None
+    reason = end.reason if end is not None else None
+    horizon = end.time if reason == END_HORIZON else None
     out: list[ClauseVerdict] = []
     for clause in spec.clauses:
         st = _ST_OPEN
@@ -240,7 +240,7 @@ def check_trace(trace: Trace, spec: MonitorSpec) -> Verdict:
             if hit is not None:
                 witness = hit
                 break
-        status = _end_status(clause, st, end, horizon)
+        status = _end_status(clause, st, reason, horizon)
         if witness is None and status in (PASS, FAIL):
             witness = end  # the scan of the whole run is the evidence
         out.append(ClauseVerdict(clause=clause, status=status, witness=witness))
@@ -283,9 +283,10 @@ def _fold_shared(folds: dict, clause: Clause, st: int, events) -> int:
     """``_fold_events`` once per automaton state and events object.
 
     Memo hits share their events tuples (``explorer._local_transitions``),
-    so ``folds``, one dict per clause, is keyed by the object's id. The
-    graph holds every events object while ``check_graph`` runs, so no id is
-    reused meanwhile.
+    and an edge holds its step's tuple whether or not its source purged, so
+    ``folds``, one dict per clause, is keyed by the object's id. The graph
+    holds every events object while ``check_graph`` runs, so no id is reused
+    meanwhile.
     """
     key = (st, id(events))
     nxt = folds.get(key)
@@ -302,16 +303,17 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
     loop), so an EVENTUALLY clause that stays unmet on it fails, while the
     safety clauses hold along it; the reported witness path then leads to
     the looping state. And a branch that faults is a path that ends at its
-    source state, after the purges of the faulting step: it passes or fails
-    where the clause is decided once those purges are folded in, and is
-    inconclusive otherwise.
+    source state, after that state's purges: it passes or fails where the
+    clause is decided once those purges are folded in, and is inconclusive
+    otherwise.
 
-    Each clause folds an (automaton state, events object) pair once, however
-    many product states and edges share it (``_fold_shared``).
+    Each product node folds its node's purges once, then judges its
+    terminal, its faults and its out-edges from there. Each clause folds an
+    edge's (automaton state, events object) pair once, however many product
+    states and edges share it (``_fold_shared``).
     """
     out_edges = result.out_edges()
-    # The branches of one source share that step's purges.
-    faulted = {branch.src: branch.purge_events for branch in result.error_branches}
+    faulted = {branch.src for branch in result.error_branches}
     horizon = result.bounds.horizon
     verdicts = []
     for clause in spec.clauses:
@@ -329,19 +331,15 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
             succs = successors[prod] = []
             nid, st = prod
             node = result.nodes[nid]
+            if node.purge_events:
+                st = _fold_events(clause, st, node.purge_events)
             if node.terminal is not None:
-                end_ev = None
-                st_final = _fold_events(clause, st, node.terminal_events)
-                if node.terminal not in TRUNCATED_REASONS:
-                    end_ev = TraceEvent(kind=EV_ENDED, time=0, reason=node.terminal)
                 # The bound refinement only applies where the horizon itself
                 # cut the path; other truncations end at arbitrary times.
                 bound = horizon if node.terminal == END_HORIZON else None
-                status = _end_status(clause, st_final, end_ev, bound)
-                path_outcomes.setdefault(status, prod)
+                path_outcomes.setdefault(_end_status(clause, st, node.terminal, bound), prod)
             if nid in faulted:
-                st_fault = _fold_shared(folds, clause, st, faulted[nid])
-                path_outcomes.setdefault(_DECIDED.get(st_fault, INCONCLUSIVE), prod)
+                path_outcomes.setdefault(_DECIDED.get(st, INCONCLUSIVE), prod)
             for edge in out_edges[nid]:
                 nxt = (edge.dst, _fold_shared(folds, clause, st, edge.events))
                 succs.append(nxt)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .interp import CompiledMethod, compile_method, types_compatible
 from .model import (
+    BINARY_LEVELS,
     Assign,
     BinaryOp,
     BoolLit,
@@ -433,13 +435,10 @@ class _Parser:
     def parse_expr(self) -> Expr:
         return self.parse_binary(1)
 
-    _LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
-               ("+", "-"), ("*", "/", "%"))
-
     def parse_binary(self, level: int) -> Expr:
-        if level > len(self._LEVELS):
+        if level > len(BINARY_LEVELS):
             return self.parse_unary()
-        ops = self._LEVELS[level - 1]
+        ops = BINARY_LEVELS[level - 1]
         left = self.parse_binary(level + 1)
         while self.cur.kind == "symbol" and self.cur.text in ops:
             op = self.advance()
@@ -565,6 +564,8 @@ class CheckedModel:
     classes: dict[str, ClassInfo]
     env_types: dict[str, str]
     warnings: list[ParseError]
+    init_readers: dict[str, list[Callable]]  # instance -> its state initializers' readers
+    new_targets: dict[str, Pos]  # class -> position of its first new, in source order
 
 
 class _Checker:
@@ -574,8 +575,8 @@ class _Checker:
         self.warnings: list[ParseError] = []
         self.env_types: dict[str, str] = {}
         self.classes: dict[str, ClassInfo] = {}
-        # class -> set of its new-created classes, to check knownrebecs emptiness
-        self.new_targets: set[str] = set()
+        self.new_targets: dict[str, Pos] = {}  # compile order is source order
+        self.init_readers: dict[str, list[Callable]] = {}
 
     def error(self, pos: Optional[Pos], message: str) -> None:
         self.errors.append(ParseError(pos or (1, 1), message))
@@ -617,6 +618,7 @@ class _Checker:
         return CheckedModel(
             model=self.model, classes=self.classes,
             env_types=self.env_types, warnings=self.warnings,
+            init_readers=self.init_readers, new_targets=self.new_targets,
         )
 
     def build_class_info(self, cls: ReactiveClassDef) -> ClassInfo:
@@ -705,8 +707,9 @@ class _Checker:
                 self.error(inst.pos,
                            f"instance {inst.name!r} passes {len(inst.init_args)} state"
                            f" value(s), class declares {len(state_decls)}")
+            readers = self.init_readers[inst.name] = []
             for arg, decl in zip(inst.init_args, state_decls):
-                t = self.init_arg_type(arg)
+                t, read = self.init_arg(arg)
                 if t is None:
                     self.error(getattr(arg, "pos", inst.pos),
                                "state initializers must be literals or env variables")
@@ -714,17 +717,20 @@ class _Checker:
                     self.error(getattr(arg, "pos", inst.pos),
                                f"state variable {decl.name!r} is {decl.type},"
                                f" initializer is {t}")
+                readers.append(read)
 
-    def init_arg_type(self, arg: Expr) -> Optional[str]:
-        if isinstance(arg, IntLit):
-            return "int"
-        if isinstance(arg, BoolLit):
-            return "boolean"
+    def init_arg(self, arg: Expr) -> tuple[Optional[str], Optional[Callable]]:
+        """The type of a state initializer in main and the reader of its
+        value from the env bindings; (None, None) for a form it may not take."""
         if isinstance(arg, UnaryOp) and arg.op == "-" and isinstance(arg.operand, IntLit):
-            return "int"
+            value = -arg.operand.value
+            return "int", lambda env: value
+        if isinstance(arg, (IntLit, BoolLit)):
+            value = arg.value
+            return ("int" if isinstance(arg, IntLit) else "boolean"), lambda env: value
         if isinstance(arg, VarRef) and arg.name in self.env_types:
-            return self.env_types[arg.name]
-        return None
+            return self.env_types[arg.name], itemgetter(arg.name)
+        return None, None
 
 
 def validate_model(model: Model) -> CheckedModel:

@@ -13,22 +13,18 @@ from typing import Optional
 
 from .interp import Resolver, exec_method, make_rebec_env
 from .model import (
-    BoolLit,
     EV_CREATED,
     EV_ENDED,
     EV_PURGED,
     EV_SELECTED,
     EV_SENT,
     EXTERNAL_ID,
-    IntLit,
     Message,
     NEVER,
     RebecRef,
     SystemState,
     TraceEvent,
-    UnaryOp,
     Value,
-    VarRef,
     json_int,
     json_str,
     rebec_clock,
@@ -240,16 +236,6 @@ def check_env_value(checked: CheckedModel, name: str, value: Value) -> None:
         raise ValueError(f"env variable {name!r} must be an integer")
 
 
-def _init_arg_value(expr, bindings: dict[str, Value]) -> Value:
-    if isinstance(expr, (IntLit, BoolLit)):
-        return expr.value
-    if isinstance(expr, UnaryOp) and isinstance(expr.operand, IntLit):
-        return -expr.operand.value
-    if isinstance(expr, VarRef):
-        return bindings[expr.name]
-    raise ValueError(f"unsupported state initializer {expr!r}")
-
-
 def build_initial_state(checked: CheckedModel,
                         env_bindings: dict[str, Value]) -> tuple[SystemState, list[TraceEvent]]:
     """Instantiate the main block: every rebec starts at time 0 with its
@@ -260,7 +246,7 @@ def build_initial_state(checked: CheckedModel,
         info = checked.classes[inst.class_name]
         knowns = {decl.name: RebecRef(arg)
                   for decl, arg in zip(info.definition.known_decls, inst.known_args)}
-        values = [_init_arg_value(arg, env_bindings) for arg in inst.init_args]
+        values = [read(env_bindings) for read in checked.init_readers[inst.name]]
         state.envs[inst.name] = make_rebec_env(inst.name, info, 0, knowns, values)
         events.append(TraceEvent(
             kind=EV_CREATED, time=0, rebec=inst.name, sender=EXTERNAL_ID,

@@ -33,11 +33,11 @@ def explore_without_memo(*args, **kwargs):
 
 def graph_outputs(result) -> tuple:
     """All that an exploration hands on: the graph JSON, the events of
-    every edge and terminal, and the error branches with their purges."""
+    every edge, the purges of every node, and the error branches."""
     return (result.to_json(),
             [(e.src, e.dst, e.decision, e.events) for e in result.edges],
-            [(n.terminal, n.terminal_events) for n in result.nodes],
-            [(b.src, b.decision, b.message, b.purge_events) for b in result.error_branches])
+            [(n.terminal, n.purge_events) for n in result.nodes],
+            [(b.src, b.decision, b.message) for b in result.error_branches])
 
 
 @pytest.fixture(scope="session")

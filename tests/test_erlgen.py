@@ -72,6 +72,26 @@ def test_new_is_unsupported():
         emit(load_model(src))
 
 
+def test_new_is_reported_at_the_first_new_in_the_source():
+    # The first new creates Y; a later one, in another class, creates X.
+    src = """reactiveclass A {
+    knownrebecs {}
+    statevars {}
+    msgsrv initial() { y = new Y(); }
+}
+reactiveclass Y {
+    knownrebecs {}
+    statevars {}
+    msgsrv initial() { if (true) { x = new X(); } else { z = new Y(); } }
+}
+reactiveclass X { knownrebecs {} statevars {} msgsrv initial() {} }
+main { Y y():(); A a():(); }
+"""
+    with pytest.raises(UnsupportedFeatureError) as exc:
+        emit(load_model(src))
+    assert str(exc.value) == "unsupported feature for emission: new (rebec creation) at 4:24"
+
+
 def test_structural_completeness():
     checked = load_model(bundled_text("ticket_service.rebeca"))
     files = emit(checked).files

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import TICKET_ENV, explore_without_memo, graph_outputs
+from test_properties import checked_model, env_for
 from test_writers import reference_graph_json
 from trebeca import explorer, scheduler
 from trebeca.explorer import (
@@ -20,9 +21,11 @@ from trebeca.explorer import (
     trace_decisions,
 )
 from trebeca.interp import Resolver
-from trebeca.model import RebecEnv
+from trebeca.model import EV_PURGED, EV_SELECTED, RebecEnv
 from trebeca.parser import load_model
 from trebeca.scheduler import (
+    CHECK_EFFECTIVE,
+    CHECK_LITERAL,
     SchedulePolicy,
     build_initial_state,
     execute_selected,
@@ -356,3 +359,22 @@ def test_one_path_fires_a_memoized_transition_twice(monkeypatch):
                                                                     ExploreBounds(horizon=5)))
     assert [t for _, t in res.terminals()] == ["empty-bag"]
     assert res.nodes[res.terminals()[0][0]].key.split("#")[0].endswith("b:B:0:n=2:")
+
+
+def test_edges_share_their_steps_events():
+    # A node keeps its purges, so an edge holds only its step's own events,
+    # and every edge of one stored transition holds the memo's one tuple.
+    purging_sources = 0
+    for seed in range(120):
+        model, checked = checked_model(seed)
+        for mode in (CHECK_LITERAL, CHECK_EFFECTIVE):
+            res = explore(checked, env_for(model), ExploreBounds(horizon=6, max_states=300),
+                          deadline_check=mode)
+            held: dict[int, set[int]] = {}
+            for e in res.edges:
+                assert e.events[0].kind == EV_SELECTED, f"seed {seed} {mode}"
+                assert all(ev.kind != EV_PURGED for ev in e.events), f"seed {seed} {mode}"
+                held.setdefault(id(e.decision), set()).add(id(e.events))
+                purging_sources += bool(res.nodes[e.src].purge_events)
+            assert all(len(ids) == 1 for ids in held.values()), f"seed {seed} {mode}"
+    assert purging_sources > 0

@@ -210,6 +210,13 @@ def test_main_initial_must_be_parameterless():
     assert any("parameterless initial" in e.message for e in errors_of(src))
 
 
+def test_a_state_initializer_may_not_name_a_state_variable():
+    src = ("reactiveclass A { knownrebecs {} statevars { int n; int m; }"
+           " msgsrv initial() {} } main { A a():(1, n); }")
+    assert [(e.pos, e.message) for e in errors_of(src)] == [
+        ((1, 101), "state initializers must be literals or env variables")]
+
+
 def test_error_positions_point_into_source():
     src = "reactiveclass A {\n  knownrebecs {}\n  statevars {}\n  msgsrv initial() { x = ; }\n}\nmain { A a():(); }"
     with pytest.raises(SourceError) as exc:

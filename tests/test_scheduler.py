@@ -4,7 +4,13 @@ import pytest
 
 from conftest import SENSOR_ENV, TICKET_ENV
 from trebeca.model import EV_DELAY, EV_ENDED, EV_PURGED, EV_SELECTED
-from trebeca.scheduler import SchedulePolicy, run
+from trebeca.parser import load_model
+from trebeca.scheduler import (
+    SchedulePolicy,
+    build_initial_state,
+    normalize_env_bindings,
+    run,
+)
 
 
 def test_policy_requires_a_bound(ticket_model):
@@ -106,3 +112,13 @@ def test_jsonl_schema_stable(ticket_model):
     assert last["kind"] == "run_ended" and "reason" in last
     infinite = [json.loads(l) for l in lines if json.loads(l)["dl"] == "inf"]
     assert infinite, "infinite deadlines serialize as the string 'inf'"
+
+
+def test_main_state_initializers_take_literals_and_env_values():
+    checked = load_model(
+        "env int k;\nreactiveclass A { knownrebecs {} statevars { int x; boolean b; int y; }"
+        " msgsrv initial() {} }\nmain { A a():(-3, true, k); }")
+    state, _ = build_initial_state(checked, normalize_env_bindings(checked, {"k": 7}))
+    values = state.envs["a"].state_vars
+    assert dict(values) == {"x": -3, "b": True, "y": 7}
+    assert [type(v) for v in values.values()] == [int, bool, int]

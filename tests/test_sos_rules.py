@@ -98,7 +98,7 @@ def body_checker(checked):
     def error(pos, message):
         raise AssertionError(f"{pos}: {message}")
     return SimpleNamespace(classes=checked.classes, env_types=checked.env_types,
-                           new_targets=set(), error=error)
+                           new_targets={}, error=error)
 
 
 def run_stmt(stmt, state, resolver, events=None, rebec_id="alpha"):
