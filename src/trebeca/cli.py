@@ -20,10 +20,10 @@ from typing import Optional
 from . import erlgen, monitors
 from .explorer import ExploreBounds, explore
 from .interp import ExecError
-from .parser import CheckedModel, SourceError, load_model
+from .parser import CheckedModel, SourceError, load_model, parse_int
 from .scheduler import (
-    CHECK_EFFECTIVE,
     CHECK_LITERAL,
+    DEADLINE_CHECKS,
     SchedulePolicy,
     check_env_value,
     normalize_env_bindings,
@@ -81,7 +81,7 @@ def _parse_env_value(text: str, where: Optional[str] = None):
     if text == "false":
         return False
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         message = f"env values must be integers or true/false, got {text!r}"
         raise _Usage(f"{where}: {message}" if where else message) from None
@@ -249,7 +249,7 @@ class SweepSpec:
 
 def _spec_int(text: str, where: str, name: str) -> int:
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise _Usage(f"{where}: {name} must be an integer, got {text!r}") from None
 
@@ -288,7 +288,7 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
                 raise _Usage(f"{where}: {name} must be non-negative, got {bound}")
             setattr(spec, name, bound)
         elif name == "deadline_check":
-            if value not in (CHECK_LITERAL, CHECK_EFFECTIVE):
+            if value not in DEADLINE_CHECKS:
                 raise _Usage(f"{where}: unknown deadline_check {value!r}")
             spec.deadline_check = value
         elif name == "seeds":
@@ -399,6 +399,14 @@ def cmd_emit(args) -> int:
 # Argument wiring
 
 
+def _int_flag(text: str) -> int:
+    """``parse_int`` with argparse's error text for an int flag."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_env_opts(p) -> None:
     p.add_argument("--env", action="append", metavar="NAME=VALUE",
                    help="bind an env variable (repeatable)")
@@ -417,10 +425,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="seeded simulation of a model")
     p.add_argument("model")
     _add_env_opts(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--deadline-check", choices=[CHECK_LITERAL, CHECK_EFFECTIVE],
+    p.add_argument("--seed", type=_int_flag, default=0)
+    p.add_argument("--horizon", type=_int_flag)
+    p.add_argument("--max-steps", type=_int_flag)
+    p.add_argument("--deadline-check", choices=DEADLINE_CHECKS,
                    default=CHECK_LITERAL)
     p.add_argument("--monitor", metavar="FILE")
     p.add_argument("--trace", metavar="FILE", help="write the JSONL trace here")
@@ -430,10 +438,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("explore", help="bounded exhaustive exploration")
     p.add_argument("model")
     _add_env_opts(p)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--max-states", type=int)
-    p.add_argument("--deadline-check", choices=[CHECK_LITERAL, CHECK_EFFECTIVE],
+    p.add_argument("--horizon", type=_int_flag)
+    p.add_argument("--max-steps", type=_int_flag)
+    p.add_argument("--max-states", type=_int_flag)
+    p.add_argument("--deadline-check", choices=DEADLINE_CHECKS,
                    default=CHECK_LITERAL)
     p.add_argument("--monitor", metavar="FILE")
     p.add_argument("--graph", metavar="FILE", help="write the graph as JSON")
@@ -448,9 +456,9 @@ def build_parser() -> _Parser:
     p.add_argument("sweep", help="sweep spec file: 'name: [v1, v2]' lines")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--monitor", metavar="FILE")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--cap", type=int, default=1000,
+    p.add_argument("--horizon", type=_int_flag)
+    p.add_argument("--max-steps", type=_int_flag)
+    p.add_argument("--cap", type=_int_flag, default=1000,
                    help="refuse sweeps larger than this without --force")
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_sweep)

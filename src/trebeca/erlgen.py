@@ -102,6 +102,7 @@ class _ClassEmitter:
         self.fun = _camel(self.cls.name)
         self.counter = 0
         self.lines: list[str] = []
+        self.sender_bound = False  # whether the method's body has bound Sender
 
     def fresh(self, base: str) -> str:
         self.counter += 1
@@ -153,7 +154,12 @@ class _ClassEmitter:
 
     # -- statements ----------------------------------------------------------
 
-    def stmt(self, s: Stmt, scope: _Scope, indent: str, sender_bound: list[bool]) -> None:
+    def stmt(self, s: Stmt, scope: _Scope, indent: str) -> None:
+        # An after-send's helper sends as Sender; bind it before the first
+        # statement that holds one, so that it is visible after any branch.
+        if not self.sender_bound and _has_after_send(s):
+            self.lines.append(f"{indent}Sender = self(),")
+            self.sender_bound = True
         if isinstance(s, Assign):
             value = self.expr(s.value, scope)
             if s.name in self.info.state_types:
@@ -176,14 +182,14 @@ class _ClassEmitter:
             self.lines.append(f"{indent}_ = now(),")
             return
         if isinstance(s, SendStmt):
-            self.send(s, scope, indent, sender_bound)
+            self.send(s, scope, indent)
             return
         if isinstance(s, IfStmt):
-            self.if_stmt(s, scope, indent, sender_bound)
+            self.if_stmt(s, scope, indent)
             return
         raise UnsupportedFeatureError(f"statement {s!r}", getattr(s, "pos", None))
 
-    def send(self, s: SendStmt, scope: _Scope, indent: str, sender_bound: list[bool]) -> None:
+    def send(self, s: SendStmt, scope: _Scope, indent: str) -> None:
         target = self.target(s, scope)
         args = "".join(f", {self.expr(a, scope)}" for a in s.args)
         if s.deadline is not None:
@@ -193,9 +199,6 @@ class _ClassEmitter:
         if s.after is None:
             self.lines.append(f"{indent}{target} ! {{{{self(), now(), {dl}}}, {s.method}{args}}},")
             return
-        if not sender_bound[0]:
-            self.lines.append(f"{indent}Sender = self(),")
-            sender_bound[0] = True
         if s.target == "self":
             # Inside the spawned helper self() is the helper, not the rebec.
             target = "Sender"
@@ -206,18 +209,13 @@ class _ClassEmitter:
         self.lines.append(f"{indent}    end")
         self.lines.append(f"{indent}end),")
 
-    def if_stmt(self, s: IfStmt, scope: _Scope, indent: str, sender_bound: list[bool]) -> None:
+    def if_stmt(self, s: IfStmt, scope: _Scope, indent: str) -> None:
         cond = self.expr(s.cond, scope)
         then_scope = scope.child()
         else_scope = scope.child()
-        # A Sender binding must stay visible outside the branches; bind it
-        # eagerly if either branch contains an after-send.
-        if not sender_bound[0] and _has_after_send([s]):
-            self.lines.append(f"{indent}Sender = self(),")
-            sender_bound[0] = True
         inner = indent + "        "
-        then_lines = self.body_lines(s.then_body, then_scope, inner, sender_bound)
-        else_lines = self.body_lines(s.else_body or [], else_scope, inner, sender_bound)
+        then_lines = self.body_lines(s.then_body, then_scope, inner)
+        else_lines = self.body_lines(s.else_body or [], else_scope, inner)
 
         threaded = self.threaded_names(scope, then_scope, else_scope)
         if threaded:
@@ -252,13 +250,12 @@ class _ClassEmitter:
         self.lines.append(f"{indent}        {ret_else}")
         self.lines.append(f"{indent}end,")
 
-    def body_lines(self, body: list[Stmt], scope: _Scope, indent: str,
-                   sender_bound: list[bool]) -> list[str]:
+    def body_lines(self, body: list[Stmt], scope: _Scope, indent: str) -> list[str]:
         """The lines of ``body`` emitted into ``scope``, apart from the lines
         being built."""
         saved, self.lines = self.lines, []
         for stmt in body:
-            self.stmt(stmt, scope, indent, sender_bound)
+            self.stmt(stmt, scope, indent)
         lines, self.lines = self.lines, saved
         return lines
 
@@ -336,7 +333,8 @@ class _ClassEmitter:
         lines.append(f"            StateVars = #{module}_statevars{{{record_fields}}},")
         scope = _Scope()
         if initial is not None:
-            lines.extend(self.body_lines(initial.body, scope, "            ", [False]))
+            self.sender_bound = False
+            lines.extend(self.body_lines(initial.body, scope, "            "))
         lines.append(f"            {fun}(KnownRebecs, {scope.statevars})")
         return "\n".join(lines)
 
@@ -353,20 +351,18 @@ class _ClassEmitter:
         scope = _Scope()
         for p in method.params:
             scope.vars[p.name] = _var(p.name)
-        lines.extend(self.body_lines(method.body, scope, "                    ", [False]))
+        self.sender_bound = False
+        lines.extend(self.body_lines(method.body, scope, "                    "))
         lines.append(f"                    {fun}(KnownRebecs, {scope.statevars})")
         lines.append("            end")
         return "\n".join(lines)
 
 
-def _has_after_send(stmts: list[Stmt]) -> bool:
-    for s in stmts:
-        if isinstance(s, SendStmt) and s.after is not None:
-            return True
-        if isinstance(s, IfStmt):
-            if _has_after_send(s.then_body) or _has_after_send(s.else_body or []):
-                return True
-    return False
+def _has_after_send(s: Stmt) -> bool:
+    """Whether ``s`` is, or has in a branch, a send with an ``after`` offset."""
+    if isinstance(s, IfStmt):
+        return any(map(_has_after_send, s.then_body + (s.else_body or [])))
+    return isinstance(s, SendStmt) and s.after is not None
 
 
 def emit(checked: CheckedModel) -> EmittedProgram:

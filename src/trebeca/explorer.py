@@ -33,6 +33,7 @@ from .scheduler import (
     normalize_env_bindings,
     prepare_step,
     require_bounds,
+    require_deadline_check,
 )
 
 # Canonical identity of a message, JSON-friendly: the explorer's decisions
@@ -58,11 +59,10 @@ def trace_decisions(trace: Trace) -> list[Decision]:
 def state_key(state: SystemState) -> str:
     """Canonical serialization: equal keys iff structurally equal states.
 
-    Rebec ids are assigned deterministically by creation order, so the fresh
-    counter is implied by the live rebecs and stays out of the key. The key
-    joins the fragments each rebec record and each message caches, so it
-    costs a sort of the ids, not a rendering of every value; the bag is
-    already in canonical order.
+    ``new`` numbers a rebec by the live rebec count, so the key needs no
+    counter of its own. The key joins the fragments each rebec record and
+    each message caches, so it costs a sort of the ids, not a rendering of
+    every value; the bag is already in canonical order.
     """
     envs = state.envs
     return ("|".join([envs[rid].key() for rid in sorted(envs)]) + "#"
@@ -246,17 +246,19 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
     a state with an equal ``transition_key`` is that state minus ``msg``, plus
     the stored receiver record and sent messages.
 
-    ``new`` reads the state's rebec counter, and a fault's text may depend on
-    it, so ``memo`` stores an enumeration only when every branch completes
-    and none creates a rebec. The miss and every later hit yield the same
-    Decision and events tuple objects, which become the edges' own, so
-    ``check_graph`` and ``to_json`` do their work once per shared transition.
+    ``new`` numbers its rebec by the state's live rebec count, and a fault's
+    text may depend on it, so ``memo`` stores an enumeration only when every
+    branch completes with as many rebecs as ``base``. The miss and every
+    later hit yield the same Decision and events tuple objects, which become
+    the edges' own, so ``check_graph`` and ``to_json`` do their work once per
+    shared transition.
     """
     key = transition_key(base, msg)
     outcomes = memo.get(key)
     if outcomes is None:
         results = list(_enumerate_decisions(base, msg))
-        if all(work is not None and work.fresh == base.fresh for _, work, _ in results):
+        if all(work is not None and len(work.envs) == len(base.envs)
+               for _, work, _ in results):
             queued = {id(m) for m in base.bag}
             memo[key] = [(decision, work.envs[msg.receiver],
                           [m for m in work.bag if id(m) not in queued], events)
@@ -281,6 +283,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     enumeration order whenever no bound is hit.
     """
     bounds.require_bound()
+    require_deadline_check(deadline_check)
     bindings = normalize_env_bindings(checked, env_bindings)
     root_state, root_events = build_initial_state(checked, bindings)
 

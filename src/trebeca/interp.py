@@ -9,13 +9,13 @@ walks no syntax tree. Values are plain ``int``, plain ``bool`` and
 ``RebecRef``; the walk has typed every expression, so no runtime type check
 is left.
 
-``exec_method`` runs one method atomically against a SystemState: the
-receiver's clock jumps to max(message time tag, its current clock), the
-body executes to completion in a frame that holds the receiver's working
-clock and state variables, and the step ends by putting the receiver's new
-record into the state. No record is ever written, so a body that faults
-leaves its receiver's record as it found it. The only cross-rebec effects
-are new messages in the bag and freshly created rebecs.
+``exec_method`` serves one selected message atomically: the receiver's
+clock jumps to max(message time tag, its current clock), the body executes
+to completion in a frame that holds the receiver's working clock and state
+variables, and the step ends by putting the receiver's new record into the
+state and its ``msg_selected`` event before the body's. No record is ever
+written, so a body that faults leaves its receiver's record as it found it.
+The only cross-rebec effects are new messages in the bag and new rebecs.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .model import (
     DelayStmt,
     EV_CREATED,
     EV_DELAY,
+    EV_SELECTED,
     EV_SENT,
     Expr,
     IfStmt,
@@ -110,8 +111,8 @@ class Frame:
     """One activation of a compiled body: the receiver's record as the step
     found it, the receiver's working clock (``now``) and state variables
     (``vars``, a copy of the record's), the state its sends and ``new``s
-    change, the resolver for its choices, the sender's id, the locals by slot and the events
-    emitted so far."""
+    change, the resolver for its choices, the sender's id, the locals by
+    slot and the events emitted so far."""
 
     __slots__ = ("env", "now", "vars", "state", "resolver", "sender", "locals", "events")
 
@@ -474,11 +475,14 @@ class _Compiler:
                              f"initial of {class_name!r}")
         scope = self.store(s.name, f"rebec:{class_name}", scope, s.pos)
         slot = self.slots.setdefault(s.name, len(self.slots))
+        prefix = f"{class_name.lower()}#"
 
         def new(fr: Frame) -> None:
             rebec_id, state, now = fr.env.rebec_id, fr.state, fr.now
             values = tuple([arg(fr) for arg in args])
-            new_id = state.fresh_rebec_id(class_name)
+            # Rebecs are never removed, so the live count less main's instances
+            # is the number of ``new``s so far. No identifier holds a '#'.
+            new_id = f"{prefix}{len(state.envs) - len(state.checked.model.main)}"
             state.envs[new_id] = make_rebec_env(new_id, info, now, {})
             fr.locals[slot] = RebecRef(new_id)
             msg = Message(receiver=new_id, method="initial", args=values,
@@ -522,31 +526,22 @@ def make_rebec_env(rebec_id: str, class_info, now: int, knowns: dict[str, RebecR
 
 def exec_method(msg: Message, state: SystemState,
                 resolver: Resolver) -> list[TraceEvent]:
-    """Run a selected message's method body atomically; changes ``state``
-    and returns the events the execution emitted.
+    """Serve ``msg``, already out of the bag, atomically: changes ``state``
+    and returns the step's events, ``msg_selected`` first, then the body's.
 
-    The receiver's clock becomes max(msg.tt, clock) before the body runs.
-    Once the body completes, a new record with the frame's final clock and
-    state variables replaces the receiver's; the sender and the locals
-    lived in the frame, which is discarded. A fault leaves the receiver's
-    record in place.
+    The body starts at max(msg.tt, the receiver's clock), the time of its
+    ``msg_selected``. Once it completes, a new record with the frame's final
+    clock and state variables replaces the receiver's; a fault leaves the
+    old one. The checker has proved that the receiver exists and serves the
+    message with its arguments (``_Compiler.send``, ``_Compiler.new``,
+    ``_Checker.check_main``).
     """
-    if msg.receiver not in state.envs:
-        raise ExecError(f"message receiver {msg.receiver!r} does not exist")
     env = state.envs[msg.receiver]
-    method = state.checked.classes[env.class_name].methods.get(msg.method)
-    if method is None:
-        raise ExecError(f"no message server {msg.method!r}", env.rebec_id)
-    if len(msg.args) != len(method.param_types):
-        raise ExecError(
-            f"{msg.method} expects {len(method.param_types)} argument(s),"
-            f" message carries {len(msg.args)}", env.rebec_id, msg.method)
-
-    code = method.code
-    fr = Frame(env, max(msg.tt, env.now), state, resolver, msg.sender,
-               [*msg.args, *code.padding])
+    code = state.checked.classes[env.class_name].methods[msg.method].code
+    start = max(msg.tt, env.now)
+    fr = Frame(env, start, state, resolver, msg.sender, [*msg.args, *code.padding])
     for stmt in code.body:
         stmt(fr)
     state.envs[msg.receiver] = RebecEnv(env.rebec_id, env.class_name, fr.now, fr.vars,
                                         env.knowns)
-    return fr.events
+    return [msg.event(EV_SELECTED, start, tuple(resolver.taken)), *fr.events]

@@ -397,13 +397,12 @@ class SystemState:
     copies.
     """
 
-    __slots__ = ("envs", "bag", "dl_floor", "fresh", "env_bindings", "checked")
+    __slots__ = ("envs", "bag", "dl_floor", "env_bindings", "checked")
 
     def __init__(self, checked, env_bindings: dict[str, Value]):
         self.envs: dict[str, RebecEnv] = {}
         self.bag: list[Message] = []
         self.dl_floor = NEVER
-        self.fresh = 0
         self.env_bindings = env_bindings
         self.checked = checked
 
@@ -412,15 +411,7 @@ class SystemState:
         st.envs = dict(self.envs)
         st.bag = list(self.bag)
         st.dl_floor = self.dl_floor
-        st.fresh = self.fresh
         return st
-
-    def fresh_rebec_id(self, class_name: str) -> str:
-        rid = f"{class_name.lower()}#{self.fresh}"
-        self.fresh += 1
-        if rid in self.envs:  # defensive: '#' cannot appear in source identifiers
-            raise RuntimeError(f"fresh rebec id collision: {rid}")
-        return rid
 
     def add_message(self, msg: Message) -> None:
         """Put ``msg`` into the bag at its place in canonical order."""

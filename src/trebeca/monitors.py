@@ -18,7 +18,7 @@ from typing import Optional
 
 from .explorer import Decision, ExploreResult
 from .model import EV_ENDED, EV_PURGED, EV_SELECTED, EV_SENT, TraceEvent
-from .parser import ParseError, SourceError
+from .parser import ParseError, SourceError, parse_int
 from .scheduler import END_HORIZON, TRUNCATED_REASONS, Trace
 
 PASS = "pass"
@@ -100,7 +100,7 @@ def parse_monitor(text: str) -> MonitorSpec:
             if " WITHIN " in body:
                 body, _, bound = body.rpartition(" WITHIN ")
                 try:
-                    within = int(bound.strip())
+                    within = parse_int(bound.strip())
                 except ValueError:
                     errors.append(ParseError((lineno, 1), f"WITHIN bound must be an integer, found {bound.strip()!r}"))
                     continue

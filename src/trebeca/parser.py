@@ -66,6 +66,16 @@ _TOKEN_RE = re.compile(r"""
   | (?P<symbol>&&|\|\||==|!=|<=|>=|[{}();,.=<>+\-*/%!?:])
   | (?P<other>.)
 """, re.VERBOSE | re.DOTALL | re.ASCII)
+_INT_RE = re.compile("-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer from outside a model (a flag, an env binding, a sweep or
+    monitor file) in the language's spelling, ``-?[0-9]+``; ``ValueError``
+    for any other text, even ``٣``, ``1_0`` or ``+4``, which ``int`` reads."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -238,17 +248,19 @@ class _Parser:
             raise SourceError(self.errors)
         return Model(env_decls=env_decls, classes=classes, main=main or [])
 
+    def parse_names(self, what: str) -> list[Token]:
+        """``name, ..., name;``: the names of one declaration, each ``what``."""
+        names = [self.expect_ident(what)]
+        while self.accept(","):
+            names.append(self.expect_ident(what))
+        self.expect(";")
+        return names
+
     def parse_env_decl(self) -> list[EnvDecl]:
         self.expect("env")
-        type_tok = self.parse_base_type()
-        decls = []
-        while True:
-            name = self.expect_ident("environment variable name")
-            decls.append(EnvDecl(name=name.text, type=type_tok, pos=name.pos))
-            if not self.accept(","):
-                break
-        self.expect(";")
-        return decls
+        typ = self.parse_base_type()
+        return [EnvDecl(name=name.text, type=typ, pos=name.pos)
+                for name in self.parse_names("environment variable name")]
 
     def parse_base_type(self) -> str:
         if self.cur.text in BASE_TYPES:
@@ -273,12 +285,8 @@ class _Parser:
         known_decls: list[VarDecl] = []
         while not self.at("}"):
             cls = self.expect_ident("known rebec class name")
-            while True:
-                var = self.expect_ident("known rebec name")
-                known_decls.append(VarDecl(name=var.text, type=cls.text, pos=var.pos))
-                if not self.accept(","):
-                    break
-            self.expect(";")
+            known_decls += [VarDecl(name=var.text, type=cls.text, pos=var.pos)
+                            for var in self.parse_names("known rebec name")]
         self.expect("}")
         if self.at("knownrebecs"):
             raise self.fail("duplicate knownrebecs block")
@@ -288,12 +296,8 @@ class _Parser:
         state_decls: list[VarDecl] = []
         while not self.at("}"):
             typ = self.parse_base_type()
-            while True:
-                var = self.expect_ident("state variable name")
-                state_decls.append(VarDecl(name=var.text, type=typ, pos=var.pos))
-                if not self.accept(","):
-                    break
-            self.expect(";")
+            state_decls += [VarDecl(name=var.text, type=typ, pos=var.pos)
+                            for var in self.parse_names("state variable name")]
         self.expect("}")
         if self.at("statevars") or self.at("knownrebecs"):
             raise self.fail(f"duplicate {self.cur.text} block")

@@ -33,6 +33,7 @@ from .parser import CheckedModel
 
 CHECK_LITERAL = "literal"
 CHECK_EFFECTIVE = "effective"
+DEADLINE_CHECKS = (CHECK_LITERAL, CHECK_EFFECTIVE)
 
 # Termination reasons. The first two end a run for good; the others mean the
 # run was cut short and more behaviour exists beyond the bound. A truncated
@@ -54,6 +55,13 @@ def require_bounds(missing: str, **bounds: Optional[int]) -> None:
     for name, value in bounds.items():
         if value is not None and value < 0:
             raise ValueError(f"{name.replace('_', '-')} must be non-negative, got {value}")
+
+
+def require_deadline_check(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` is one of ``DEADLINE_CHECKS``;
+    ``run`` and ``explore`` call it once, before their first step."""
+    if mode not in DEADLINE_CHECKS:
+        raise ValueError(f"unknown deadline check mode {mode!r}")
 
 
 @dataclass
@@ -114,14 +122,12 @@ def eligible(msg: Message, state: SystemState, mode: str = CHECK_LITERAL) -> boo
     ``literal`` keeps the side condition exactly as the rule states it
     (receiver clock <= deadline); ``effective`` also rejects messages whose
     time tag alone is already past the deadline. A NEVER deadline lies above
-    every tick, so both hold for it.
+    every tick, so both hold for it. ``mode`` is one of ``DEADLINE_CHECKS``.
     """
     receiver = state.envs[msg.receiver]
     if mode == CHECK_LITERAL:
         return receiver.now <= msg.dl
-    if mode == CHECK_EFFECTIVE:
-        return max(msg.tt, receiver.now) <= msg.dl
-    raise ValueError(f"unknown deadline check mode {mode!r}")
+    return max(msg.tt, receiver.now) <= msg.dl
 
 
 def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
@@ -131,8 +137,6 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
     until then every message is eligible in both modes (a floor of −1, which
     marks a time tag past its deadline, lies below every clock).
     """
-    if mode not in (CHECK_LITERAL, CHECK_EFFECTIVE):
-        raise ValueError(f"unknown deadline check mode {mode!r}")
     floor = state.dl_floor
     if floor == NEVER or max(map(rebec_clock, state.envs.values())) <= floor:
         return []
@@ -192,19 +196,15 @@ def prepare_step(state: SystemState, deadline_check: str,
 
 def execute_selected(state: SystemState, msg: Message,
                      resolver: Resolver) -> list[TraceEvent]:
-    """Remove ``msg`` from the bag and run its method; shared by simulator,
-    explorer and replay so their traces agree byte for byte. Returns the
-    step's events in trace order: ``msg_selected``, then the body's.
+    """Remove ``msg`` from the bag and serve it (``interp.exec_method``);
+    shared by simulator, explorer and replay so their traces agree byte for
+    byte. Returns the step's events, ``msg_selected`` first.
 
     ``msg`` must be an object taken from ``state.bag``
     (``SystemState.remove_message``).
     """
     state.remove_message(msg)
-    receiver = state.envs[msg.receiver]
-    exec_time = max(msg.tt, receiver.now)
-    events = exec_method(msg, state, resolver)
-    events.insert(0, msg.event(EV_SELECTED, exec_time, tuple(resolver.taken)))
-    return events
+    return exec_method(msg, state, resolver)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,7 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     policy give an identical trace.
     """
     policy.require_bound()
+    require_deadline_check(policy.deadline_check)
     bindings = normalize_env_bindings(checked, env_bindings)
     state, events = build_initial_state(checked, bindings)
     trace = Trace(events)

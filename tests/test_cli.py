@@ -294,8 +294,11 @@ def test_sweep_cap_refusal(tmp_path):
     ("requestDeadline: [3, 4]", "duplicate key 'requestDeadline'"),
     ("horizon: -4", "horizon must be non-negative, got -4"),
     ("max_steps: -1", "max_steps must be non-negative, got -1"),
+    ("horizon: 1_0", "horizon must be an integer, got '1_0'"),
+    ("seeds: \u0663", "seeds must be an integer, got '\u0663'"),
 ], ids=["horizon", "max-steps", "seed-count", "zero-seeds", "duplicate-seeds", "bool-seed",
-        "negative-seed", "duplicate-key", "negative-horizon", "negative-max-steps"])
+        "negative-seed", "duplicate-key", "negative-horizon", "negative-max-steps",
+        "underscored-horizon", "arabic-indic-seed-count"])
 def test_sweep_spec_scalar_errors_are_positioned(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.txt"
     spec.write_text(f"requestDeadline: [2]\n{line}\n")
@@ -423,6 +426,31 @@ def test_sweep_spec_scalar_keys(tmp_path, check, status):
     end = "empty-bag" if check == "literal" else "all-expired"
     assert [row.split(",")[:5] for row in rows] == [
         ["0", "2", str(seed), end, status] for seed in range(3)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", TICKET, *env_args({**TICKET_ENV, "serviceTime1": "1_0"}), "--horizon", "5"],
+     "trebeca: error: env values must be integers or true/false, got '1_0'"),
+    (["sweep", TICKET, "SPEC", "--out", "OUT", "--horizon", "5"],
+     "trebeca: error: SPEC:2: env values must be integers or true/false, got '+4'"),
+    (["run", TICKET, *env_args(), "--horizon", "\u0663"],
+     "trebeca run: error: argument --horizon: invalid int value: '\u0663'"),
+    (["explore", TICKET, *env_args(), "--max-states", "1_0"],
+     "trebeca explore: error: argument --max-states: invalid int value: '1_0'"),
+], ids=["env-underscore", "sweep-plus-sign", "horizon-arabic-indic", "max-states-underscore"])
+def test_integers_from_outside_use_the_language_spelling(tmp_path, capsys, argv, message):
+    # Python's int() reads all four; the tokenizer reads none of them.
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("requestDeadline: [2]\nserviceTime1: [+4]\n")
+    out = tmp_path / "out"
+    argv = [{"SPEC": str(spec), "OUT": str(out)}.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        code = exc.code
+    assert code == 64
+    assert capsys.readouterr().err.splitlines()[-1] == message.replace("SPEC", str(spec))
+    assert not out.exists()
 
 
 def test_sweep_unknown_deadline_check_is_usage_error(tmp_path, capsys):

@@ -317,6 +317,25 @@ def test_a_body_with_new_is_never_memoized(monkeypatch):
                                                                     ExploreBounds(horizon=5)))
 
 
+def test_new_numbers_rebecs_across_classes_in_creation_order():
+    # b and c are created in one step; d and e in whichever order b and c run.
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars {}"
+        " msgsrv initial() { b = new B(); c = new C(); } }"
+        " reactiveclass B { knownrebecs {} statevars {} msgsrv initial() { d = new D(); } }"
+        " reactiveclass C { knownrebecs {} statevars {} msgsrv initial() { e = new E(); } }"
+        " reactiveclass D { knownrebecs {} statevars {} msgsrv initial() {} }"
+        " reactiveclass E { knownrebecs {} statevars {} msgsrv initial() {} }"
+        " main { A a():(); }")
+    res = explore(checked, {}, ExploreBounds(horizon=5))
+    created = sorted(
+        sorted(rid for rid in (record.split(":")[0] for record in res.nodes[nid].key.split("|"))
+               if rid != "a")
+        for nid, reason in res.terminals() if reason == "empty-bag")
+    assert created == [["b#0", "c#1", "d#2", "e#3"], ["b#0", "c#1", "d#3", "e#2"]]
+    assert len(res.terminals()) == 2
+
+
 def test_a_faulting_branch_is_reported_on_every_visit_and_never_memoized(monkeypatch):
     checked = load_model(
         "reactiveclass A { knownrebecs {} statevars {}"

@@ -33,6 +33,14 @@ def test_parse_within_bound():
     assert spec.clauses[0].within == 7
 
 
+@pytest.mark.parametrize("bound", ["soon", "1_0", "\u0663", "+7"])
+def test_a_within_bound_must_be_an_integer(bound):
+    with pytest.raises(SourceError) as exc:
+        parse_monitor(f"NEVER purged *.*\nEVENTUALLY selected a.go WITHIN {bound}\n")
+    assert [e.render() for e in exc.value.errors] == [
+        f"<input>:2:1: error: WITHIN bound must be an integer, found {bound!r}"]
+
+
 def test_parse_always_precedes_and_comments():
     text = "# header\nALWAYS-PRECEDES(selected a.request, selected a.reply)\n\n"
     spec = parse_monitor(text)

@@ -115,6 +115,25 @@ def test_missing_initial_detected():
     assert any("no initial" in e.message for e in errors_of(src))
 
 
+@pytest.mark.parametrize("body, main, message", [
+    ("self.nope();", "A a(b):(); B b():();", "class 'A' has no message server 'nope'"),
+    ("r = new C();", "A a(b):(); B b():();", "class 'C' has no initial message server"),
+    ("r = new B(1);", "A a(b):(); B b():();", "initial of 'B' expects 0 argument(s), got 1"),
+    ("", "A a(c):(); B b():(); C c():();",
+     "known rebec 'peer' of 'a' must be a B, 'c' is a C"),
+    ("", "A a(z):(); B b():();", "unknown rebec 'z' passed to 'a'"),
+], ids=["server", "new-initial", "new-arity", "known-class", "known-unbound"])
+def test_every_queued_message_has_a_receiver_that_serves_it(body, main, message):
+    # The step runs a message without looking: these are the checks that
+    # make its receiver exist and serve it with the message's arguments.
+    src = ("reactiveclass A { knownrebecs { B peer; } statevars {}"
+           f" msgsrv initial() {{ {body} }} }}"
+           " reactiveclass B { knownrebecs {} statevars {} msgsrv initial() {} }"
+           " reactiveclass C { knownrebecs {} statevars {} msgsrv go() {} }"
+           f" main {{ {main} }}")
+    assert message in [e.message for e in errors_of(src)]
+
+
 def test_unknown_class_in_main():
     src = MINIMAL.replace("A a():();", "A a():(); Z z():();")
     assert any("unknown class 'Z'" in e.message for e in errors_of(src))

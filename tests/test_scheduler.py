@@ -3,6 +3,8 @@ import json
 import pytest
 
 from conftest import SENSOR_ENV, TICKET_ENV
+from trebeca import explorer, scheduler
+from trebeca.explorer import ExploreBounds, explore
 from trebeca.model import EV_DELAY, EV_ENDED, EV_PURGED, EV_SELECTED
 from trebeca.parser import load_model
 from trebeca.scheduler import (
@@ -25,6 +27,22 @@ def test_policy_requires_a_bound(ticket_model):
 def test_policy_rejects_a_negative_bound(ticket_model, bounds, message):
     with pytest.raises(ValueError, match=message):
         run(ticket_model, TICKET_ENV, 0, SchedulePolicy(**bounds))
+
+
+@pytest.mark.parametrize("start", [
+    lambda checked: run(checked, TICKET_ENV, 0,
+                        SchedulePolicy(deadline_check="eventual", horizon=5)),
+    lambda checked: explore(checked, TICKET_ENV, ExploreBounds(horizon=5),
+                            deadline_check="eventual"),
+], ids=["run", "explore"])
+def test_an_unknown_deadline_mode_is_rejected_before_any_step(ticket_model, monkeypatch,
+                                                              start):
+    def no_step(*args):
+        raise AssertionError("a step started")
+    monkeypatch.setattr(scheduler, "prepare_step", no_step)
+    monkeypatch.setattr(explorer, "prepare_step", no_step)
+    with pytest.raises(ValueError, match="unknown deadline check mode 'eventual'"):
+        start(ticket_model)
 
 
 def test_missing_env_binding_reported(ticket_model):
