@@ -97,7 +97,10 @@ def _collect_env(args) -> dict:
             if "=" not in line:
                 raise _Usage(f"{args.env_file}:{lineno}: expected name=value")
             name, _, value = line.partition("=")
-            bindings[name.strip()] = _parse_env_value(value.strip(), f"{args.env_file}:{lineno}")
+            name, where = name.strip(), f"{args.env_file}:{lineno}"
+            if name in bindings:
+                raise _Usage(f"{where}: duplicate key {name!r}")
+            bindings[name] = _parse_env_value(value.strip(), where)
     for item in getattr(args, "env", None) or []:
         if "=" not in item:
             raise _Usage(f"--env expects name=value, got {item!r}")
@@ -270,9 +273,11 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
             raise _Usage(f"{where}: duplicate key {name!r}")
         seen.add(name)
         if value.startswith("[") and value.endswith("]"):
-            items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
-            if not items:
+            items = [v.strip() for v in value[1:-1].split(",")]
+            if items == [""]:
                 raise _Usage(f"{where}: empty value list for {name!r}")
+            if "" in items:
+                raise _Usage(f"{where}: empty item in the value list for {name!r}, got {value}")
             if name == "seeds":
                 spec.seeds = [_spec_int(v, where, "a seed") for v in items]
                 if len(set(spec.seeds)) < len(spec.seeds):

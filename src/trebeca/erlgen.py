@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     Assign,
-    BinaryOp,
     BoolLit,
     ChoiceExpr,
     DelayStmt,
@@ -33,7 +32,7 @@ from .model import (
     UnaryOp,
     VarRef,
 )
-from .parser import CheckedModel, ClassInfo
+from .parser import CheckedModel, ClassInfo, MethodInfo
 
 
 class UnsupportedFeatureError(Exception):
@@ -81,21 +80,45 @@ _BINOPS = {
 _DEFAULTS = {"int": "0", "time": "0", "boolean": "false"}
 
 
-class _Scope:
-    """Tracks which Erlang variable currently holds each model variable."""
+# The scope key of the Erlang variable that holds the state-variable record;
+# it sorts before every identifier.
+_STATEVARS = "$statevars"
 
-    def __init__(self, parent: Optional["_Scope"] = None):
-        self.vars: dict[str, str] = dict(parent.vars) if parent else {}
-        self.statevars = parent.statevars if parent else "StateVars"
-        self.assigned: set[str] = set()
 
-    def child(self) -> "_Scope":
-        return _Scope(self)
+def _env(name: str) -> str:
+    return f"env:{name}()"
+
+
+def _joined(names: list[str]) -> str:
+    return names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
+
+
+def _expr(e: Expr, ref: Callable[[str], str]) -> str:
+    """The Erlang text of ``e``; ``ref`` gives the text of a name."""
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, NowExpr):
+        return "now()"
+    if isinstance(e, SelfExpr):
+        return "self()"
+    if isinstance(e, SenderExpr):
+        return "From"
+    if isinstance(e, VarRef):
+        return ref(e.name)
+    if isinstance(e, ChoiceExpr):
+        options = ", ".join(_expr(o, ref) for o in e.options)
+        return f"lists:nth(rand:uniform({len(e.options)}), [{options}])"
+    if isinstance(e, UnaryOp):
+        inner = _expr(e.operand, ref)
+        return f"(not {inner})" if e.op == "!" else f"(-{inner})"
+    # A BinaryOp: the parser builds no other expression node.
+    return f"({_expr(e.left, ref)} {_BINOPS[e.op]} {_expr(e.right, ref)})"
 
 
 class _ClassEmitter:
-    def __init__(self, checked: CheckedModel, info: ClassInfo):
-        self.checked = checked
+    def __init__(self, info: ClassInfo):
         self.info = info
         self.cls = info.definition
         self.module = self.cls.name.lower()
@@ -109,52 +132,31 @@ class _ClassEmitter:
         return f"{base}{self.counter}"
 
     # -- expressions -------------------------------------------------------
+    # A scope maps each local to the Erlang variable that holds it now, and
+    # _STATEVARS to the variable that holds the state-variable record.
 
-    def expr(self, e: Expr, scope: _Scope) -> str:
-        if isinstance(e, IntLit):
-            return str(e.value)
-        if isinstance(e, BoolLit):
-            return "true" if e.value else "false"
-        if isinstance(e, NowExpr):
-            return "now()"
-        if isinstance(e, SelfExpr):
-            return "self()"
-        if isinstance(e, SenderExpr):
-            return "From"
-        if isinstance(e, VarRef):
-            name = e.name
-            if name in scope.vars:
-                return scope.vars[name]
-            if name in self.info.state_types:
-                return f"{scope.statevars}#{self.module}_statevars.{name}"
-            if name in self.info.known_types:
-                return f"KnownRebecs#{self.module}_knownrebecs.{name}"
-            if name in self.checked.env_types:
-                return f"env:{name}()"
-            raise UnsupportedFeatureError(f"unresolved name {name!r}", e.pos)
-        if isinstance(e, ChoiceExpr):
-            options = ", ".join(self.expr(o, scope) for o in e.options)
-            return f"lists:nth(rand:uniform({len(e.options)}), [{options}])"
-        if isinstance(e, UnaryOp):
-            inner = self.expr(e.operand, scope)
-            return f"(not {inner})" if e.op == "!" else f"(-{inner})"
-        if isinstance(e, BinaryOp):
-            return (f"({self.expr(e.left, scope)} {_BINOPS[e.op]}"
-                    f" {self.expr(e.right, scope)})")
-        raise UnsupportedFeatureError(f"expression {e!r}")
+    def expr(self, e: Expr, scope: dict[str, str]) -> str:
+        return _expr(e, lambda name: self.ref(name, scope))
 
-    def target(self, stmt: SendStmt, scope: _Scope) -> str:
+    def ref(self, name: str, scope: dict[str, str]) -> str:
+        if name in scope:
+            return scope[name]
+        if name in self.info.state_types:
+            return f"{scope[_STATEVARS]}#{self.module}_statevars.{name}"
+        if name in self.info.known_types:
+            return f"KnownRebecs#{self.module}_knownrebecs.{name}"
+        return _env(name)  # the checker rejects any other name
+
+    def target(self, stmt: SendStmt, scope: dict[str, str]) -> str:
         if stmt.target == "self":
             return "self()"
         if stmt.target in self.info.known_types:
             return f"KnownRebecs#{self.module}_knownrebecs.{stmt.target}"
-        if stmt.target in scope.vars:
-            return scope.vars[stmt.target]
-        raise UnsupportedFeatureError(f"send target {stmt.target!r}", stmt.pos)
+        return scope[stmt.target]  # a rebec-valued local, as the checker requires
 
     # -- statements ----------------------------------------------------------
 
-    def stmt(self, s: Stmt, scope: _Scope, indent: str) -> None:
+    def stmt(self, s: Stmt, scope: dict[str, str], indent: str) -> None:
         # An after-send's helper sends as Sender; bind it before the first
         # statement that holds one, so that it is visible after any branch.
         if not self.sender_bound and _has_after_send(s):
@@ -165,31 +167,22 @@ class _ClassEmitter:
             if s.name in self.info.state_types:
                 nxt = self.fresh("StateVars")
                 self.lines.append(
-                    f"{indent}{nxt} = {scope.statevars}"
+                    f"{indent}{nxt} = {scope[_STATEVARS]}"
                     f"#{self.module}_statevars{{{s.name} = {value}}},")
-                scope.statevars = nxt
-                scope.assigned.add("$statevars")
+                scope[_STATEVARS] = nxt
             else:
-                nxt = self.fresh(_var(s.name))
+                nxt = scope[s.name] = self.fresh(_var(s.name))
                 self.lines.append(f"{indent}{nxt} = {value},")
-                scope.vars[s.name] = nxt
-                scope.assigned.add(s.name)
-            return
-        if isinstance(s, DelayStmt):
+        elif isinstance(s, DelayStmt):
             self.lines.append(f"{indent}receive after {self.expr(s.amount, scope)} -> ok end,")
-            return
-        if isinstance(s, NowStmt):
+        elif isinstance(s, NowStmt):
             self.lines.append(f"{indent}_ = now(),")
-            return
-        if isinstance(s, SendStmt):
+        elif isinstance(s, SendStmt):
             self.send(s, scope, indent)
-            return
-        if isinstance(s, IfStmt):
+        else:  # emit refuses every model with a new
             self.if_stmt(s, scope, indent)
-            return
-        raise UnsupportedFeatureError(f"statement {s!r}", getattr(s, "pos", None))
 
-    def send(self, s: SendStmt, scope: _Scope, indent: str) -> None:
+    def send(self, s: SendStmt, scope: dict[str, str], indent: str) -> None:
         target = self.target(s, scope)
         args = "".join(f", {self.expr(a, scope)}" for a in s.args)
         if s.deadline is not None:
@@ -209,36 +202,26 @@ class _ClassEmitter:
         self.lines.append(f"{indent}    end")
         self.lines.append(f"{indent}end),")
 
-    def if_stmt(self, s: IfStmt, scope: _Scope, indent: str) -> None:
+    def if_stmt(self, s: IfStmt, scope: dict[str, str], indent: str) -> None:
         cond = self.expr(s.cond, scope)
-        then_scope = scope.child()
-        else_scope = scope.child()
+        then_scope, else_scope = dict(scope), dict(scope)
         inner = indent + "        "
         then_lines = self.body_lines(s.then_body, then_scope, inner)
         else_lines = self.body_lines(s.else_body or [], else_scope, inner)
-
-        threaded = self.threaded_names(scope, then_scope, else_scope)
+        # The case returns every binding that a branch changed and that exists
+        # after it: one made before the if, or one that both branches made.
+        # Fresh names never repeat, so a changed binding differs from the
+        # parent's.
+        threaded = sorted(name for name in then_scope.keys() & else_scope.keys()
+                          if then_scope[name] != scope.get(name)
+                          or else_scope[name] != scope.get(name))
         if threaded:
-            joins = []
-            then_tuple, else_tuple = [], []
-            for name in threaded:
-                if name == "$statevars":
-                    joined = self.fresh("StateVars")
-                    then_tuple.append(then_scope.statevars)
-                    else_tuple.append(else_scope.statevars)
-                    scope.statevars = joined
-                else:
-                    joined = self.fresh(_var(name))
-                    then_tuple.append(then_scope.vars[name])
-                    else_tuple.append(else_scope.vars[name])
-                    scope.vars[name] = joined
-                    scope.assigned.add(name)
-                joins.append(joined)
-            head = "{" + ", ".join(joins) + "} = " if len(joins) > 1 else f"{joins[0]} = "
-            ret_then = "{" + ", ".join(then_tuple) + "}" if len(joins) > 1 else then_tuple[0]
-            ret_else = "{" + ", ".join(else_tuple) + "}" if len(joins) > 1 else else_tuple[0]
-            if threaded and "$statevars" in threaded:
-                scope.assigned.add("$statevars")
+            joins = [self.fresh("StateVars" if name == _STATEVARS else _var(name))
+                     for name in threaded]
+            head = f"{_joined(joins)} = "
+            ret_then = _joined([then_scope[name] for name in threaded])
+            ret_else = _joined([else_scope[name] for name in threaded])
+            scope.update(zip(threaded, joins))
         else:
             head, ret_then, ret_else = "", "ok", "ok"
         self.lines.append(f"{indent}{head}case {cond} of")
@@ -250,7 +233,7 @@ class _ClassEmitter:
         self.lines.append(f"{indent}        {ret_else}")
         self.lines.append(f"{indent}end,")
 
-    def body_lines(self, body: list[Stmt], scope: _Scope, indent: str) -> list[str]:
+    def body_lines(self, body: list[Stmt], scope: dict[str, str], indent: str) -> list[str]:
         """The lines of ``body`` emitted into ``scope``, apart from the lines
         being built."""
         saved, self.lines = self.lines, []
@@ -258,21 +241,6 @@ class _ClassEmitter:
             self.stmt(stmt, scope, indent)
         lines, self.lines = self.lines, saved
         return lines
-
-    def threaded_names(self, scope: _Scope, then_scope: _Scope, else_scope: _Scope) -> list[str]:
-        names = []
-        if "$statevars" in then_scope.assigned or "$statevars" in else_scope.assigned:
-            names.append("$statevars")
-        for name in sorted(set(then_scope.assigned | else_scope.assigned) - {"$statevars"}):
-            existed = name in scope.vars
-            in_both = name in then_scope.assigned and name in else_scope.assigned
-            if existed or in_both:
-                names.append(name)
-                # A branch that did not touch the variable contributes its
-                # old binding to the join.
-                then_scope.vars.setdefault(name, scope.vars.get(name, "undefined"))
-                else_scope.vars.setdefault(name, scope.vars.get(name, "undefined"))
-        return names
 
     # -- methods and stages ---------------------------------------------------
 
@@ -303,10 +271,8 @@ class _ClassEmitter:
         out.append("%% Stage 2: serve the initial message, then enter the serve loop.")
         out.append(f"{fun}(KnownRebecs) ->")
         out.append("    receive")
-        initial = self.cls.method("initial")
-        matches = []
-        for arity in init_arities or [0]:
-            matches.append(self.initial_match(initial, arity))
+        initial = self.info.methods.get("initial")
+        matches = [self.initial_match(initial, arity) for arity in init_arities or [0]]
         out.extend(";\n".join(matches).split("\n"))
         out.append("    end.")
         out.append("")
@@ -324,18 +290,18 @@ class _ClassEmitter:
         out.append("    end.")
         return "\n".join(out) + "\n"
 
-    def initial_match(self, initial: Optional[MethodDef], arity: int) -> str:
+    def initial_match(self, initial: Optional[MethodInfo], arity: int) -> str:
         cls, module, fun = self.cls, self.module, self.fun
         init_fields = [d.name for d in cls.state_decls[:arity]]
         extra = "".join(f", {_var(n)}Init" for n in init_fields)
         lines = [f"        {{{{From, SendTime, Deadline}}, initial{extra}}} ->"]
         record_fields = ", ".join(f"{n} = {_var(n)}Init" for n in init_fields)
         lines.append(f"            StateVars = #{module}_statevars{{{record_fields}}},")
-        scope = _Scope()
+        scope = {_STATEVARS: "StateVars"}
         if initial is not None:
             self.sender_bound = False
-            lines.extend(self.body_lines(initial.body, scope, "            "))
-        lines.append(f"            {fun}(KnownRebecs, {scope.statevars})")
+            lines.extend(self.body_lines(initial.definition.body, scope, "            "))
+        lines.append(f"            {fun}(KnownRebecs, {scope[_STATEVARS]})")
         return "\n".join(lines)
 
     def serve_match(self, method: MethodDef) -> str:
@@ -348,12 +314,11 @@ class _ClassEmitter:
         lines.append("                false ->")
         lines.append(f"                    {fun}(KnownRebecs, StateVars);")
         lines.append("                true ->")
-        scope = _Scope()
-        for p in method.params:
-            scope.vars[p.name] = _var(p.name)
+        scope = {p.name: _var(p.name) for p in method.params}
+        scope[_STATEVARS] = "StateVars"
         self.sender_bound = False
         lines.extend(self.body_lines(method.body, scope, "                    "))
-        lines.append(f"                    {fun}(KnownRebecs, {scope.statevars})")
+        lines.append(f"                    {fun}(KnownRebecs, {scope[_STATEVARS]})")
         lines.append("            end")
         return "\n".join(lines)
 
@@ -372,19 +337,11 @@ def emit(checked: CheckedModel) -> EmittedProgram:
         raise UnsupportedFeatureError("new (rebec creation)",
                                       next(iter(checked.new_targets.values())))
     files: dict[str, str] = {}
-
-    init_arities: dict[str, list[int]] = {}
-    for inst in checked.model.main:
-        arities = init_arities.setdefault(inst.class_name, [])
-        if len(inst.init_args) not in arities:
-            arities.append(len(inst.init_args))
-    for name, arities in init_arities.items():
-        arities.sort()
-
     for cls in checked.model.classes:
-        emitter = _ClassEmitter(checked, checked.classes[cls.name])
-        files[f"{cls.name.lower()}.erl"] = emitter.emit_module(
-            init_arities.get(cls.name, []))
+        arities = sorted({len(inst.init_args) for inst in checked.model.main
+                          if inst.class_name == cls.name})
+        emitter = _ClassEmitter(checked.classes[cls.name])
+        files[f"{cls.name.lower()}.erl"] = emitter.emit_module(arities)
 
     if checked.model.env_decls:
         files["env.erl"] = _emit_env(checked)
@@ -405,7 +362,6 @@ def _emit_env(checked: CheckedModel) -> str:
 
 
 def _emit_main(checked: CheckedModel) -> str:
-    emit_ctx = _ClassEmitter(checked, next(iter(checked.classes.values())))
     out = ["-module(main).", "-export([main/0])."]
     out.append("")
     out.append("%% Spawn every rebec, wire the known rebecs, kick off the initial")
@@ -417,9 +373,8 @@ def _emit_main(checked: CheckedModel) -> str:
     for inst in checked.model.main:
         knowns = ", ".join(_var(a) for a in inst.known_args)
         body.append(f"    {_var(inst.name)} ! {{{knowns}}},")
-    for inst in checked.model.main:
-        scope = _Scope()
-        args = "".join(f", {emit_ctx.expr(a, scope)}" for a in inst.init_args)
+    for inst in checked.model.main:  # each initializer is a literal or an env variable
+        args = "".join(f", {_expr(a, _env)}" for a in inst.init_args)
         body.append(f"    {_var(inst.name)} ! {{{{main, now(), inf}}, initial{args}}},")
     body.append("    ok.")
     out.extend(body)

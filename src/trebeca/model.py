@@ -208,12 +208,6 @@ class ReactiveClassDef:
     queue_bound: Optional[int] = None
     pos: Optional[Pos] = _pos_field()
 
-    def method(self, name: str) -> Optional[MethodDef]:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
-
 
 @dataclass
 class InstanceDecl:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,18 @@ def test_run_env_file(tmp_path):
     code = main(["run", TICKET, "--env-file", TICKET_ENV_FILE,
                  "--horizon", "10", "--trace", str(out)])
     assert code == 0 and out.exists()
+
+
+def test_env_file_may_not_bind_a_name_twice(tmp_path, capsys):
+    env_file = tmp_path / "e.env"
+    env_file.write_text(Path(TICKET_ENV_FILE).read_text() + "serviceTime1=99\n")
+    lineno = len(env_file.read_text().splitlines())
+    assert main(["run", TICKET, "--env-file", str(env_file), "--horizon", "5"]) == 64
+    assert capsys.readouterr().err == (
+        f"trebeca: error: {env_file}:{lineno}: duplicate key 'serviceTime1'\n")
+    # An --env flag still overrides the file, and a later flag an earlier one.
+    assert main(["run", TICKET, "--env-file", TICKET_ENV_FILE, "--horizon", "5",
+                 "--env", "serviceTime1=99", "--env", "serviceTime1=98"]) == 0
 
 
 def test_run_monitor_pass_exit_zero(tmp_path):
@@ -296,9 +309,15 @@ def test_sweep_cap_refusal(tmp_path):
     ("max_steps: -1", "max_steps must be non-negative, got -1"),
     ("horizon: 1_0", "horizon must be an integer, got '1_0'"),
     ("seeds: \u0663", "seeds must be an integer, got '\u0663'"),
+    ("serviceTime1: []", "empty value list for 'serviceTime1'"),
+    ("serviceTime1: [2,,3]", "empty item in the value list for 'serviceTime1', got [2,,3]"),
+    ("serviceTime1: [2,]", "empty item in the value list for 'serviceTime1', got [2,]"),
+    ("serviceTime1: [ , 2]", "empty item in the value list for 'serviceTime1', got [ , 2]"),
+    ("seeds: [0, 1,,]", "empty item in the value list for 'seeds', got [0, 1,,]"),
 ], ids=["horizon", "max-steps", "seed-count", "zero-seeds", "duplicate-seeds", "bool-seed",
         "negative-seed", "duplicate-key", "negative-horizon", "negative-max-steps",
-        "underscored-horizon", "arabic-indic-seed-count"])
+        "underscored-horizon", "arabic-indic-seed-count", "empty-list", "empty-middle-item",
+        "empty-last-item", "empty-first-item", "empty-seed-item"])
 def test_sweep_spec_scalar_errors_are_positioned(tmp_path, capsys, line, message):
     spec = tmp_path / "sweep.txt"
     spec.write_text(f"requestDeadline: [2]\n{line}\n")

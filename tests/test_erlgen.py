@@ -1,11 +1,14 @@
+import functools
 import re
 from pathlib import Path
 
 import pytest
 
+import trebeca
 from conftest import bundled_text
+from gen import generate_model
 from trebeca.erlgen import UnsupportedFeatureError, emit
-from trebeca.parser import load_model
+from trebeca.parser import load_model, validate_model
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -14,9 +17,23 @@ def emit_files(source: str) -> dict[str, str]:
     return emit(load_model(source)).files
 
 
+@functools.cache
+def emitted_corpus() -> list:
+    """(label, checked model, emitted files) for every bundled model, every
+    golden model and every generated model of seeds 0-399 that emission
+    accepts (it refuses the ones with a new)."""
+    checked = [(path.name, load_model(path.read_text()))
+               for path in trebeca.bundled_models() + sorted(GOLDEN.glob("*.rebeca"))]
+    checked += [(f"gen seed {seed}", validate_model(generate_model(seed)))
+                for seed in range(400)]
+    return [(label, model, emit(model).files)
+            for label, model in checked if not model.new_targets]
+
+
 @pytest.mark.parametrize("name,source", [
     ("ticket_service", lambda: bundled_text("ticket_service.rebeca")),
     ("delay_demo", lambda: (GOLDEN / "delay_demo.rebeca").read_text()),
+    ("branch_joins", lambda: (GOLDEN / "branch_joins.rebeca").read_text()),
 ])
 def test_golden_files_byte_identical(name, source):
     files = emit_files(source())
@@ -93,24 +110,40 @@ main { Y y():(); A a():(); }
 
 
 def test_structural_completeness():
-    checked = load_model(bundled_text("ticket_service.rebeca"))
-    files = emit(checked).files
-    for cls_name, info in checked.classes.items():
-        text = files[f"{cls_name.lower()}.erl"]
-        for method in info.methods:
-            # each message server appears exactly once as a receive match
-            pattern = r"\{\{From, SendTime, Deadline\}, " + method + r"[,}]"
-            assert len(re.findall(pattern, text)) == 1, (cls_name, method)
-        for decl in info.definition.state_decls:
-            assert re.search(rf"_statevars, {{.*{decl.name} =", text)
+    corpus = emitted_corpus()
+    assert len(corpus) > 300
+    for label, checked, files in corpus:
+        for cls_name, info in checked.classes.items():
+            text = files[f"{cls_name.lower()}.erl"]
+            arities = {len(inst.init_args) for inst in checked.model.main
+                       if inst.class_name == cls_name}
+            for method in info.methods:
+                # each message server appears exactly once as a receive
+                # match, and initial once per init arity of its class
+                expected = len(arities or {0}) if method == "initial" else 1
+                pattern = r"\{\{From, SendTime, Deadline\}, " + method + r"[,}]"
+                assert len(re.findall(pattern, text)) == expected, (label, cls_name, method)
+            for decl in info.definition.state_decls:
+                assert re.search(rf"_statevars, {{.*{decl.name} =", text), (label, decl.name)
 
 
 def test_balanced_delimiters_everywhere():
-    for source in (bundled_text("ticket_service.rebeca"),
-                   (GOLDEN / "delay_demo.rebeca").read_text()):
-        for fname, text in emit_files(source).items():
+    for label, _, files in emitted_corpus():
+        for fname, text in files.items():
             for op, cl in (("(", ")"), ("{", "}"), ("[", "]")):
-                assert text.count(op) == text.count(cl), (fname, op)
+                assert text.count(op) == text.count(cl), (label, fname, op)
+
+
+def test_main_passes_env_initializers_past_a_known_rebec_of_that_name():
+    src = """env int x;
+reactiveclass A { knownrebecs { B x; } statevars { int v; } msgsrv initial() {} }
+reactiveclass B { knownrebecs {} statevars { int w; } msgsrv initial() {} }
+main { A a(b):(x); B b():(x); }
+"""
+    main = emit_files(src)["main.erl"]
+    assert "A ! {{main, now(), inf}, initial, env:x()}," in main
+    assert "B ! {{main, now(), inf}, initial, env:x()}," in main
+    assert "KnownRebecs" not in main
 
 
 def test_nondeterministic_choice_emits_random_selection():
