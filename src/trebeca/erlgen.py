@@ -10,6 +10,7 @@ golden files and a structural scan, not by compiling it.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -83,6 +84,24 @@ _DEFAULTS = {"int": "0", "time": "0", "boolean": "false"}
 # The scope key of the Erlang variable that holds the state-variable record;
 # it sorts before every identifier.
 _STATEVARS = "$statevars"
+
+
+# Logical time in the emitted code is Erlang's monotonic clock in
+# milliseconds, the unit of ``receive after``. Every module that calls
+# ``now()`` defines it, in place of the auto-imported ``erlang:now/0``,
+# which returns a tuple.
+_CALLS_NOW = re.compile(r"(?<![\w:])now\(\)")
+_NOW_ATTRIBUTE = "-compile({no_auto_import, [now/0]})."
+_NOW_DEFINITION = "now() -> erlang:monotonic_time(millisecond)."
+
+
+def _module_text(lines: list[str]) -> str:
+    """A module's text from its lines, which start with ``-module`` and
+    ``-export``, with the clock added when the module calls ``now()``."""
+    text = "\n".join(lines) + "\n"
+    if _CALLS_NOW.search(text) is None:
+        return text
+    return "\n".join(lines[:2] + [_NOW_ATTRIBUTE] + lines[2:] + ["", _NOW_DEFINITION]) + "\n"
 
 
 def _env(name: str) -> str:
@@ -288,7 +307,7 @@ class _ClassEmitter:
             blocks = [self.serve_match(m) for m in serve]
             out.extend(";\n".join(blocks).split("\n"))
         out.append("    end.")
-        return "\n".join(out) + "\n"
+        return _module_text(out)
 
     def initial_match(self, initial: Optional[MethodInfo], arity: int) -> str:
         cls, module, fun = self.cls, self.module, self.fun
@@ -378,4 +397,4 @@ def _emit_main(checked: CheckedModel) -> str:
         body.append(f"    {_var(inst.name)} ! {{{{main, now(), inf}}, initial{args}}},")
     body.append("    ok.")
     out.extend(body)
-    return "\n".join(out) + "\n"
+    return _module_text(out)

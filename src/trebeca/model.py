@@ -469,10 +469,11 @@ class TraceEvent:
 # Pretty-printer
 
 # Binary operators by precedence level, loosest first; all are left
-# associative. The parser and the printer both read this table.
+# associative. The parser climbs and the printer parenthesizes by
+# ``BINARY_PREC``, each operator's level.
 BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
                  ("+", "-"), ("*", "/", "%"))
-_PREC = {op: level for level, ops in enumerate(BINARY_LEVELS, start=1) for op in ops}
+BINARY_PREC = {op: level for level, ops in enumerate(BINARY_LEVELS, start=1) for op in ops}
 _UNARY_PREC = len(BINARY_LEVELS) + 1
 
 
@@ -495,7 +496,7 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
         inner = format_expr(e.operand, _UNARY_PREC)
         return f"{e.op}{inner}"
     if isinstance(e, BinaryOp):
-        prec = _PREC[e.op]
+        prec = BINARY_PREC[e.op]
         left = format_expr(e.left, prec)
         right = format_expr(e.right, prec + 1)  # left-associative
         text = f"{left} {e.op} {right}"

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .interp import CompiledMethod, compile_method, types_compatible
 from .model import (
-    BINARY_LEVELS,
+    BINARY_PREC,
     Assign,
     BinaryOp,
     BoolLit,
@@ -52,19 +52,22 @@ KEYWORDS = {
 }
 BASE_TYPES = ("int", "boolean", "time")
 
-# The lexemes, tried in this order at each position: digits before words,
-# ``//`` and ``/*`` before the symbol ``/``, and multi-character symbols
-# before their one-character prefixes. ``re.ASCII`` keeps ``\d`` to ``0-9``
-# and ``\w`` to ``[A-Za-z0-9_]``, so a word never starts with a digit.
+# One match per lexeme: a run of whitespace, then the lexeme, each in a
+# group of its own. Only whitespace at the end of the text matches no lexeme.
+# Words and symbols, the most common lexemes, come first; the symbol ``/``
+# is not followed by ``/`` or ``*``, which start comments. ``re.ASCII`` keeps
+# ``\d`` to ``0-9`` and ``\w`` to ``[A-Za-z0-9_]``.
 _TOKEN_RE = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<int>\d+)
-  | (?P<word>\w+)
-  | (?P<line_comment>//[^\n]*)
-  | (?P<block_comment>/\*.*?\*/)
-  | (?P<unterminated>/\*)
-  | (?P<symbol>&&|\|\||==|!=|<=|>=|[{}();,.=<>+\-*/%!?:])
-  | (?P<other>.)
+    ([ \t\r\n]*)
+    (                                           # the lexeme
+        ([A-Za-z_]\w*)                          # word
+      | ([{}();,.+\-*%?:]|[=!<>]=?|&&|\|\||/(?![/*]))  # symbol
+      | (\d+)                                   # integer
+      | (//[^\n]*)                              # line comment
+      | (/\*.*?\*/)                             # block comment
+      | (/\*)                                   # unterminated block comment
+      | (.)                                     # any other character
+    )?
 """, re.VERBOSE | re.DOTALL | re.ASCII)
 _INT_RE = re.compile("-?[0-9]+")
 
@@ -114,87 +117,127 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     errors: list[ParseError] = []
-    match = _TOKEN_RE.match
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        m = match(source, i)
-        kind = m.lastgroup
-        text = m.group()
-        i = m.end()
-        if kind == "space" or kind == "block_comment":
-            newlines = text.count("\n")
-            if newlines:
-                line, col = line + newlines, len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-        elif kind == "word":
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, (line, col)))
-            col += len(text)
-        elif kind == "symbol" or kind == "int":
-            tokens.append(Token(kind, text, (line, col)))
-            col += len(text)
-        elif kind == "unterminated":
-            errors.append(ParseError((line, col), "unterminated block comment"))
+    append = tokens.append
+    # Positions come from offsets: a lexeme starts where the previous one
+    # ends plus the whitespace between them, and ``line`` starts at offset
+    # ``line_start``.
+    line, line_start, end = 1, 0, 0
+    eof_pos = None
+    for (space, lexeme, word, symbol, number, line_comment, block_comment,
+         unterminated, other) in _TOKEN_RE.findall(source):
+        start = end + len(space)
+        end = start + len(lexeme)
+        if "\n" in space:
+            line += space.count("\n")
+            line_start = start - len(space) + space.rfind("\n") + 1
+        if symbol:
+            append(Token("symbol", symbol, (line, start - line_start + 1)))
+        elif word:
+            append(Token("keyword" if word in KEYWORDS else "ident", word,
+                         (line, start - line_start + 1)))
+        elif number:
+            append(Token("int", number, (line, start - line_start + 1)))
+        elif line_comment:
+            if end == len(source):  # eof stays where a last line comment starts
+                eof_pos = (line, start - line_start + 1)
+        elif block_comment:
+            if "\n" in block_comment:
+                line += block_comment.count("\n")
+                line_start = start + block_comment.rfind("\n") + 1
+        elif unterminated:
+            errors.append(ParseError((line, start - line_start + 1),
+                                     "unterminated block comment"))
             break
-        elif kind == "other":
-            errors.append(ParseError((line, col), f"unexpected character {text!r}"))
-            col += 1
-        # a line comment runs to the newline and leaves the column as it is
-    tokens.append(Token("eof", "", (line, col)))
+        elif other:
+            errors.append(ParseError((line, start - line_start + 1),
+                                     f"unexpected character {other!r}"))
     if errors:
         raise SourceError(errors)
+    append(Token("eof", "", eof_pos or (line, end - line_start + 1)))
     return tokens
 
 
+# A statement or expression may nest at most this deep. Each ``if``, unary
+# or binary operator, nondeterministic choice and pair of parentheses is one
+# level, so the checker, the compiled closures, the printer and the Erlang
+# emitter, which recurse a few frames per level, stay well inside Python's
+# default recursion limit.
+MAX_NESTING = 100
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
+
+
 class _Parser:
+    """Recursive descent over the token list. ``cur`` is the current token;
+    only the token helpers move it.
+
+    ``depth`` counts the levels open around the current token. Each
+    expression rule leaves the height of the tree it built, in levels, in
+    ``height``, since an operator chain is a loop here but a deep tree for
+    every later walk.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.cur = tokens[0]
         self.errors: list[ParseError] = []
+        self.depth = 0
+        self.height = 0
 
     # -- token helpers ----------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def peek(self, offset: int = 1) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+    # ``at``, ``accept`` and ``expect`` compare texts only: they are asked
+    # for symbols and keywords, which no identifier or integer spells. A
+    # token they match, like an identifier, is never ``eof``, so they step
+    # past it without ``advance``'s check.
 
     def advance(self) -> Token:
         tok = self.cur
         if tok.kind != "eof":
             self.i += 1
+            self.cur = self.tokens[self.i]
         return tok
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("symbol", "keyword")
+        return self.cur.text == text
 
     def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.advance()
+        tok = self.cur
+        if tok.text == text:
+            self.i += 1
+            self.cur = self.tokens[self.i]
+            return tok
         return None
 
     def expect(self, text: str, what: str = "") -> Token:
-        if self.at(text):
-            return self.advance()
-        found = self.cur.text or "end of input"
+        tok = self.cur
+        if tok.text == text:
+            self.i += 1
+            self.cur = self.tokens[self.i]
+            return tok
+        found = tok.text or "end of input"
         msg = f"expected {text!r}"
         if what:
             msg += f" {what}"
         msg += f", found {found!r}"
-        raise _Abort(ParseError(self.cur.pos, msg))
+        raise _Abort(ParseError(tok.pos, msg))
 
     def expect_ident(self, what: str) -> Token:
-        if self.cur.kind == "ident":
-            return self.advance()
-        found = self.cur.text or "end of input"
-        raise _Abort(ParseError(self.cur.pos, f"expected {what}, found {found!r}"))
+        tok = self.cur
+        if tok.kind == "ident":
+            self.i += 1
+            self.cur = self.tokens[self.i]
+            return tok
+        found = tok.text or "end of input"
+        raise _Abort(ParseError(tok.pos, f"expected {what}, found {found!r}"))
 
     def fail(self, message: str, pos: Optional[Pos] = None) -> "_Abort":
         return _Abort(ParseError(pos or self.cur.pos, message))
+
+    def enter(self, tok: Token) -> None:
+        """Open one level at ``tok``, which must not pass the bound."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(_TOO_DEEP, tok.pos)
 
     def sync_to(self, closers: tuple[str, ...]) -> None:
         """Panic-mode recovery: skip tokens until one of ``closers`` (consumed
@@ -213,6 +256,13 @@ class _Parser:
                     return
                 depth -= 1
             self.advance()
+
+    def recover(self, abort: "_Abort", closers: tuple[str, ...], depth: int = 0) -> None:
+        """Record ``abort``'s error, close the levels it left open and skip
+        to one of ``closers``."""
+        self.errors.append(abort.error)
+        self.depth = depth
+        self.sync_to(closers)
 
     # -- grammar ----------------------------------------------------------
 
@@ -239,8 +289,7 @@ class _Parser:
                         f"expected 'env', 'reactiveclass' or 'main', found {self.cur.text!r}"
                     )
             except _Abort as abort:
-                self.errors.append(abort.error)
-                self.sync_to((";", "}"))
+                self.recover(abort, (";", "}"))
                 self.accept("}")
         if main is None and not self.errors:
             self.errors.append(ParseError(self.cur.pos, "missing main block"))
@@ -307,8 +356,7 @@ class _Parser:
             try:
                 methods.append(self.parse_method())
             except _Abort as abort:
-                self.errors.append(abort.error)
-                self.sync_to(("}",))
+                self.recover(abort, ("}",))
                 self.accept("}")
         self.expect("}", "to close class body")
         return ReactiveClassDef(
@@ -338,88 +386,105 @@ class _Parser:
     def parse_block(self) -> list[Stmt]:
         self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at("}"):
+        depth = self.depth
+        while self.cur.text != "}":
             if self.cur.kind == "eof":
                 raise self.fail("unexpected end of input inside block")
             try:
                 stmts.append(self.parse_stmt())
             except _Abort as abort:
-                self.errors.append(abort.error)
-                self.sync_to((";", "}"))
+                self.recover(abort, (";", "}"), depth)
         self.expect("}")
         return stmts
 
+    # Statements and operands dispatch on their first token: an identifier
+    # or ``self``, or the keyword or symbol that keys ``_STMT_RULES`` or
+    # ``_OPERAND_RULES``.
+
     def parse_stmt(self) -> Stmt:
         tok = self.cur
-        if self.at("delay"):
-            self.advance()
-            self.expect("(")
-            amount = self.parse_expr()
-            self.expect(")")
-            self.expect(";")
-            return DelayStmt(amount=amount, pos=tok.pos)
-        if self.at("now"):
-            self.advance()
-            self.expect("(")
-            self.expect(")")
-            self.expect(";")
-            return NowStmt(pos=tok.pos)
-        if self.at("if"):
-            self.advance()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            then_body = self.parse_branch()
-            else_body = None
-            if self.accept("else"):
-                else_body = self.parse_branch()
-            return IfStmt(cond=cond, then_body=then_body, else_body=else_body, pos=tok.pos)
-        if self.at("after") or self.at("deadline"):
-            raise self.fail(f"{tok.text!r} may only follow a message send")
-        if self.at("self") or tok.kind == "ident":
-            # ident '=' ...  |  ident '.' method(...)  |  self '.' method(...)
-            nxt = self.peek()
-            if tok.kind == "ident" and nxt.text == "=":
-                self.advance()
-                self.advance()
-                if self.at("new"):
-                    self.advance()
-                    cls = self.expect_ident("class name")
-                    self.expect("(")
-                    args = self.parse_args()
-                    self.expect(")")
-                    self.expect(";")
-                    return NewStmt(name=tok.text, class_name=cls.text, args=args, pos=tok.pos)
-                value = self.parse_expr()
-                self.expect(";")
-                return Assign(name=tok.text, value=value, pos=tok.pos)
-            if nxt.text == ".":
-                self.advance()
-                self.advance()
-                method = self.expect_ident("message server name")
-                self.expect("(")
-                args = self.parse_args()
-                self.expect(")")
-                after = deadline = None
-                while self.at("after") or self.at("deadline"):
-                    word = self.advance().text
-                    self.expect("(")
-                    value = self.parse_expr()
-                    self.expect(")")
-                    if word == "after":
-                        if after is not None:
-                            raise self.fail("duplicate after clause", tok.pos)
-                        after = value
-                    else:
-                        if deadline is not None:
-                            raise self.fail("duplicate deadline clause", tok.pos)
-                        deadline = value
-                self.expect(";")
-                return SendStmt(
-                    target=tok.text, method=method.text, args=args,
-                    after=after, deadline=deadline, pos=tok.pos,
-                )
+        if tok.kind == "ident" or tok.text == "self":
+            # name = ...  |  name.method(...)  |  self.method(...)
+            nxt = self.tokens[self.i + 1].text
+            if nxt == "=" and tok.kind == "ident":
+                return self.parse_assign(tok)
+            if nxt == ".":
+                return self.parse_send(tok)
+        else:
+            rule = _STMT_RULES.get(tok.text)
+            if rule is not None:
+                return rule(self, tok)
+            if tok.text in ("after", "deadline"):
+                raise self.fail(f"{tok.text!r} may only follow a message send")
         raise self.fail(f"expected a statement, found {tok.text or 'end of input'!r}")
+
+    def parse_assign(self, tok: Token) -> Stmt:
+        """``name = expr;`` or ``name = new Class(args);``."""
+        self.advance()
+        self.advance()
+        if self.accept("new"):
+            cls = self.expect_ident("class name")
+            self.expect("(")
+            args = self.parse_args()
+            self.expect(")")
+            self.expect(";")
+            return NewStmt(name=tok.text, class_name=cls.text, args=args, pos=tok.pos)
+        value = self.parse_expr()
+        self.expect(";")
+        return Assign(tok.text, value, tok.pos)
+
+    def parse_send(self, tok: Token) -> Stmt:
+        """``target.method(args) after(e) deadline(e);``, either clause optional."""
+        self.advance()
+        self.advance()
+        method = self.expect_ident("message server name")
+        self.expect("(")
+        args = self.parse_args()
+        self.expect(")")
+        after = deadline = None
+        while self.cur.text in ("after", "deadline"):
+            word = self.advance().text
+            self.expect("(")
+            value = self.parse_expr()
+            self.expect(")")
+            if word == "after":
+                if after is not None:
+                    raise self.fail("duplicate after clause", tok.pos)
+                after = value
+            else:
+                if deadline is not None:
+                    raise self.fail("duplicate deadline clause", tok.pos)
+                deadline = value
+        self.expect(";")
+        return SendStmt(tok.text, method.text, args, after, deadline, tok.pos)
+
+    def parse_delay(self, tok: Token) -> Stmt:
+        self.advance()
+        self.expect("(")
+        amount = self.parse_expr()
+        self.expect(")")
+        self.expect(";")
+        return DelayStmt(amount=amount, pos=tok.pos)
+
+    def parse_now_stmt(self, tok: Token) -> Stmt:
+        self.advance()
+        self.expect("(")
+        self.expect(")")
+        self.expect(";")
+        return NowStmt(pos=tok.pos)
+
+    def parse_if(self, tok: Token) -> Stmt:
+        self.advance()
+        self.enter(tok)
+        self.expect("(")
+        cond = self.parse_expr()
+        self.expect(")")
+        then_body = self.parse_branch()
+        else_body = None
+        if self.accept("else"):
+            else_body = self.parse_branch()
+        self.depth -= 1
+        return IfStmt(cond, then_body, else_body, tok.pos)
 
     def parse_branch(self) -> list[Stmt]:
         if self.at("{"):
@@ -428,73 +493,108 @@ class _Parser:
 
     def parse_args(self) -> list[Expr]:
         args: list[Expr] = []
-        while not self.at(")"):
+        while self.cur.text != ")":
             args.append(self.parse_expr())
-            if not self.at(")"):
+            if self.cur.text != ")":
                 self.expect(",")
         return args
 
-    # Expressions: C-style precedence, left-associative binary operators.
+    # Expressions: C-style precedence, left-associative binary operators,
+    # parsed by precedence climbing over ``BINARY_PREC``.
 
-    def parse_expr(self) -> Expr:
-        return self.parse_binary(1)
-
-    def parse_binary(self, level: int) -> Expr:
-        if level > len(BINARY_LEVELS):
-            return self.parse_unary()
-        ops = BINARY_LEVELS[level - 1]
-        left = self.parse_binary(level + 1)
-        while self.cur.kind == "symbol" and self.cur.text in ops:
+    def parse_expr(self, min_level: int = 1) -> Expr:
+        """The longest expression from here whose operators all bind at
+        ``min_level`` or tighter."""
+        left = self.parse_operand()
+        level = BINARY_PREC.get(self.cur.text)
+        if level is None or level < min_level:
+            return left
+        height = self.height
+        while level is not None and level >= min_level:
             op = self.advance()
-            right = self.parse_binary(level + 1)
-            left = BinaryOp(op=op.text, left=left, right=right, pos=op.pos)
+            right = self.parse_expr(level + 1)
+            if self.height > height:
+                height = self.height
+            height += 1
+            if self.depth + height > MAX_NESTING:
+                raise self.fail(_TOO_DEEP, op.pos)
+            left = BinaryOp(op.text, left, right, op.pos)
+            level = BINARY_PREC.get(self.cur.text)
+        self.height = height
         return left
 
-    def parse_unary(self) -> Expr:
-        if self.at("!") or self.at("-"):
-            op = self.advance()
-            operand = self.parse_unary()
-            return UnaryOp(op=op.text, operand=operand, pos=op.pos)
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
+    def parse_operand(self) -> Expr:
+        """A unary operation or a primary expression."""
         tok = self.cur
-        if tok.kind == "int":
+        kind = tok.kind
+        if kind == "int":
             self.advance()
-            return IntLit(value=int(tok.text), pos=tok.pos)
-        if self.at("true") or self.at("false"):
+            self.height = 0
+            return IntLit(int(tok.text), tok.pos)
+        if kind == "ident":
             self.advance()
-            return BoolLit(value=tok.text == "true", pos=tok.pos)
-        if self.at("now"):
-            self.advance()
-            self.expect("(")
-            self.expect(")")
-            return NowExpr(pos=tok.pos)
-        if self.at("sender"):
-            self.advance()
-            return SenderExpr(pos=tok.pos)
-        if self.at("self"):
-            self.advance()
-            return SelfExpr(pos=tok.pos)
-        if self.at("?"):
-            self.advance()
-            self.expect("(")
-            options = [self.parse_expr()]
-            while self.accept(","):
-                options.append(self.parse_expr())
-            self.expect(")")
-            if len(options) < 2:
-                raise self.fail("nondeterministic choice needs at least two alternatives", tok.pos)
-            return ChoiceExpr(options=options, pos=tok.pos)
-        if self.at("("):
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            self.advance()
-            return VarRef(name=tok.text, pos=tok.pos)
+            self.height = 0
+            return VarRef(tok.text, tok.pos)
+        rule = _OPERAND_RULES.get(tok.text)
+        if rule is not None:
+            return rule(self, tok)
         raise self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+
+    def parse_unary(self, tok: Token) -> Expr:
+        self.advance()
+        self.enter(tok)
+        operand = self.parse_operand()
+        self.depth -= 1
+        self.height += 1
+        return UnaryOp(tok.text, operand, tok.pos)
+
+    def parse_group(self, tok: Token) -> Expr:
+        self.advance()
+        self.enter(tok)
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        self.height += 1
+        return inner
+
+    def parse_choice(self, tok: Token) -> Expr:
+        self.advance()
+        self.enter(tok)
+        self.expect("(")
+        options = [self.parse_expr()]
+        height = self.height
+        while self.accept(","):
+            options.append(self.parse_expr())
+            if self.height > height:
+                height = self.height
+        self.expect(")")
+        if len(options) < 2:
+            raise self.fail("nondeterministic choice needs at least two alternatives", tok.pos)
+        self.depth -= 1
+        self.height = height + 1
+        return ChoiceExpr(options, tok.pos)
+
+    def parse_bool(self, tok: Token) -> Expr:
+        self.advance()
+        self.height = 0
+        return BoolLit(tok.text == "true", tok.pos)
+
+    def parse_now(self, tok: Token) -> Expr:
+        self.advance()
+        self.expect("(")
+        self.expect(")")
+        self.height = 0
+        return NowExpr(tok.pos)
+
+    def parse_sender(self, tok: Token) -> Expr:
+        self.advance()
+        self.height = 0
+        return SenderExpr(tok.pos)
+
+    def parse_self(self, tok: Token) -> Expr:
+        self.advance()
+        self.height = 0
+        return SelfExpr(tok.pos)
 
     def parse_main(self) -> list[InstanceDecl]:
         self.expect("main")
@@ -523,10 +623,19 @@ class _Parser:
                     known_args=known_args, init_args=init_args, pos=name.pos,
                 ))
             except _Abort as abort:
-                self.errors.append(abort.error)
-                self.sync_to((";", "}"))
+                self.recover(abort, (";", "}"))
         self.expect("}")
         return instances
+
+
+_STMT_RULES = {
+    "delay": _Parser.parse_delay, "now": _Parser.parse_now_stmt, "if": _Parser.parse_if,
+}
+_OPERAND_RULES = {
+    "(": _Parser.parse_group, "-": _Parser.parse_unary, "!": _Parser.parse_unary,
+    "true": _Parser.parse_bool, "false": _Parser.parse_bool, "?": _Parser.parse_choice,
+    "now": _Parser.parse_now, "sender": _Parser.parse_sender, "self": _Parser.parse_self,
+}
 
 
 class _Abort(Exception):

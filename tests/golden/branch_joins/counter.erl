@@ -1,5 +1,6 @@
 -module(counter).
 -export([start/0]).
+-compile({no_auto_import, [now/0]}).
 
 -record(counter_knownrebecs, {out}).
 -record(counter_statevars, {total = 0, busy = false}).
@@ -80,3 +81,5 @@ counter(KnownRebecs, StateVars) ->
                     counter(KnownRebecs, StateVars15)
             end
     end.
+
+now() -> erlang:monotonic_time(millisecond).

@@ -1,5 +1,6 @@
 -module(sink).
 -export([start/0]).
+-compile({no_auto_import, [now/0]}).
 
 -record(sink_knownrebecs, {}).
 -record(sink_statevars, {}).
@@ -35,3 +36,5 @@ sink(KnownRebecs, StateVars) ->
                     sink(KnownRebecs, StateVars)
             end
     end.
+
+now() -> erlang:monotonic_time(millisecond).

@@ -1,5 +1,6 @@
 -module(worker).
 -export([start/0]).
+-compile({no_auto_import, [now/0]}).
 
 -record(worker_knownrebecs, {out}).
 -record(worker_statevars, {done = 0}).
@@ -49,3 +50,5 @@ worker(KnownRebecs, StateVars) ->
                     worker(KnownRebecs, StateVars1)
             end
     end.
+
+now() -> erlang:monotonic_time(millisecond).

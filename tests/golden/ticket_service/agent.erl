@@ -1,5 +1,6 @@
 -module(agent).
 -export([start/0]).
+-compile({no_auto_import, [now/0]}).
 
 -record(agent_knownrebecs, {ts1, ts2}).
 -record(agent_statevars, {attemptCount = 0, token = 0}).
@@ -104,3 +105,5 @@ agent(KnownRebecs, StateVars) ->
                     agent(KnownRebecs, StateVars4)
             end
     end.
+
+now() -> erlang:monotonic_time(millisecond).

@@ -1,5 +1,6 @@
 -module(main).
 -export([main/0]).
+-compile({no_auto_import, [now/0]}).
 
 %% Spawn every rebec, wire the known rebecs, kick off the initial
 %% messages.
@@ -14,3 +15,5 @@ main() ->
     Ts1 ! {{main, now(), inf}, initial},
     Ts2 ! {{main, now(), inf}, initial},
     ok.
+
+now() -> erlang:monotonic_time(millisecond).

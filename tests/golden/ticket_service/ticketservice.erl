@@ -1,5 +1,6 @@
 -module(ticketservice).
 -export([start/0]).
+-compile({no_auto_import, [now/0]}).
 
 -record(ticketservice_knownrebecs, {a}).
 -record(ticketservice_statevars, {}).
@@ -37,3 +38,5 @@ ticketService(KnownRebecs, StateVars) ->
                     ticketService(KnownRebecs, StateVars)
             end
     end.
+
+now() -> erlang:monotonic_time(millisecond).

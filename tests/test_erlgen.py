@@ -125,6 +125,14 @@ def test_structural_completeness():
                 assert len(re.findall(pattern, text)) == expected, (label, cls_name, method)
             for decl in info.definition.state_decls:
                 assert re.search(rf"_statevars, {{.*{decl.name} =", text), (label, decl.name)
+        for fname, text in files.items():
+            # A module that calls now() defines it instead of importing
+            # erlang:now/0, which returns a tuple.
+            calls_now = re.search(r"(?<![\w:])now\(\)", text) is not None
+            assert calls_now == ("\n-compile({no_auto_import, [now/0]}).\n" in text), \
+                (label, fname)
+            assert calls_now == text.endswith(
+                "\nnow() -> erlang:monotonic_time(millisecond).\n"), (label, fname)
 
 
 def test_balanced_delimiters_everywhere():
