@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -130,27 +131,25 @@ def tokenize(source: str) -> list[Token]:
         if "\n" in space:
             line += space.count("\n")
             line_start = start - len(space) + space.rfind("\n") + 1
+        pos = (line, start - line_start + 1)
         if symbol:
-            append(Token("symbol", symbol, (line, start - line_start + 1)))
+            append(Token("symbol", symbol, pos))
         elif word:
-            append(Token("keyword" if word in KEYWORDS else "ident", word,
-                         (line, start - line_start + 1)))
+            append(Token("keyword" if word in KEYWORDS else "ident", word, pos))
         elif number:
-            append(Token("int", number, (line, start - line_start + 1)))
+            append(Token("int", number, pos))
         elif line_comment:
             if end == len(source):  # eof stays where a last line comment starts
-                eof_pos = (line, start - line_start + 1)
+                eof_pos = pos
         elif block_comment:
             if "\n" in block_comment:
                 line += block_comment.count("\n")
                 line_start = start + block_comment.rfind("\n") + 1
         elif unterminated:
-            errors.append(ParseError((line, start - line_start + 1),
-                                     "unterminated block comment"))
+            errors.append(ParseError(pos, "unterminated block comment"))
             break
         elif other:
-            errors.append(ParseError((line, start - line_start + 1),
-                                     f"unexpected character {other!r}"))
+            errors.append(ParseError(pos, f"unexpected character {other!r}"))
     if errors:
         raise SourceError(errors)
     append(Token("eof", "", eof_pos or (line, end - line_start + 1)))
@@ -187,8 +186,8 @@ class _Parser:
     # -- token helpers ----------------------------------------------------
     # ``at``, ``accept`` and ``expect`` compare texts only: they are asked
     # for symbols and keywords, which no identifier or integer spells. A
-    # token they match, like an identifier, is never ``eof``, so they step
-    # past it without ``advance``'s check.
+    # token ``expect`` matches is never ``eof``, so it steps past it without
+    # ``advance``'s check.
 
     def advance(self) -> Token:
         tok = self.cur
@@ -201,12 +200,7 @@ class _Parser:
         return self.cur.text == text
 
     def accept(self, text: str) -> Optional[Token]:
-        tok = self.cur
-        if tok.text == text:
-            self.i += 1
-            self.cur = self.tokens[self.i]
-            return tok
-        return None
+        return self.advance() if self.cur.text == text else None
 
     def expect(self, text: str, what: str = "") -> Token:
         tok = self.cur
@@ -222,13 +216,10 @@ class _Parser:
         raise _Abort(ParseError(tok.pos, msg))
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.cur
-        if tok.kind == "ident":
-            self.i += 1
-            self.cur = self.tokens[self.i]
-            return tok
-        found = tok.text or "end of input"
-        raise _Abort(ParseError(tok.pos, f"expected {what}, found {found!r}"))
+        if self.cur.kind == "ident":
+            return self.advance()
+        found = self.cur.text or "end of input"
+        raise self.fail(f"expected {what}, found {found!r}")
 
     def fail(self, message: str, pos: Optional[Pos] = None) -> "_Abort":
         return _Abort(ParseError(pos or self.cur.pos, message))
@@ -329,26 +320,13 @@ class _Parser:
             self.expect(")")
         self.expect("{", "to open class body")
 
-        self.expect("knownrebecs")
-        self.expect("{")
-        known_decls: list[VarDecl] = []
-        while not self.at("}"):
-            cls = self.expect_ident("known rebec class name")
-            known_decls += [VarDecl(name=var.text, type=cls.text, pos=var.pos)
-                            for var in self.parse_names("known rebec name")]
-        self.expect("}")
+        known_decls = self.parse_decls(
+            "knownrebecs", lambda: self.expect_ident("known rebec class name").text,
+            "known rebec name")
         if self.at("knownrebecs"):
             raise self.fail("duplicate knownrebecs block")
-
-        self.expect("statevars")
-        self.expect("{")
-        state_decls: list[VarDecl] = []
-        while not self.at("}"):
-            typ = self.parse_base_type()
-            state_decls += [VarDecl(name=var.text, type=typ, pos=var.pos)
-                            for var in self.parse_names("state variable name")]
-        self.expect("}")
-        if self.at("statevars") or self.at("knownrebecs"):
+        state_decls = self.parse_decls("statevars", self.parse_base_type, "state variable name")
+        if self.cur.text in ("statevars", "knownrebecs"):
             raise self.fail(f"duplicate {self.cur.text} block")
 
         methods: list[MethodDef] = []
@@ -368,20 +346,39 @@ class _Parser:
             pos=name.pos,
         )
 
+    def parse_decls(self, block: str, parse_type: Callable[[], str], what: str) -> list[VarDecl]:
+        """``block { T name, ..., name; ... }``, each ``T`` read by ``parse_type``."""
+        self.expect(block)
+        self.expect("{")
+        decls: list[VarDecl] = []
+        while not self.at("}"):
+            typ = parse_type()
+            decls += [VarDecl(var.text, typ, var.pos) for var in self.parse_names(what)]
+        self.expect("}")
+        return decls
+
     def parse_method(self) -> MethodDef:
         self.expect("msgsrv")
         name = self.expect_ident("message server name")
-        self.expect("(")
-        params: list[Param] = []
-        while not self.at(")"):
-            typ = self.parse_base_type()
-            pname = self.expect_ident("parameter name")
-            params.append(Param(name=pname.text, type=typ, pos=pname.pos))
-            if not self.at(")"):
-                self.expect(",")
-        self.expect(")")
+        params = self.parse_list(self.parse_param)
         body = self.parse_block()
         return MethodDef(name=name.text, params=params, body=body, pos=name.pos)
+
+    def parse_param(self) -> Param:
+        typ = self.parse_base_type()
+        name = self.expect_ident("parameter name")
+        return Param(name.text, typ, name.pos)
+
+    def parse_list(self, item: Callable) -> list:
+        """``(item, ..., item)``, each parsed by ``item``."""
+        self.expect("(")
+        items = []
+        while self.cur.text != ")":
+            items.append(item())
+            if self.cur.text != ")":
+                self.expect(",")
+        self.expect(")")
+        return items
 
     def parse_block(self) -> list[Stmt]:
         self.expect("{")
@@ -424,11 +421,9 @@ class _Parser:
         self.advance()
         if self.accept("new"):
             cls = self.expect_ident("class name")
-            self.expect("(")
-            args = self.parse_args()
-            self.expect(")")
+            args = self.parse_list(self.parse_expr)
             self.expect(";")
-            return NewStmt(name=tok.text, class_name=cls.text, args=args, pos=tok.pos)
+            return NewStmt(tok.text, cls.text, args, tok.pos)
         value = self.parse_expr()
         self.expect(";")
         return Assign(tok.text, value, tok.pos)
@@ -438,47 +433,40 @@ class _Parser:
         self.advance()
         self.advance()
         method = self.expect_ident("message server name")
-        self.expect("(")
-        args = self.parse_args()
-        self.expect(")")
-        after = deadline = None
+        args = self.parse_list(self.parse_expr)
+        clauses: dict[str, Expr] = {}
         while self.cur.text in ("after", "deadline"):
             word = self.advance().text
-            self.expect("(")
-            value = self.parse_expr()
-            self.expect(")")
-            if word == "after":
-                if after is not None:
-                    raise self.fail("duplicate after clause", tok.pos)
-                after = value
-            else:
-                if deadline is not None:
-                    raise self.fail("duplicate deadline clause", tok.pos)
-                deadline = value
+            value = self.parse_condition()
+            if word in clauses:
+                raise self.fail(f"duplicate {word} clause", tok.pos)
+            clauses[word] = value
         self.expect(";")
-        return SendStmt(tok.text, method.text, args, after, deadline, tok.pos)
+        return SendStmt(tok.text, method.text, args, clauses.get("after"),
+                        clauses.get("deadline"), tok.pos)
+
+    def parse_condition(self) -> Expr:
+        """``(expr)`` after ``delay``, ``if``, ``after`` or ``deadline``."""
+        self.expect("(")
+        value = self.parse_expr()
+        self.expect(")")
+        return value
 
     def parse_delay(self, tok: Token) -> Stmt:
         self.advance()
-        self.expect("(")
-        amount = self.parse_expr()
-        self.expect(")")
+        amount = self.parse_condition()
         self.expect(";")
-        return DelayStmt(amount=amount, pos=tok.pos)
+        return DelayStmt(amount, tok.pos)
 
     def parse_now_stmt(self, tok: Token) -> Stmt:
-        self.advance()
-        self.expect("(")
-        self.expect(")")
+        self.parse_now(tok)
         self.expect(";")
-        return NowStmt(pos=tok.pos)
+        return NowStmt(tok.pos)
 
     def parse_if(self, tok: Token) -> Stmt:
         self.advance()
         self.enter(tok)
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
+        cond = self.parse_condition()
         then_body = self.parse_branch()
         else_body = None
         if self.accept("else"):
@@ -490,14 +478,6 @@ class _Parser:
         if self.at("{"):
             return self.parse_block()
         return [self.parse_stmt()]
-
-    def parse_args(self) -> list[Expr]:
-        args: list[Expr] = []
-        while self.cur.text != ")":
-            args.append(self.parse_expr())
-            if self.cur.text != ")":
-                self.expect(",")
-        return args
 
     # Expressions: C-style precedence, left-associative binary operators,
     # parsed by precedence climbing over ``BINARY_PREC``.
@@ -574,10 +554,11 @@ class _Parser:
         self.height = height + 1
         return ChoiceExpr(options, tok.pos)
 
-    def parse_bool(self, tok: Token) -> Expr:
+    def parse_keyword(self, tok: Token) -> Expr:
+        """``true``, ``false``, ``sender`` or ``self``."""
         self.advance()
         self.height = 0
-        return BoolLit(tok.text == "true", tok.pos)
+        return _KEYWORD_LEAVES[tok.text](tok.pos)
 
     def parse_now(self, tok: Token) -> Expr:
         self.advance()
@@ -585,16 +566,6 @@ class _Parser:
         self.expect(")")
         self.height = 0
         return NowExpr(tok.pos)
-
-    def parse_sender(self, tok: Token) -> Expr:
-        self.advance()
-        self.height = 0
-        return SenderExpr(tok.pos)
-
-    def parse_self(self, tok: Token) -> Expr:
-        self.advance()
-        self.height = 0
-        return SelfExpr(tok.pos)
 
     def parse_main(self) -> list[InstanceDecl]:
         self.expect("main")
@@ -606,22 +577,11 @@ class _Parser:
             try:
                 cls = self.expect_ident("class name")
                 name = self.expect_ident("instance name")
-                self.expect("(")
-                known_args: list[str] = []
-                while not self.at(")"):
-                    known_args.append(self.expect_ident("known rebec name").text)
-                    if not self.at(")"):
-                        self.expect(",")
-                self.expect(")")
+                knowns = self.parse_list(lambda: self.expect_ident("known rebec name").text)
                 self.expect(":")
-                self.expect("(")
-                init_args = self.parse_args()
-                self.expect(")")
+                init_args = self.parse_list(self.parse_expr)
                 self.expect(";")
-                instances.append(InstanceDecl(
-                    name=name.text, class_name=cls.text,
-                    known_args=known_args, init_args=init_args, pos=name.pos,
-                ))
+                instances.append(InstanceDecl(name.text, cls.text, knowns, init_args, name.pos))
             except _Abort as abort:
                 self.recover(abort, (";", "}"))
         self.expect("}")
@@ -633,8 +593,13 @@ _STMT_RULES = {
 }
 _OPERAND_RULES = {
     "(": _Parser.parse_group, "-": _Parser.parse_unary, "!": _Parser.parse_unary,
-    "true": _Parser.parse_bool, "false": _Parser.parse_bool, "?": _Parser.parse_choice,
-    "now": _Parser.parse_now, "sender": _Parser.parse_sender, "self": _Parser.parse_self,
+    "?": _Parser.parse_choice, "now": _Parser.parse_now,
+    "true": _Parser.parse_keyword, "false": _Parser.parse_keyword,
+    "sender": _Parser.parse_keyword, "self": _Parser.parse_keyword,
+}
+_KEYWORD_LEAVES = {
+    "true": partial(BoolLit, True), "false": partial(BoolLit, False),
+    "sender": SenderExpr, "self": SelfExpr,
 }
 
 
