@@ -158,13 +158,19 @@ class ExploreResult:
                 block = blocks[id(e.decision)] = _decision_json(e.decision)
             edges.append(f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
                          f'      "time": {e.time},\n{block}')
+        # Only a graph with faults has the member, so fault-free graphs keep
+        # their bytes.
+        errors = [f'    {{\n      "src": {b.src},\n      "error": {json_str(b.message)},\n'
+                  f'{_decision_json(b.decision)}' for b in self.error_branches]
         return (
             f'{{\n  "root": 0,\n  "truncated": {"true" if self.truncated else "false"},\n'
             f'  "bounds": {{\n    "horizon": {json_int(self.bounds.horizon)},\n'
             f'    "max_steps": {json_int(self.bounds.max_steps)},\n'
             f'    "max_states": {json_int(self.bounds.max_states)}\n  }},\n'
             f'  "nodes": {_json_array(nodes, "  ")},\n'
-            f'  "edges": {_json_array(edges, "  ")}\n}}\n'
+            f'  "edges": {_json_array(edges, "  ")}'
+            + (f',\n  "error_branches": {_json_array(errors, "  ")}' if errors else "")
+            + "\n}\n"
         )
 
     def to_dot(self) -> str:
@@ -181,7 +187,8 @@ class ExploreResult:
 
 
 def _decision_json(decision: Decision) -> str:
-    """An edge's ``"message"`` and ``"choices"`` members and its closing brace."""
+    """An edge's or error branch's ``"message"`` and ``"choices"`` members
+    and its closing brace."""
     tt, receiver, method, args, sender, dl = decision.message
     arg_items = [f"          {json_str(a)}" for a in args]
     choice_items = [

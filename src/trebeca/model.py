@@ -369,10 +369,6 @@ class RebecEnv:
         return f"RebecEnv({self.rebec_id}:{self.class_name} now={self.now})"
 
 
-# A rebec's clock, as a ``key=`` or ``map`` function.
-rebec_clock = attrgetter("now")
-
-
 class SystemState:
     """A pair of rebec environments and the message bag, plus bookkeeping.
 
@@ -381,30 +377,41 @@ class SystemState:
     reorders it. The messages with the smallest time tag are its prefix, and
     a state key joins it as it stands.
 
-    ``dl_floor`` lies at or below every finite deadline in the bag; it is −1
-    while the bag may hold a time tag past its deadline, and ``NEVER`` while
-    it holds no finite deadline. ``add_message`` lowers it, a removal leaves
-    it a valid bound, and a purge that scans the bag makes it exact.
+    ``floors`` maps each receiver that has a message with a finite deadline
+    in the bag to a bound at or below those messages' deadlines; an entry
+    may outlive the messages it bounds. ``late`` is set while the bag may
+    hold a time tag past its deadline. ``add_message`` lowers an entry or
+    sets ``late``, a removal leaves both valid bounds, and a purge that
+    scans the bag makes both exact. Every message is eligible while no
+    receiver's clock is past its floor and, under effective deadlines,
+    ``late`` is clear.
 
-    ``clone`` copies the ``envs`` dict and the bag list and shares the
-    records, which nothing writes, so a clone costs O(rebecs + bag) pointer
-    copies.
+    ``floors`` is a value, like a record: lowering an entry builds a new
+    dict. ``clone`` shares it and the records, which nothing writes, and
+    copies the ``envs`` dict and the bag list, so a clone costs
+    O(rebecs + bag) pointer copies.
     """
 
-    __slots__ = ("envs", "bag", "dl_floor", "env_bindings", "checked")
+    __slots__ = ("envs", "bag", "floors", "late", "env_bindings", "checked")
 
     def __init__(self, checked, env_bindings: dict[str, Value]):
         self.envs: dict[str, RebecEnv] = {}
         self.bag: list[Message] = []
-        self.dl_floor = NEVER
+        self.floors: dict[str, int] = {}
+        self.late = False
         self.env_bindings = env_bindings
         self.checked = checked
 
     def clone(self) -> "SystemState":
-        st = SystemState(self.checked, self.env_bindings)
+        # Not through __init__, whose empty containers would be replaced at
+        # once: the explorer clones a state on every edge.
+        st = SystemState.__new__(SystemState)
         st.envs = dict(self.envs)
         st.bag = list(self.bag)
-        st.dl_floor = self.dl_floor
+        st.floors = self.floors
+        st.late = self.late
+        st.env_bindings = self.env_bindings
+        st.checked = self.checked
         return st
 
     def add_message(self, msg: Message) -> None:
@@ -412,7 +419,11 @@ class SystemState:
         insort(self.bag, msg, key=message_sort_key)
         dl = msg.dl
         if dl != NEVER:  # the one comparison a message without a deadline costs
-            self.dl_floor = min(self.dl_floor, dl if msg.tt <= dl else -1)
+            if msg.tt > dl:
+                self.late = True
+            floors = self.floors
+            if floors.get(msg.receiver, NEVER) > dl:
+                self.floors = {**floors, msg.receiver: dl}
 
     def remove_message(self, msg: Message) -> None:
         """Take ``msg``, an object from the bag, out of it by identity: any

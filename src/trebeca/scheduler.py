@@ -8,6 +8,7 @@ simulator breaks them with a seeded rng, the explorer branches.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .model import (
     Value,
     json_int,
     json_str,
-    rebec_clock,
+    message_sort_key,
 )
 from .parser import CheckedModel
 
@@ -133,16 +134,22 @@ def eligible(msg: Message, state: SystemState, mode: str = CHECK_LITERAL) -> boo
 def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
     """Drop every ineligible message, in canonical bag order.
 
-    The bag is scanned only once some clock has passed ``state.dl_floor``:
-    until then every message is eligible in both modes (a floor of −1, which
-    marks a time tag past its deadline, lies below every clock).
+    The bag is scanned only if some receiver's clock has passed its floor
+    (``SystemState.floors``) or, under effective deadlines, ``state.late``
+    says a time tag may lie past its deadline: otherwise every message is
+    eligible. A scan rebuilds both exactly.
     """
-    floor = state.dl_floor
-    if floor == NEVER or max(map(rebec_clock, state.envs.values())) <= floor:
-        return []
+    if not (state.late and mode == CHECK_EFFECTIVE):
+        envs = state.envs
+        for receiver, floor in state.floors.items():
+            if envs[receiver].now > floor:
+                break
+        else:
+            return []
     events: list[TraceEvent] = []
     keep: list[Message] = []
-    floor = NEVER
+    floors: dict[str, int] = {}
+    late = False
     for msg in state.bag:
         dl = msg.dl
         # A message without a deadline is eligible in every mode.
@@ -150,30 +157,45 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
             keep.append(msg)
         elif eligible(msg, state, mode):
             keep.append(msg)
-            floor = min(floor, dl if msg.tt <= dl else -1)
+            if floors.get(msg.receiver, NEVER) > dl:
+                floors[msg.receiver] = dl
+            if msg.tt > dl:
+                late = True
         else:
             events.append(msg.event(EV_PURGED, state.envs[msg.receiver].now))
     state.bag = keep
-    state.dl_floor = floor
+    state.floors = floors
+    state.late = late
     return events
 
 
 def min_tt_candidates(state: SystemState) -> list[Message]:
     """Distinct messages carrying the smallest time tag, canonically ordered:
-    the bag's prefix.
+    the first message of each run of equal messages in the bag's prefix.
 
     Identical duplicates collapse: serving either copy of an equal message
     is the same transition. Equal messages have equal sort keys, so they
-    are adjacent in the bag.
+    are adjacent in the bag. A message that equals the last one taken
+    starts a run of copies, which a bisection skips; otherwise one look at
+    its time tag tells whether the prefix goes on.
     """
-    out: list[Message] = []
-    if state.bag:
-        lowest = state.bag[0].tt
-        for msg in state.bag:
-            if msg.tt != lowest:
-                break
-            if not out or msg.sort_key != out[-1].sort_key:
-                out.append(msg)
+    bag = state.bag
+    if not bag:
+        return []
+    msg = bag[0]
+    out = [msg]
+    lowest = msg.tt
+    i, n = 1, len(bag)
+    while i < n:
+        nxt = bag[i]
+        if nxt.sort_key == msg.sort_key:
+            i = bisect_right(bag, msg.sort_key, i, key=message_sort_key)
+        elif nxt.tt == lowest:
+            out.append(nxt)
+            msg = nxt
+            i += 1
+        else:
+            break
     return out
 
 

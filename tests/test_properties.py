@@ -149,12 +149,12 @@ def full_scan(state, mode):
 
 
 def assert_floor_bounds_bag(state):
-    """``dl_floor`` is at or below every finite deadline, and below every
-    clock while some time tag is past its deadline."""
+    """Every finite deadline has its receiver's floor at or below it, and
+    ``late`` holds while some time tag is past its deadline."""
     for msg in state.bag:
         if msg.dl != NEVER:
-            assert state.dl_floor <= msg.dl
-            assert msg.tt <= msg.dl or state.dl_floor < 0
+            assert state.floors[msg.receiver] <= msg.dl
+            assert msg.tt <= msg.dl or state.late
 
 
 def check_purge_oracle(count: int) -> None:

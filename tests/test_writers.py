@@ -166,6 +166,40 @@ def test_edges_with_and_without_args_and_choices():
     assert_writers_match(result)
 
 
+def reference_graph_json_with_faults(result: ExploreResult) -> str:
+    """The fault-free reference plus ``"error_branches"`` after ``"edges"``:
+    per branch its source, its fault's text, then the decision's members."""
+    doc = json.loads(reference_graph_json(result))
+    doc["error_branches"] = [
+        {
+            "src": b.src,
+            "error": b.message,
+            "message": list(b.decision.message[:3]) + [list(b.decision.message[3])]
+            + list(b.decision.message[4:]),
+            "choices": [list(c) for c in b.decision.choices],
+        }
+        for b in result.error_branches
+    ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_error_branches_follow_the_edges():
+    # ``initial`` faults on one of its two choices; ``m(0)`` faults on both
+    # of its own, ``m(1)`` on neither.
+    checked = load_model(
+        "reactiveclass A { knownrebecs {} statevars { int n; }"
+        " msgsrv initial() { n = 1 / ?(0, 1); self.m(?(0, 1)); }"
+        " msgsrv m(int d) { n = ?(4, 6) / d; } }"
+        " main { A a():(); }")
+    result = explore(checked, {}, ExploreBounds(horizon=5))
+    assert [(b.decision.message[2], b.decision.message[3], len(b.decision.choices))
+            for b in result.error_branches] == [("initial", (), 1), ("m", ("0",), 1),
+                                               ("m", ("0",), 1)]
+    assert "division by zero" in result.error_branches[0].message
+    assert result.edges
+    assert_same_text(result.to_json(), reference_graph_json_with_faults(result))
+
+
 def test_run_ended_line_carries_its_reason(ticket_model):
     trace = run(ticket_model, TICKET_ENV, 0, SchedulePolicy(horizon=12))
     last = trace.to_jsonl().splitlines()[-1]
