@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from . import erlgen, monitors
 from .explorer import ExploreBounds, explore
@@ -62,17 +62,50 @@ def _read_text(path: str) -> str:
         raise _Failed(EXIT_IO) from exc
 
 
-def _load_checked(path: str) -> CheckedModel:
+def _load(path: str, load: Callable, warnings: Callable):
+    """``load`` of the text of ``path``, printing each error (exit 1), then
+    each of ``warnings(result)``, at its position in ``path``."""
     text = _read_text(path)
     try:
-        checked = load_model(text)
+        result = load(text)
     except SourceError as exc:
         for err in exc.errors:
             print(err.render(path), file=sys.stderr)
         raise _Failed(EXIT_MODEL_ERROR) from exc
-    for warning in checked.warnings:
+    for warning in warnings(result):
         print(warning.render(path), file=sys.stderr)
-    return checked
+    return result
+
+
+def _load_checked(path: str) -> CheckedModel:
+    return _load(path, load_model, lambda checked: checked.warnings)
+
+
+def _load_monitor(path: Optional[str], checked: CheckedModel) -> Optional[monitors.MonitorSpec]:
+    if not path:
+        return None
+    return _load(path, monitors.parse_monitor,
+                 lambda spec: monitors.validate_monitor(spec, checked))
+
+
+def _pairs(text: str, path: str, sep: str, form: str) -> Iterator[tuple[str, str, str]]:
+    """``(path:line, name, value)`` for each ``name<sep>value`` line of the
+    file ``path``; ``#`` starts a comment. A line without ``sep`` (``form``
+    spells the line expected) or a name given twice is a usage error."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if sep not in line:
+            raise _Usage(f"{where}: expected {form}")
+        name, _, value = line.partition(sep)
+        name = name.strip()
+        if name in seen:
+            raise _Usage(f"{where}: duplicate key {name!r}")
+        seen.add(name)
+        yield where, name, value.strip()
 
 
 def _parse_env_value(text: str, where: Optional[str] = None):
@@ -89,39 +122,16 @@ def _parse_env_value(text: str, where: Optional[str] = None):
 
 def _collect_env(args) -> dict:
     bindings: dict = {}
-    if getattr(args, "env_file", None):
-        for lineno, raw in enumerate(_read_text(args.env_file).splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _Usage(f"{args.env_file}:{lineno}: expected name=value")
-            name, _, value = line.partition("=")
-            name, where = name.strip(), f"{args.env_file}:{lineno}"
-            if name in bindings:
-                raise _Usage(f"{where}: duplicate key {name!r}")
-            bindings[name] = _parse_env_value(value.strip(), where)
-    for item in getattr(args, "env", None) or []:
+    if args.env_file:
+        for where, name, value in _pairs(_read_text(args.env_file), args.env_file,
+                                         "=", "name=value"):
+            bindings[name] = _parse_env_value(value, where)
+    for item in args.env or []:
         if "=" not in item:
             raise _Usage(f"--env expects name=value, got {item!r}")
         name, _, value = item.partition("=")
         bindings[name.strip()] = _parse_env_value(value.strip())
     return bindings
-
-
-def _load_monitor(path: Optional[str], checked: CheckedModel) -> Optional[monitors.MonitorSpec]:
-    if not path:
-        return None
-    text = _read_text(path)
-    try:
-        spec = monitors.parse_monitor(text)
-    except SourceError as exc:
-        for err in exc.errors:
-            print(err.render(path), file=sys.stderr)
-        raise _Failed(EXIT_MODEL_ERROR) from exc
-    for warning in monitors.validate_monitor(spec, checked):
-        print(warning.render(path), file=sys.stderr)
-    return spec
 
 
 def _write_file(path: str, text: str) -> None:
@@ -237,7 +247,7 @@ class SweepSpec:
 
     env_lists: list  # (name, [values]) in file order
     seeds: list
-    lines: dict = field(default_factory=dict)  # env list name -> its line in the file
+    where: dict = field(default_factory=dict)  # env list name -> its "path:line"
     horizon: Optional[int] = None
     max_steps: Optional[int] = None
     deadline_check: str = CHECK_LITERAL
@@ -259,19 +269,7 @@ def _spec_int(text: str, where: str, name: str) -> int:
 
 def parse_sweep_spec(text: str, path: str) -> SweepSpec:
     spec = SweepSpec(env_lists=[], seeds=[0])
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        if ":" not in line:
-            raise _Usage(f"{where}: expected 'name: value'")
-        name, _, value = line.partition(":")
-        name, value = name.strip(), value.strip()
-        if name in seen:
-            raise _Usage(f"{where}: duplicate key {name!r}")
-        seen.add(name)
+    for where, name, value in _pairs(text, path, ":", "'name: value'"):
         if value.startswith("[") and value.endswith("]"):
             items = [v.strip() for v in value[1:-1].split(",")]
             if items == [""]:
@@ -286,7 +284,7 @@ def parse_sweep_spec(text: str, path: str) -> SweepSpec:
                     raise _Usage(f"{where}: seeds must be non-negative, got {value}")
             else:
                 spec.env_lists.append((name, [_parse_env_value(v, where) for v in items]))
-                spec.lines[name] = lineno
+                spec.where[name] = where
         elif name in ("horizon", "max_steps"):
             bound = _spec_int(value, where, name)
             if bound < 0:
@@ -330,7 +328,7 @@ def cmd_sweep(args) -> int:
     try:  # a usage error writes nothing
         policy.require_bound()
         for name, values in sweep.env_lists:
-            where = f"{args.sweep}:{sweep.lines[name]}"
+            where = sweep.where[name]
             if name not in checked.env_types:
                 raise _Usage(f"{where}: unknown env variable {name!r}")
             for value in values:

@@ -61,8 +61,19 @@ class EmittedProgram:
         return written
 
 
-def _camel(name: str) -> str:
-    return name[0].lower() + name[1:]
+# Erlang's reserved words, which an atom spelled like one must quote.
+_RESERVED = frozenset("""after and andalso band begin bnot bor bsl bsr bxor case catch cond
+    div else end fun if let maybe not of or orelse receive rem try when xor""".split())
+_BARE_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
+def _atom(name: str) -> str:
+    """The Erlang atom of a Rebeca name: bare when it reads as a lower-case
+    atom that is no reserved word, else quoted. An identifier holds no quote
+    or backslash, so quoting needs no escapes."""
+    if _BARE_ATOM.fullmatch(name) and name not in _RESERVED:
+        return name
+    return f"'{name}'"
 
 
 def _var(name: str) -> str:
@@ -105,7 +116,7 @@ def _module_text(lines: list[str]) -> str:
 
 
 def _env(name: str) -> str:
-    return f"env:{name}()"
+    return f"env:{_atom(name)}()"
 
 
 def _joined(names: list[str]) -> str:
@@ -140,8 +151,11 @@ class _ClassEmitter:
     def __init__(self, info: ClassInfo):
         self.info = info
         self.cls = info.definition
-        self.module = self.cls.name.lower()
-        self.fun = _camel(self.cls.name)
+        name = self.cls.name
+        self.module = _atom(name.lower())
+        self.knownrebecs = _atom(f"{name.lower()}_knownrebecs")  # the record names
+        self.statevars = _atom(f"{name.lower()}_statevars")
+        self.fun = _atom(name[0].lower() + name[1:])  # the stage functions
         self.counter = 0
         self.lines: list[str] = []
         self.sender_bound = False  # whether the method's body has bound Sender
@@ -161,16 +175,16 @@ class _ClassEmitter:
         if name in scope:
             return scope[name]
         if name in self.info.state_types:
-            return f"{scope[_STATEVARS]}#{self.module}_statevars.{name}"
+            return f"{scope[_STATEVARS]}#{self.statevars}.{_atom(name)}"
         if name in self.info.known_types:
-            return f"KnownRebecs#{self.module}_knownrebecs.{name}"
+            return f"KnownRebecs#{self.knownrebecs}.{_atom(name)}"
         return _env(name)  # the checker rejects any other name
 
     def target(self, stmt: SendStmt, scope: dict[str, str]) -> str:
         if stmt.target == "self":
             return "self()"
         if stmt.target in self.info.known_types:
-            return f"KnownRebecs#{self.module}_knownrebecs.{stmt.target}"
+            return f"KnownRebecs#{self.knownrebecs}.{_atom(stmt.target)}"
         return scope[stmt.target]  # a rebec-valued local, as the checker requires
 
     # -- statements ----------------------------------------------------------
@@ -187,7 +201,7 @@ class _ClassEmitter:
                 nxt = self.fresh("StateVars")
                 self.lines.append(
                     f"{indent}{nxt} = {scope[_STATEVARS]}"
-                    f"#{self.module}_statevars{{{s.name} = {value}}},")
+                    f"#{self.statevars}{{{_atom(s.name)} = {value}}},")
                 scope[_STATEVARS] = nxt
             else:
                 nxt = scope[s.name] = self.fresh(_var(s.name))
@@ -202,14 +216,14 @@ class _ClassEmitter:
             self.if_stmt(s, scope, indent)
 
     def send(self, s: SendStmt, scope: dict[str, str], indent: str) -> None:
-        target = self.target(s, scope)
+        target, tag = self.target(s, scope), _atom(s.method)
         args = "".join(f", {self.expr(a, scope)}" for a in s.args)
         if s.deadline is not None:
             dl = f"now() + {self.expr(s.deadline, scope)}"
         else:
             dl = "inf"
         if s.after is None:
-            self.lines.append(f"{indent}{target} ! {{{{self(), now(), {dl}}}, {s.method}{args}}},")
+            self.lines.append(f"{indent}{target} ! {{{{self(), now(), {dl}}}, {tag}{args}}},")
             return
         if s.target == "self":
             # Inside the spawned helper self() is the helper, not the rebec.
@@ -217,7 +231,7 @@ class _ClassEmitter:
         after = self.expr(s.after, scope)
         self.lines.append(f"{indent}spawn(fun() ->")
         self.lines.append(f"{indent}    receive after {after} ->")
-        self.lines.append(f"{indent}        {target} ! {{{{Sender, now(), {dl}}}, {s.method}{args}}}")
+        self.lines.append(f"{indent}        {target} ! {{{{Sender, now(), {dl}}}, {tag}{args}}}")
         self.lines.append(f"{indent}    end")
         self.lines.append(f"{indent}end),")
 
@@ -269,11 +283,11 @@ class _ClassEmitter:
         out.append(f"-module({module}).")
         out.append("-export([start/0]).")
         out.append("")
-        known_fields = ", ".join(d.name for d in cls.known_decls)
-        out.append(f"-record({module}_knownrebecs, {{{known_fields}}}).")
+        known_fields = ", ".join(_atom(d.name) for d in cls.known_decls)
+        out.append(f"-record({self.knownrebecs}, {{{known_fields}}}).")
         state_fields = ", ".join(
-            f"{d.name} = {_DEFAULTS[d.type]}" for d in cls.state_decls)
-        out.append(f"-record({module}_statevars, {{{state_fields}}}).")
+            f"{_atom(d.name)} = {_DEFAULTS[d.type]}" for d in cls.state_decls)
+        out.append(f"-record({self.statevars}, {{{state_fields}}}).")
         out.append("")
         out.append("start() ->")
         out.append(f"    spawn(fun {fun}/0).")
@@ -282,9 +296,9 @@ class _ClassEmitter:
         out.append(f"{fun}() ->")
         out.append("    receive")
         pattern = "{" + ", ".join(_var(d.name) for d in cls.known_decls) + "}"
-        fields = ", ".join(f"{d.name} = {_var(d.name)}" for d in cls.known_decls)
+        fields = ", ".join(f"{_atom(d.name)} = {_var(d.name)}" for d in cls.known_decls)
         out.append(f"        {pattern} ->")
-        out.append(f"            {fun}(#{module}_knownrebecs{{{fields}}})")
+        out.append(f"            {fun}(#{self.knownrebecs}{{{fields}}})")
         out.append("    end.")
         out.append("")
         out.append("%% Stage 2: serve the initial message, then enter the serve loop.")
@@ -310,12 +324,12 @@ class _ClassEmitter:
         return _module_text(out)
 
     def initial_match(self, initial: Optional[MethodInfo], arity: int) -> str:
-        cls, module, fun = self.cls, self.module, self.fun
-        init_fields = [d.name for d in cls.state_decls[:arity]]
+        fun = self.fun
+        init_fields = [d.name for d in self.cls.state_decls[:arity]]
         extra = "".join(f", {_var(n)}Init" for n in init_fields)
         lines = [f"        {{{{From, SendTime, Deadline}}, initial{extra}}} ->"]
-        record_fields = ", ".join(f"{n} = {_var(n)}Init" for n in init_fields)
-        lines.append(f"            StateVars = #{module}_statevars{{{record_fields}}},")
+        record_fields = ", ".join(f"{_atom(n)} = {_var(n)}Init" for n in init_fields)
+        lines.append(f"            StateVars = #{self.statevars}{{{record_fields}}},")
         scope = {_STATEVARS: "StateVars"}
         if initial is not None:
             self.sender_bound = False
@@ -324,9 +338,9 @@ class _ClassEmitter:
         return "\n".join(lines)
 
     def serve_match(self, method: MethodDef) -> str:
-        module, fun = self.module, self.fun
+        fun = self.fun
         params = "".join(f", {_var(p.name)}" for p in method.params)
-        lines = [f"        {{{{From, SendTime, Deadline}}, {method.name}{params}}} ->"]
+        lines = [f"        {{{{From, SendTime, Deadline}}, {_atom(method.name)}{params}}} ->"]
         lines.append("            %% The deadline is checked right before the body runs;")
         lines.append("            %% an expired message is purged unserved.")
         lines.append("            case (Deadline =:= inf) orelse (now() =< Deadline) of")
@@ -356,11 +370,17 @@ def emit(checked: CheckedModel) -> EmittedProgram:
         raise UnsupportedFeatureError("new (rebec creation)",
                                       next(iter(checked.new_targets.values())))
     files: dict[str, str] = {}
+    # A class's module file may not overwrite another module's.
+    taken = {"main.erl", "env.erl"} if checked.model.env_decls else {"main.erl"}
     for cls in checked.model.classes:
+        fname = f"{cls.name.lower()}.erl"
+        if fname in taken or fname in files:
+            raise UnsupportedFeatureError(f"class {cls.name!r}, whose module file {fname}"
+                                          " is already taken", cls.pos)
         arities = sorted({len(inst.init_args) for inst in checked.model.main
                           if inst.class_name == cls.name})
         emitter = _ClassEmitter(checked.classes[cls.name])
-        files[f"{cls.name.lower()}.erl"] = emitter.emit_module(arities)
+        files[fname] = emitter.emit_module(arities)
 
     if checked.model.env_decls:
         files["env.erl"] = _emit_env(checked)
@@ -371,12 +391,12 @@ def emit(checked: CheckedModel) -> EmittedProgram:
 def _emit_env(checked: CheckedModel) -> str:
     names = [d.name for d in checked.model.env_decls]
     out = ["-module(env)."]
-    out.append("-export([" + ", ".join(f"{n}/0" for n in names) + "]).")
+    out.append("-export([" + ", ".join(f"{_atom(n)}/0" for n in names) + "]).")
     out.append("")
     out.append("%% Model parameters: set the values before running a simulation.")
     for decl in checked.model.env_decls:
         default = "false" if decl.type == "boolean" else "0"
-        out.append(f"{decl.name}() -> {default}.")
+        out.append(f"{_atom(decl.name)}() -> {default}.")
     return "\n".join(out) + "\n"
 
 
@@ -388,7 +408,7 @@ def _emit_main(checked: CheckedModel) -> str:
     out.append("main() ->")
     body = []
     for inst in checked.model.main:
-        body.append(f"    {_var(inst.name)} = {inst.class_name.lower()}:start(),")
+        body.append(f"    {_var(inst.name)} = {_atom(inst.class_name.lower())}:start(),")
     for inst in checked.model.main:
         knowns = ", ".join(_var(a) for a in inst.known_args)
         body.append(f"    {_var(inst.name)} ! {{{knowns}}},")

@@ -30,10 +30,9 @@ from .scheduler import (
     Trace,
     build_initial_state,
     execute_selected,
-    normalize_env_bindings,
     prepare_step,
     require_bounds,
-    require_deadline_check,
+    start,
 )
 
 # Canonical identity of a message, JSON-friendly: the explorer's decisions
@@ -99,7 +98,7 @@ class Node:
     depth: int
     terminal: Optional[str] = None  # reason, for states with no outgoing edges
     purge_events: tuple[TraceEvent, ...] = ()
-    earliest_time: int = 0
+    earliest_time: int = 0  # least time of a step into it; the root's is 0
 
 
 @dataclass
@@ -246,12 +245,9 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
 
     A message server reads only its receiver's record, the message, the env
     bindings and the model, and writes only the receiver, the bag and new
-    rebecs. The one other read is the check that a send's target exists.
-    Rebecs are never removed, and a rebec id is known only through ``new``, a
-    known rebec, ``self`` or ``sender``, so that check gives the same result
-    for equal (record, message) pairs. So every branch that serves ``msg`` in
-    a state with an equal ``transition_key`` is that state minus ``msg``, plus
-    the stored receiver record and sent messages.
+    rebecs. So every branch that serves ``msg`` in a state with an equal
+    ``transition_key`` is that state minus ``msg``, plus the stored receiver
+    record and sent messages.
 
     ``new`` numbers its rebec by the state's live rebec count, and a fault's
     text may depend on it, so ``memo`` stores an enumeration only when every
@@ -289,10 +285,7 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     truncated terminals. The reachable key set is independent of tie
     enumeration order whenever no bound is hit.
     """
-    bounds.require_bound()
-    require_deadline_check(deadline_check)
-    bindings = normalize_env_bindings(checked, env_bindings)
-    root_state, root_events = build_initial_state(checked, bindings)
+    root_state, root_events = start(checked, env_bindings, deadline_check, bounds)
 
     keys: dict[str, int] = {}
     nodes: list[Node] = []
@@ -301,14 +294,17 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     error_branches: list[ErrorBranch] = []
     memo: dict = {}  # transition_key -> stored outcomes (_local_transitions)
 
-    def intern_state(st: SystemState, depth: int) -> int:
-        # FIFO order interns every key first at its least depth.
+    def intern_state(st: SystemState, depth: int, time: int) -> int:
+        # FIFO order interns every key first at its least depth; ``time``, the
+        # step's, lowers the node's earliest time.
         key = state_key(st)
         nid = keys.get(key)
         if nid is None:
             nid = keys[key] = len(nodes)
-            nodes.append(Node(key=key, depth=depth))
+            nodes.append(Node(key=key, depth=depth, earliest_time=time))
             frontier.append((nid, st))
+        elif time < nodes[nid].earliest_time:
+            nodes[nid].earliest_time = time
         return nid
 
     def expand(nid: int, state: SystemState) -> None:
@@ -328,13 +324,14 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
                 if result_state is None:
                     error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
-                dst = intern_state(result_state, depth + 1)
-                edges.append(Edge(nid, dst, decision, payload[0].time, payload))
+                time = payload[0].time
+                dst = intern_state(result_state, depth + 1, time)
+                edges.append(Edge(nid, dst, decision, time, payload))
 
     def over_budget() -> bool:
         return bounds.max_states is not None and len(nodes) >= bounds.max_states
 
-    intern_state(root_state, 0)
+    intern_state(root_state, 0, 0)
     while frontier and not over_budget():
         expand(*frontier.popleft())
     for nid, _ in frontier:
@@ -366,14 +363,6 @@ def _canonicalize(result: ExploreResult) -> None:
         b.src = remap[b.src]
     result.edges.sort(key=lambda e: (e.src, e.decision.message, e.decision.choices, e.dst))
     result.error_branches.sort(key=lambda b: (b.src, b.decision.message, b.decision.choices))
-    # Earliest logical time each state is reachable at: min over incoming steps.
-    earliest = [None] * len(result.nodes)
-    earliest[0] = 0
-    for e in result.edges:
-        if earliest[e.dst] is None or e.time < earliest[e.dst]:
-            earliest[e.dst] = e.time
-    for i, n in enumerate(result.nodes):
-        n.earliest_time = earliest[i] if earliest[i] is not None else 0
 
 
 def follow(result: ExploreResult, path: list[Decision]) -> int:
@@ -405,8 +394,7 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
     all expired, horizon) ends the same way a simulation would, anything
     else is marked partial.
     """
-    bindings = normalize_env_bindings(result.checked, result.env_bindings)
-    state, events = build_initial_state(result.checked, bindings)
+    state, events = build_initial_state(result.checked, result.env_bindings)
     trace = Trace(events)
     horizon, max_steps = result.bounds.horizon, result.bounds.max_steps
     for step, decision in enumerate(path):

@@ -34,7 +34,6 @@ from .model import (
     EV_SELECTED,
     EV_SENT,
     Expr,
-    IfStmt,
     IntLit,
     MAX_TICKS,
     Message,
@@ -256,9 +255,7 @@ class _Compiler:
             if e.op == "!":
                 return want, lambda fr: not operand(fr)
             return want, lambda fr: -operand(fr)
-        if isinstance(e, BinaryOp):
-            return self.binary(e, scope, at)
-        raise TypeError(f"unknown expression node: {e!r}")
+        return self.binary(e, scope, at)  # the parser builds no other node
 
     def expect(self, e: Expr, want: str, scope: Scope, at: Optional[Pos], what: str) -> Code:
         """The code of ``e``; an error unless its type fits ``want``."""
@@ -338,18 +335,17 @@ class _Compiler:
             return scope, self.delay(s, scope)
         if isinstance(s, NowStmt):
             return scope, None  # reads the clock and discards it: no code
-        if isinstance(s, IfStmt):
-            cond = self.expect(s.cond, "boolean", scope, s.pos, "if condition")
-            after_then, then_body = self.block(s.then_body, scope)
-            after_else, else_body = self.block(s.else_body or [], scope)
+        # An IfStmt: the parser builds no other node.
+        cond = self.expect(s.cond, "boolean", scope, s.pos, "if condition")
+        after_then, then_body = self.block(s.then_body, scope)
+        after_else, else_body = self.block(s.else_body or [], scope)
 
-            def branch(fr: Frame) -> None:
-                for stmt in (then_body if cond(fr) else else_body):
-                    stmt(fr)
-            # Locals introduced in both branches with one type survive the join.
-            return {**scope, **{name: t for name, t in after_then.items()
-                                if name not in scope and after_else.get(name) == t}}, branch
-        raise TypeError(f"unknown statement node: {s!r}")
+        def branch(fr: Frame) -> None:
+            for stmt in (then_body if cond(fr) else else_body):
+                stmt(fr)
+        # Locals introduced in both branches with one type survive the join.
+        return {**scope, **{name: t for name, t in after_then.items()
+                            if name not in scope and after_else.get(name) == t}}, branch
 
     def store(self, name: str, t: Optional[str], scope: Scope, pos: Optional[Pos]) -> Scope:
         """Check a write of a ``t`` value to ``name``, by an assignment or a
@@ -402,6 +398,8 @@ class _Compiler:
         target, method, pos, server = s.target, self.method, s.pos, s.method
         # A target is self, a known rebec or a local; unlike lookup, knowns come
         # first, which differs only for a name that has already drawn an error.
+        # Each names a live rebec: main binds every known rebec (new's classes
+        # declare none), a local holds self, a known or a new rebec, none is removed.
         if target == "self":
             target_class = self.class_info.definition.name
             receiver = lambda fr: fr.env.rebec_id
@@ -434,10 +432,6 @@ class _Compiler:
 
         def send(fr: Frame) -> None:
             rebec_id = fr.env.rebec_id
-            receiver_id = receiver(fr)
-            if receiver_id not in fr.state.envs:
-                raise ExecError(f"send to unbound rebec {receiver_id!r}",
-                                rebec_id, method, pos)
             values = tuple([arg(fr) for arg in args]) if args else ()
             if after is None:
                 tt = fr.now
@@ -455,7 +449,7 @@ class _Compiler:
                     raise ExecError(f"deadline offset must be positive, got {rel}",
                                     rebec_id, method, pos)
                 dl = _advance(fr, rel, method, pos)
-            msg = Message(receiver_id, server, values, rebec_id, tt, dl)
+            msg = Message(receiver(fr), server, values, rebec_id, tt, dl)
             fr.state.add_message(msg)
             fr.events.append(msg.event(EV_SENT, fr.now))
         return send

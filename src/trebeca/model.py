@@ -506,13 +506,12 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, UnaryOp):
         inner = format_expr(e.operand, _UNARY_PREC)
         return f"{e.op}{inner}"
-    if isinstance(e, BinaryOp):
-        prec = BINARY_PREC[e.op]
-        left = format_expr(e.left, prec)
-        right = format_expr(e.right, prec + 1)  # left-associative
-        text = f"{left} {e.op} {right}"
-        return f"({text})" if prec < parent_prec else text
-    raise TypeError(f"unknown expression node: {e!r}")
+    # A BinaryOp: the parser builds no other node.
+    prec = BINARY_PREC[e.op]
+    left = format_expr(e.left, prec)
+    right = format_expr(e.right, prec + 1)  # left-associative
+    text = f"{left} {e.op} {right}"
+    return f"({text})" if prec < parent_prec else text
 
 
 def _format_stmt(s: Stmt, indent: int, out: list[str]) -> None:
@@ -533,7 +532,7 @@ def _format_stmt(s: Stmt, indent: int, out: list[str]) -> None:
         out.append(f"{pad}delay({format_expr(s.amount)});")
     elif isinstance(s, NowStmt):
         out.append(f"{pad}now();")
-    elif isinstance(s, IfStmt):
+    else:  # an IfStmt: the parser builds no other node
         out.append(f"{pad}if ({format_expr(s.cond)}) {{")
         for sub in s.then_body:
             _format_stmt(sub, indent + 1, out)
@@ -542,8 +541,6 @@ def _format_stmt(s: Stmt, indent: int, out: list[str]) -> None:
             for sub in s.else_body:
                 _format_stmt(sub, indent + 1, out)
         out.append(f"{pad}}}")
-    else:
-        raise TypeError(f"unknown statement node: {s!r}")
 
 
 def pretty_print(model: Model) -> str:

@@ -58,13 +58,6 @@ def require_bounds(missing: str, **bounds: Optional[int]) -> None:
             raise ValueError(f"{name.replace('_', '-')} must be non-negative, got {value}")
 
 
-def require_deadline_check(mode: str) -> None:
-    """Raise ``ValueError`` unless ``mode`` is one of ``DEADLINE_CHECKS``;
-    ``run`` and ``explore`` call it once, before their first step."""
-    if mode not in DEADLINE_CHECKS:
-        raise ValueError(f"unknown deadline check mode {mode!r}")
-
-
 @dataclass
 class SchedulePolicy:
     deadline_check: str = CHECK_LITERAL
@@ -259,9 +252,10 @@ def check_env_value(checked: CheckedModel, name: str, value: Value) -> None:
 
 
 def build_initial_state(checked: CheckedModel,
-                        env_bindings: dict[str, Value]) -> tuple[SystemState, list[TraceEvent]]:
-    """Instantiate the main block: every rebec starts at time 0 with its
-    initial message queued at time tag 0 and no deadline."""
+                        env_bindings: dict) -> tuple[SystemState, list[TraceEvent]]:
+    """Instantiate the main block under checked bindings: every rebec starts
+    at time 0 with its initial message queued at time tag 0 and no deadline."""
+    env_bindings = normalize_env_bindings(checked, env_bindings)
     state = SystemState(checked, env_bindings)
     events: list[TraceEvent] = []
     for inst in checked.model.main:
@@ -281,6 +275,17 @@ def build_initial_state(checked: CheckedModel,
     return state, events
 
 
+def start(checked: CheckedModel, env_bindings: dict, deadline_check: str,
+          bounds) -> tuple[SystemState, list[TraceEvent]]:
+    """The initial state and events of a run or an exploration, once its
+    ``bounds`` (``require_bound``), its deadline mode and its bindings are
+    checked, in that order; a fault is a ``ValueError``."""
+    bounds.require_bound()
+    if deadline_check not in DEADLINE_CHECKS:
+        raise ValueError(f"unknown deadline check mode {deadline_check!r}")
+    return build_initial_state(checked, env_bindings)
+
+
 def run(checked: CheckedModel, env_bindings: dict, seed: int,
         policy: SchedulePolicy) -> Trace:
     """Simulate from the initial state until the policy ends the run.
@@ -288,10 +293,7 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     A pure function of its arguments: the same model, bindings, seed and
     policy give an identical trace.
     """
-    policy.require_bound()
-    require_deadline_check(policy.deadline_check)
-    bindings = normalize_env_bindings(checked, env_bindings)
-    state, events = build_initial_state(checked, bindings)
+    state, events = start(checked, env_bindings, policy.deadline_check, policy)
     trace = Trace(events)
     rng = random.Random(seed)
     steps = 0

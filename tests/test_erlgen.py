@@ -7,6 +7,7 @@ import pytest
 import trebeca
 from conftest import bundled_text
 from gen import generate_model
+from trebeca.cli import main as main_cli
 from trebeca.erlgen import UnsupportedFeatureError, emit
 from trebeca.parser import load_model, validate_model
 
@@ -173,3 +174,54 @@ def test_write_to_disk(tmp_path):
     written = program.write_to(tmp_path / "out")
     assert sorted(p.name for p in written) == sorted(program.files)
     assert (tmp_path / "out" / "main.erl").read_text() == program.files["main.erl"]
+
+
+AWKWARD_NAMES = """env int Rate;
+reactiveclass Case {
+    knownrebecs { Case Peer; }
+    statevars { int End; }
+    msgsrv initial() { self.Go(Rate); self.end(); }
+    msgsrv Go(int n) { End = End + n; Peer.Go(1) after(Rate); }
+    msgsrv end() {}
+}
+main { Case c(c):(); }
+"""
+
+
+def test_names_that_read_otherwise_in_erlang_are_quoted_atoms():
+    files = emit_files(AWKWARD_NAMES)
+    case, env, main = files["case.erl"], files["env.erl"], files["main.erl"]
+    for text in ("-module('case').", "spawn(fun 'case'/0).", "'case'(KnownRebecs) ->",
+                 "-record(case_knownrebecs, {'Peer'}).",
+                 "-record(case_statevars, {'End' = 0}).",
+                 "self() ! {{self(), now(), inf}, 'Go', env:'Rate'()},",
+                 "{{From, SendTime, Deadline}, 'Go', N} ->",
+                 "self() ! {{self(), now(), inf}, 'end'},",
+                 "{{From, SendTime, Deadline}, 'end'} ->",
+                 "StateVars#case_statevars{'End' = (StateVars#case_statevars.'End' + N)}",
+                 "KnownRebecs#case_knownrebecs.'Peer' ! {{Sender, now(), inf}, 'Go', 1}"):
+        assert text in case, text
+    assert "-export(['Rate'/0])." in env and "\n'Rate'() -> 0." in env
+    assert "C = 'case':start()," in main
+
+
+@pytest.mark.parametrize("source, message", [
+    ("reactiveclass Main { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+     "main { Main m():(); }",
+     "class 'Main', whose module file main.erl is already taken at 1:15"),
+    ("reactiveclass foo { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+     "reactiveclass Foo { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+     "main { foo a():(); Foo b():(); }",
+     "class 'Foo', whose module file foo.erl is already taken at 2:15"),
+    ("env int k;\nreactiveclass Env { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+     "main { Env e():(); }",
+     "class 'Env', whose module file env.erl is already taken at 2:15"),
+], ids=["main", "same-lower-case", "env"])
+def test_a_class_whose_module_file_is_taken_is_refused(source, message, tmp_path):
+    with pytest.raises(UnsupportedFeatureError) as exc:
+        emit(load_model(source))
+    assert str(exc.value) == f"unsupported feature for emission: {message}"
+    model = tmp_path / "m.rebeca"
+    model.write_text(source)
+    assert main_cli(["emit", str(model), "--out", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o").exists()

@@ -72,11 +72,9 @@ main {{ A a(b):(); B b():(); }}
 """
 
 
-def initial_fault(stmt, resolver=None, drop=()):
+def initial_fault(stmt, resolver=None):
     checked = load_model(FAULT_SRC.format(stmt=stmt))
     state, _ = build_initial_state(checked, {})
-    for rebec_id in drop:
-        del state.envs[rebec_id]
     (msg,) = [m for m in state.bag if m.receiver == "a"]
     with pytest.raises(ExecError) as exc:
         execute_selected(state, msg, resolver or Resolver())
@@ -113,11 +111,6 @@ def test_integer_division_is_exact_and_truncates_toward_zero(expr, value):
     (msg,) = [m for m in state.bag if m.receiver == "a"]
     execute_selected(state, msg, Resolver())
     assert state.envs["a"].state_vars["n"] == value
-
-
-def test_send_to_an_unbound_rebec_is_a_positioned_fault():
-    assert initial_fault("peer.poke();", drop=["b"]) == (
-        "a.initial at 2:24: send to unbound rebec 'b'")
 
 
 def test_decision_out_of_range_blames_the_innermost_statement():

@@ -9,7 +9,7 @@ from unittest import mock
 
 from conftest import bundled_text, explore_without_memo, graph_outputs
 from gen import generate_model
-from test_golden import BUNDLED_CASES
+from test_golden import BUNDLED_CASES, RUN_CASES, run_trace
 from trebeca import explorer, monitors, scheduler
 from trebeca.explorer import ExploreBounds, explore, follow, trace_decisions
 from trebeca.interp import ExecError
@@ -273,6 +273,34 @@ def check_fold_memo_oracle(count: int) -> None:
     assert folds["memo"] < folds["per-edge"]
 
 
+def check_sends_reach_live_rebecs(count: int) -> None:
+    """Every message enters the bag addressed to a live rebec. No step
+    checks this; the checker proves it (``interp._Compiler.send``), so a
+    feature that lets a body name a rebec another way must keep it."""
+    add_message = SystemState.add_message
+    seen = Counter()
+
+    def live_add(state, msg):
+        assert msg.receiver in state.envs, msg
+        # A receiver with a '#' was created by a new.
+        seen["to a new rebec", msg.method != "initial" and "#" in msg.receiver] += 1
+        seen["from a new rebec", "#" in msg.sender] += 1
+        return add_message(state, msg)
+
+    with mock.patch.object(SystemState, "add_message", live_add):
+        for name, env, bounds, mode in BUNDLED_CASES.values():
+            explore(load_model(bundled_text(name)), env, bounds, deadline_check=mode)
+        for label in RUN_CASES:
+            run_trace(label)
+        bounds = ExploreBounds(horizon=6, max_states=300)
+        for seed in range(count):
+            model, checked = checked_model(seed)
+            for mode in (CHECK_LITERAL, CHECK_EFFECTIVE):
+                explore(checked, env_for(model), bounds, deadline_check=mode)
+    # Sends reached rebecs known only through a local, and created rebecs sent.
+    assert seen["to a new rebec", True] > 0 and seen["from a new rebec", True] > 0
+
+
 def test_runs_satisfy_semantic_invariants():
     check_many_runs(300)
 
@@ -299,3 +327,7 @@ def test_memo_matches_an_explorer_that_always_misses():
 
 def test_graph_verdicts_match_a_fold_per_edge():
     check_fold_memo_oracle(120)
+
+
+def test_sends_reach_live_rebecs():
+    check_sends_reach_live_rebecs(120)
