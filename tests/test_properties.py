@@ -282,7 +282,8 @@ def check_sends_reach_live_rebecs(count: int) -> None:
 
     def live_add(state, msg):
         assert msg.receiver in state.envs, msg
-        # A receiver with a '#' was created by a new.
+        # An id with a '#' was made by a new, which itself sends only
+        # initial; any other message to such a rebec went through a local.
         seen["to a new rebec", msg.method != "initial" and "#" in msg.receiver] += 1
         seen["from a new rebec", "#" in msg.sender] += 1
         return add_message(state, msg)
