@@ -157,12 +157,18 @@ class _ClassEmitter:
         self.statevars = _atom(f"{name.lower()}_statevars")
         self.fun = _atom(name[0].lower() + name[1:])  # the stage functions
         self.counter = 0
+        self.param_vars: set[str] = set()  # the variables of the method's parameters
         self.lines: list[str] = []
         self.sender_bound = False  # whether the method's body has bound Sender
 
     def fresh(self, base: str) -> str:
-        self.counter += 1
-        return f"{base}{self.counter}"
+        """A variable that no earlier statement of the class has bound and no
+        parameter of the method takes (``size1`` is ``Size1`` too)."""
+        while True:
+            self.counter += 1
+            name = f"{base}{self.counter}"
+            if name not in self.param_vars:
+                return name
 
     # -- expressions -------------------------------------------------------
     # A scope maps each local to the Erlang variable that holds it now, and
@@ -331,8 +337,8 @@ class _ClassEmitter:
         record_fields = ", ".join(f"{_atom(n)} = {_var(n)}Init" for n in init_fields)
         lines.append(f"            StateVars = #{self.statevars}{{{record_fields}}},")
         scope = {_STATEVARS: "StateVars"}
-        if initial is not None:
-            self.sender_bound = False
+        if initial is not None:  # main's rebecs take a parameterless initial
+            self.sender_bound, self.param_vars = False, set()
             lines.extend(self.body_lines(initial.definition.body, scope, "            "))
         lines.append(f"            {fun}(KnownRebecs, {scope[_STATEVARS]})")
         return "\n".join(lines)
@@ -348,6 +354,7 @@ class _ClassEmitter:
         lines.append(f"                    {fun}(KnownRebecs, StateVars);")
         lines.append("                true ->")
         scope = {p.name: _var(p.name) for p in method.params}
+        self.param_vars = set(scope.values())
         scope[_STATEVARS] = "StateVars"
         self.sender_bound = False
         lines.extend(self.body_lines(method.body, scope, "                    "))
@@ -370,8 +377,11 @@ def emit(checked: CheckedModel) -> EmittedProgram:
         raise UnsupportedFeatureError("new (rebec creation)",
                                       next(iter(checked.new_targets.values())))
     files: dict[str, str] = {}
-    # A class's module file may not overwrite another module's.
-    taken = {"main.erl", "env.erl"} if checked.model.env_decls else {"main.erl"}
+    # A class's module file may not overwrite another module's, nor take the
+    # name of a standard module that emitted code calls.
+    taken = {"main.erl", "lists.erl", "rand.erl", "erlang.erl"}
+    if checked.model.env_decls:
+        taken.add("env.erl")
     for cls in checked.model.classes:
         fname = f"{cls.name.lower()}.erl"
         if fname in taken or fname in files:

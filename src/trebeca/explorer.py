@@ -14,9 +14,10 @@ from typing import Optional
 
 from .interp import ExecError, Resolver
 from .model import (
+    Event,
     Message,
+    MessageEvent,
     SystemState,
-    TraceEvent,
     json_int,
     json_str,
 )
@@ -51,8 +52,7 @@ class Decision:
 
 def trace_decisions(trace: Trace) -> list[Decision]:
     """Recover the decision path a simulation took from its trace."""
-    return [Decision((ev.tt, ev.rebec, ev.method, ev.args, ev.sender, ev.dl), ev.choices)
-            for ev in trace.selected()]
+    return [Decision(ev.msg.key, ev.choices) for ev in trace.selected()]
 
 
 def state_key(state: SystemState) -> str:
@@ -86,7 +86,7 @@ class Edge:
     dst: int
     decision: Decision
     time: int  # execution time of the step
-    events: tuple[TraceEvent, ...]  # the step's own, msg_selected first
+    events: tuple[Event, ...]  # the step's own, msg_selected first
 
 
 @dataclass
@@ -97,7 +97,7 @@ class Node:
     key: str
     depth: int
     terminal: Optional[str] = None  # reason, for states with no outgoing edges
-    purge_events: tuple[TraceEvent, ...] = ()
+    purge_events: tuple[MessageEvent, ...] = ()
     earliest_time: int = 0  # least time of a step into it; the root's is 0
 
 
@@ -118,7 +118,7 @@ class ExploreResult:
     deadline_check: str
     nodes: list[Node]
     edges: list[Edge]
-    root_events: tuple[TraceEvent, ...]
+    root_events: tuple[Event, ...]
     truncated: bool
     error_branches: list[ErrorBranch] = field(default_factory=list)
 

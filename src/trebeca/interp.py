@@ -33,6 +33,7 @@ from .model import (
     EV_DELAY,
     EV_SELECTED,
     EV_SENT,
+    Event,
     Expr,
     IntLit,
     MAX_TICKS,
@@ -124,7 +125,7 @@ class Frame:
         self.resolver = resolver
         self.sender = sender
         self.locals = locals_
-        self.events: list[TraceEvent] = []
+        self.events: list[Event] = []
 
 
 Code = Callable[[Frame], object]
@@ -519,7 +520,7 @@ def make_rebec_env(rebec_id: str, class_info, now: int, knowns: dict[str, RebecR
 
 
 def exec_method(msg: Message, state: SystemState,
-                resolver: Resolver) -> list[TraceEvent]:
+                resolver: Resolver) -> list[Event]:
     """Serve ``msg``, already out of the bag, atomically: changes ``state``
     and returns the step's events, ``msg_selected`` first, then the body's.
 
@@ -538,4 +539,6 @@ def exec_method(msg: Message, state: SystemState,
         stmt(fr)
     state.envs[msg.receiver] = RebecEnv(env.rebec_id, env.class_name, fr.now, fr.vars,
                                         env.knowns)
-    return [msg.event(EV_SELECTED, start, tuple(resolver.taken)), *fr.events]
+    events = fr.events  # the frame's own list: no copy
+    events.insert(0, msg.event(EV_SELECTED, start, tuple(resolver.taken)))
+    return events

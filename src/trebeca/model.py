@@ -285,7 +285,7 @@ class Message:
         self.sender = sender
         self.tt = tt
         self.dl = dl
-        canon_args = self.canon_args = tuple(map(canon_value, args))
+        canon_args = self.canon_args = tuple(map(canon_value, args)) if args else ()
         # The canonical args keep ``true`` apart from ``1``, so equality on
         # sort_key stays type-strict.
         self.sort_key = (tt, receiver, method, canon_args, sender, dl)
@@ -303,13 +303,18 @@ class Message:
         setattr(self, name, value)
         return value
 
-    def event(self, kind: str, time: int, choices: tuple = ()) -> TraceEvent:
+    def event(self, kind: str, time: int, choices: tuple = ()) -> MessageEvent:
         """This message's ``msg_sent``, ``msg_selected`` or ``msg_purged``
         event at ``time``; ``choices`` are a selection's decisions."""
-        # Positional, since a keyword call costs about twice as much:
-        # kind, time, rebec, method, sender, tt, dl, reason, args, choices.
-        return TraceEvent(kind, time, self.receiver, self.method, self.sender, self.tt,
-                          deadline_text(self.dl), None, self.canon_args, choices)
+        # Filled in slot by slot: calling the class costs about twice as much.
+        ev = _new_event(MessageEvent)
+        ev.kind = kind
+        ev.time = time
+        ev.rebec = self.receiver
+        ev.method = self.method
+        ev.msg = self
+        ev.choices = choices
+        return ev
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):
@@ -453,7 +458,9 @@ EV_ENDED = "run_ended"
 
 @dataclass(slots=True)
 class TraceEvent:
-    """A single observation made during simulation or exploration.
+    """A single observation made during simulation or exploration. The
+    program builds one for ``rebec_created``, ``delay_executed`` and
+    ``run_ended``; a message's events are ``MessageEvent``s.
 
     ``time`` is the logical time at which the event happened: for
     ``msg_selected`` that is max(tt, receiver clock) — the instant the
@@ -474,6 +481,55 @@ class TraceEvent:
     reason: Optional[str] = None  # run_ended only
     args: tuple[str, ...] = ()  # canonical arg values, not serialized
     choices: tuple = ()  # msg_selected only: nondet decisions taken, not serialized
+    msg = None  # a MessageEvent's message; readers test ``ev.msg`` on either kind
+
+
+class MessageEvent:
+    """A ``msg_sent``, ``msg_selected`` or ``msg_purged`` event. Only
+    ``Message.event`` builds one; it refers to its message instead of copying
+    the message's fields.
+
+    ``rebec`` and ``method`` are slots, since monitors read them on every
+    event; ``sender``, ``tt``, ``dl`` (the deadline text) and ``args`` (the
+    canonical arguments) read the message, and ``reason`` is None. Two events
+    are equal when their kind, time, message and choices are. Like a
+    ``TraceEvent``, nothing writes one after it is built.
+    """
+
+    __slots__ = ("kind", "time", "rebec", "method", "msg", "choices")
+    reason = None
+
+    @property
+    def sender(self) -> str:
+        return self.msg.sender
+
+    @property
+    def tt(self) -> int:
+        return self.msg.tt
+
+    @property
+    def dl(self) -> str:
+        return deadline_text(self.msg.dl)
+
+    @property
+    def args(self) -> tuple[str, ...]:
+        return self.msg.canon_args
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MessageEvent):
+            return NotImplemented
+        return ((self.kind, self.time, self.msg, self.choices)
+                == (other.kind, other.time, other.msg, other.choices))
+
+    def __repr__(self) -> str:
+        return (f"MessageEvent(kind={self.kind!r}, time={self.time!r}, msg={self.msg!r},"
+                f" choices={self.choices!r})")
+
+
+_new_event = object.__new__
+
+# Every event of a trace, an edge or a node.
+Event = Union[TraceEvent, MessageEvent]
 
 
 # ---------------------------------------------------------------------------

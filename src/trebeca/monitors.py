@@ -17,7 +17,7 @@ from fnmatch import fnmatchcase
 from typing import Optional
 
 from .explorer import Decision, ExploreResult
-from .model import EV_ENDED, EV_PURGED, EV_SELECTED, EV_SENT, TraceEvent
+from .model import EV_ENDED, EV_PURGED, EV_SELECTED, EV_SENT, Event
 from .parser import ParseError, SourceError, parse_int
 from .scheduler import END_HORIZON, TRUNCATED_REASONS, Trace
 
@@ -38,7 +38,7 @@ class EventPattern:
     rebec: str  # instance pattern, * wildcards
     method: str
 
-    def matches(self, ev: TraceEvent) -> bool:
+    def matches(self, ev: Event) -> bool:
         return (
             ev.kind == _KIND_TO_EVENT[self.kind]
             and ev.rebec is not None
@@ -164,7 +164,7 @@ _ST_BAD = 2       # fail, absorbing
 _ST_SEEN = 3      # PRECEDES only: required earlier event has occurred
 
 
-def _step(clause: Clause, st: int, ev: TraceEvent) -> tuple[int, Optional[TraceEvent]]:
+def _step(clause: Clause, st: int, ev: Event) -> tuple[int, Optional[Event]]:
     """Advance one event; returns (state, witness) where witness is set the
     moment the clause becomes decided."""
     if st in (_ST_GOOD, _ST_BAD):
@@ -215,7 +215,7 @@ def _end_status(clause: Clause, st: int, reason: Optional[str],
 class ClauseVerdict:
     clause: Clause
     status: str
-    witness: Optional[TraceEvent] = None
+    witness: Optional[Event] = None
 
     def __str__(self) -> str:
         return f"{self.status.upper():12s} {self.clause}"
@@ -234,7 +234,7 @@ def check_trace(trace: Trace, spec: MonitorSpec) -> Verdict:
     out: list[ClauseVerdict] = []
     for clause in spec.clauses:
         st = _ST_OPEN
-        witness: Optional[TraceEvent] = None
+        witness: Optional[Event] = None
         for ev in trace.events:
             st, hit = _step(clause, st, ev)
             if hit is not None:

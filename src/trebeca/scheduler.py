@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as escape
 from typing import Optional
 
 from .interp import Resolver, exec_method, make_rebec_env
@@ -20,12 +21,15 @@ from .model import (
     EV_SELECTED,
     EV_SENT,
     EXTERNAL_ID,
+    Event,
     Message,
+    MessageEvent,
     NEVER,
     RebecRef,
     SystemState,
     TraceEvent,
     Value,
+    deadline_text,
     json_int,
     json_str,
     message_sort_key,
@@ -46,6 +50,8 @@ END_MAX_STEPS = "max-steps"
 END_PARTIAL = "partial"
 END_TRUNCATED = "truncated"
 TRUNCATED_REASONS = frozenset({END_HORIZON, END_MAX_STEPS, END_PARTIAL, END_TRUNCATED})
+
+_JSONL_BLOCK = 256  # trace lines that Trace.to_jsonl joins at a time
 
 
 def require_bounds(missing: str, **bounds: Optional[int]) -> None:
@@ -71,7 +77,7 @@ class SchedulePolicy:
 
 @dataclass
 class Trace:
-    events: list[TraceEvent] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
 
     @property
     def end_reason(self) -> Optional[str]:
@@ -87,23 +93,37 @@ class Trace:
         time = horizon if reason == END_HORIZON else self.events[-1].time
         self.events.append(TraceEvent(kind=EV_ENDED, time=time, reason=reason))
 
-    def selected(self) -> list[TraceEvent]:
+    def selected(self) -> list[MessageEvent]:
         return [ev for ev in self.events if ev.kind == EV_SELECTED]
 
     def to_jsonl(self) -> str:
         """One JSON object per event, fields in fixed order, exactly as
         ``json.dumps(record, separators=(",", ":"))`` writes it; only
         ``run_ended`` adds its ``reason``."""
-        lines = []
-        for step, ev in enumerate(self.events):
-            line = (f'{{"step":{step},"kind":{json_str(ev.kind)},"time":{ev.time},'
-                    f'"rebec":{json_str(ev.rebec)},"method":{json_str(ev.method)},'
-                    f'"sender":{json_str(ev.sender)},"tt":{json_int(ev.tt)},'
-                    f'"dl":{json_str(ev.dl)}')
-            if ev.kind == EV_ENDED:
-                line += f',"reason":{json_str(ev.reason)}'
-            lines.append(line + "}\n")
-        return "".join(lines)
+        # A block of lines at a time: a whole trace's lines, each an object
+        # of its own, would take more memory than the text they join into.
+        events, blocks = self.events, []
+        for first in range(0, len(events), _JSONL_BLOCK):
+            lines = []
+            for step, ev in enumerate(events[first:first + _JSONL_BLOCK], first):
+                msg = ev.msg
+                if msg is not None:
+                    # A message event, written from its message's fields: none
+                    # is None, and a deadline's text needs no escaping.
+                    lines.append(f'{{"step":{step},"kind":{escape(ev.kind)},"time":{ev.time},'
+                                 f'"rebec":{escape(msg.receiver)},"method":{escape(msg.method)},'
+                                 f'"sender":{escape(msg.sender)},"tt":{msg.tt},'
+                                 f'"dl":"{deadline_text(msg.dl)}"}}\n')
+                    continue
+                line = (f'{{"step":{step},"kind":{json_str(ev.kind)},"time":{ev.time},'
+                        f'"rebec":{json_str(ev.rebec)},"method":{json_str(ev.method)},'
+                        f'"sender":{json_str(ev.sender)},"tt":{json_int(ev.tt)},'
+                        f'"dl":{json_str(ev.dl)}')
+                if ev.kind == EV_ENDED:
+                    line += f',"reason":{json_str(ev.reason)}'
+                lines.append(line + "}\n")
+            blocks.append("".join(lines))
+        return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +144,7 @@ def eligible(msg: Message, state: SystemState, mode: str = CHECK_LITERAL) -> boo
     return max(msg.tt, receiver.now) <= msg.dl
 
 
-def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
+def purge_expired(state: SystemState, mode: str) -> list[MessageEvent]:
     """Drop every ineligible message, in canonical bag order.
 
     The bag is scanned only if some receiver's clock has passed its floor
@@ -139,7 +159,7 @@ def purge_expired(state: SystemState, mode: str) -> list[TraceEvent]:
                 break
         else:
             return []
-    events: list[TraceEvent] = []
+    events: list[MessageEvent] = []
     keep: list[Message] = []
     floors: dict[str, int] = {}
     late = False
@@ -192,8 +212,8 @@ def min_tt_candidates(state: SystemState) -> list[Message]:
     return out
 
 
-def prepare_step(state: SystemState, deadline_check: str,
-                 horizon: Optional[int]) -> tuple[list[TraceEvent], Optional[str], list[Message]]:
+def prepare_step(state: SystemState, deadline_check: str, horizon: Optional[int]
+                 ) -> tuple[list[MessageEvent], Optional[str], list[Message]]:
     """Purge ``state`` and return ``(purge events, end reason, candidates)``:
     what every transition of ``run``, the explorer and ``replay`` does before
     it picks a message. The end reason is set, with no candidates, when the
@@ -210,7 +230,7 @@ def prepare_step(state: SystemState, deadline_check: str,
 
 
 def execute_selected(state: SystemState, msg: Message,
-                     resolver: Resolver) -> list[TraceEvent]:
+                     resolver: Resolver) -> list[Event]:
     """Remove ``msg`` from the bag and serve it (``interp.exec_method``);
     shared by simulator, explorer and replay so their traces agree byte for
     byte. Returns the step's events, ``msg_selected`` first.
@@ -252,12 +272,12 @@ def check_env_value(checked: CheckedModel, name: str, value: Value) -> None:
 
 
 def build_initial_state(checked: CheckedModel,
-                        env_bindings: dict) -> tuple[SystemState, list[TraceEvent]]:
+                        env_bindings: dict) -> tuple[SystemState, list[Event]]:
     """Instantiate the main block under checked bindings: every rebec starts
     at time 0 with its initial message queued at time tag 0 and no deadline."""
     env_bindings = normalize_env_bindings(checked, env_bindings)
     state = SystemState(checked, env_bindings)
-    events: list[TraceEvent] = []
+    events: list[Event] = []
     for inst in checked.model.main:
         info = checked.classes[inst.class_name]
         knowns = {decl.name: RebecRef(arg)
@@ -276,7 +296,7 @@ def build_initial_state(checked: CheckedModel,
 
 
 def start(checked: CheckedModel, env_bindings: dict, deadline_check: str,
-          bounds) -> tuple[SystemState, list[TraceEvent]]:
+          bounds) -> tuple[SystemState, list[Event]]:
     """The initial state and events of a run or an exploration, once its
     ``bounds`` (``require_bound``), its deadline mode and its bindings are
     checked, in that order; a fault is a ``ValueError``."""
@@ -296,6 +316,7 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
     state, events = start(checked, env_bindings, policy.deadline_check, policy)
     trace = Trace(events)
     rng = random.Random(seed)
+    resolver = Resolver(rng=rng)
     steps = 0
     while policy.max_steps is None or steps < policy.max_steps:
         purge_events, end, candidates = prepare_step(state, policy.deadline_check,
@@ -306,7 +327,8 @@ def run(checked: CheckedModel, env_bindings: dict, seed: int,
             return trace
         # Draw only on a tie, then in the body: every seeded trace assumes it.
         msg = candidates[0] if len(candidates) == 1 else candidates[rng.randrange(len(candidates))]
-        events += execute_selected(state, msg, Resolver(rng=rng))
+        resolver.taken = []  # one resolver per run, a fresh record per step
+        events += execute_selected(state, msg, resolver)
         steps += 1
     trace.end(END_MAX_STEPS, policy.horizon)
     return trace

@@ -225,3 +225,42 @@ def test_a_class_whose_module_file_is_taken_is_refused(source, message, tmp_path
     model.write_text(source)
     assert main_cli(["emit", str(model), "--out", str(tmp_path / "o")]) == 4
     assert not (tmp_path / "o").exists()
+
+
+def _bindings(clause: str) -> list[str]:
+    """The variables a serve clause binds: its parameters, then every
+    ``Var = ...`` match and every variable of a tuple match, in order."""
+    head = re.match(r"\s*\{\{From, SendTime, Deadline\}, \w+((?:, \w+)*)\} ->", clause)
+    bound = [p for p in head.group(1).split(", ") if p]
+    for lhs in re.findall(r"^\s*(\{[A-Z][\w, ]*\}|[A-Z]\w*) = ", clause, re.M):
+        bound += lhs.strip("{}").split(", ")
+    return bound
+
+
+@pytest.mark.parametrize("param, body, params_var", [
+    ("size1", "size = size1 + 1; total = size; t = total;", "Size1"),
+    ("stateVars1", "t = stateVars1 + 1; if (t > 2) { t = 0; } else { t = 1; }", "StateVars1"),
+], ids=["local", "statevars"])
+def test_a_parameter_and_a_fresh_variable_never_share_a_name(param, body, params_var):
+    source = ("reactiveclass A { knownrebecs {} statevars { int t; }\n"
+              "  msgsrv initial() { self.go(1); }\n"
+              f"  msgsrv go(int {param}) {{ {body} }} }}\nmain {{ A a():(); }}")
+    text = emit_files(source)["a.erl"]
+    clause = text[text.index("{{From, SendTime, Deadline}, go"):]
+    bound = _bindings(clause)
+    assert bound[0] == params_var
+    assert len(bound) == len(set(bound)), bound
+
+
+@pytest.mark.parametrize("name", ["Lists", "Rand", "Erlang"])
+def test_a_class_named_after_a_called_standard_module_is_refused(name, tmp_path):
+    source = (f"reactiveclass {name} {{ knownrebecs {{}} statevars {{ int x; }}\n"
+              f"  msgsrv initial() {{ x = ?(1, 2); }} }}\nmain {{ {name} r():(); }}")
+    with pytest.raises(UnsupportedFeatureError) as exc:
+        emit(load_model(source))
+    assert str(exc.value) == (f"unsupported feature for emission: class {name!r}, whose module"
+                              f" file {name.lower()}.erl is already taken at 1:15")
+    model = tmp_path / "m.rebeca"
+    model.write_text(source)
+    assert main_cli(["emit", str(model), "--out", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o").exists()

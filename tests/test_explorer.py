@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import TICKET_ENV, explore_without_memo, graph_outputs
+from conftest import TICKET_ENV, bundled_text, explore_without_memo, graph_outputs
+from test_golden import RUN_CASES
 from test_properties import checked_model, env_for
 from test_writers import reference_graph_json
 from trebeca import explorer, scheduler
@@ -21,11 +22,12 @@ from trebeca.explorer import (
     trace_decisions,
 )
 from trebeca.interp import Resolver
-from trebeca.model import EV_PURGED, EV_SELECTED, RebecEnv
+from trebeca.model import EV_PURGED, EV_SELECTED, EV_SENT, RebecEnv
 from trebeca.parser import load_model
 from trebeca.scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
+    END_HORIZON,
     SchedulePolicy,
     build_initial_state,
     execute_selected,
@@ -397,3 +399,32 @@ def test_edges_share_their_steps_events():
                 purging_sources += bool(res.nodes[e.src].purge_events)
             assert all(len(ids) == 1 for ids in held.values()), f"seed {seed} {mode}"
     assert purging_sources > 0
+
+
+@pytest.mark.parametrize("label", sorted(RUN_CASES))
+def test_a_message_event_refers_to_the_message_that_was_sent(label):
+    """A message's events share the one Message object: every selected or
+    purged message is one that a msg_sent event carries, and leaves the bag
+    once. The decision path reads the selected messages' keys, and replaying
+    it gives equal events."""
+    name, env, seed, policy = RUN_CASES[label]
+    checked = load_model(bundled_text(name))
+    trace = run(checked, env, seed, policy)
+    sent = {id(ev.msg) for ev in trace.events if ev.kind == EV_SENT}
+    served = [id(ev.msg) for ev in trace.events if ev.kind in (EV_SELECTED, EV_PURGED)]
+    assert served and set(served) <= sent and len(served) == len(set(served))
+    assert all((ev.msg is None) == (ev.kind not in (EV_SENT, EV_SELECTED, EV_PURGED))
+               for ev in trace.events)
+    selected = trace.selected()
+    decisions = trace_decisions(trace)
+    assert [d.message for d in decisions] == [ev.msg.key for ev in selected]
+    assert [d.message for d in decisions] == [
+        (ev.tt, ev.rebec, ev.method, ev.args, ev.sender, ev.dl) for ev in selected]
+    assert [d.choices for d in decisions] == [ev.choices for ev in selected]
+    bounds = ExploreBounds(horizon=policy.horizon, max_steps=policy.max_steps, max_states=1)
+    replayed = replay(explore(checked, env, bounds, deadline_check=policy.deadline_check),
+                      decisions)
+    # A run cut by its step budget replays as a partial path.
+    assert replayed.events[:-1] == trace.events[:-1]
+    if trace.end_reason == END_HORIZON:
+        assert replayed.events == trace.events

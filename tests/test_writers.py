@@ -13,7 +13,8 @@ from conftest import TICKET_ENV, bundled_text
 from gen import generate_model
 from test_golden import BUNDLED_CASES, GENERATED_BOUNDS, GENERATED_SEEDS, RUN_CASES, run_trace
 from trebeca.explorer import Decision, Edge, ExploreBounds, ExploreResult, Node, explore
-from trebeca.model import EV_ENDED, EV_SELECTED, TraceEvent
+from trebeca.model import (EV_ENDED, EV_PURGED, EV_SELECTED, EV_SENT, NEVER, Message, RebecRef,
+                           TraceEvent)
 from trebeca.parser import load_model, validate_model
 from trebeca.scheduler import SchedulePolicy, Trace, run
 
@@ -224,3 +225,23 @@ def test_strings_are_escaped_as_json_dumps_escapes_them():
         root_events=(), truncated=True,
     )
     assert_writers_match(result)
+
+
+def test_message_events_are_written_from_their_message():
+    odd = 'q"b\\s/\n\t\x01é€😀'
+    messages = [Message(odd, odd, (), odd, 0, NEVER),
+                Message("r", f"m{odd}", (1, True, RebecRef(odd)), f"{odd}s", 2**63 - 1, NEVER),
+                Message(f"{odd}r", "m", (-3,), "s", 4, 9)]
+    events = []
+    for msg in messages:
+        events += [msg.event(EV_SENT, 0), msg.event(EV_SELECTED, msg.tt, ((odd, 2, 1),)),
+                   msg.event(EV_PURGED, 12)]
+    expected = "".join(
+        json.dumps({"step": step, "kind": ev.kind, "time": ev.time, "rebec": msg.receiver,
+                    "method": msg.method, "sender": msg.sender, "tt": msg.tt,
+                    "dl": "inf" if msg.dl == NEVER else str(msg.dl)},
+                   separators=(",", ":")) + "\n"
+        for step, (ev, msg) in enumerate(zip(events, [m for m in messages for _ in range(3)])))
+    trace = Trace(events=events)
+    assert trace.to_jsonl() == expected
+    assert_jsonl_matches(trace)
