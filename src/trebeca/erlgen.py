@@ -3,10 +3,13 @@
 Every reactive class becomes a module whose process walks three stages:
 wait for the known-rebec references, serve the initial message, then loop
 serving messages. Message sends become ``!`` expressions tagged with
-``{Sender, SendTime, Deadline}``; sends with an ``after`` offset spawn a
-helper that sleeps in an empty receive before sending; ``delay(t)``
-becomes an empty receive with a timeout. The emitted text is validated by
-golden files and a structural scan, not by compiling it.
+``{Sender, SendTime, Deadline}``; a send with an ``after`` offset binds its
+own ``Sender_N = self()`` right before it spawns a helper that sleeps in an
+empty receive and then sends as ``Sender_N``; ``delay(t)`` becomes an empty
+receive with a timeout. Every variable spelled from a Rebeca name is the
+name capitalized, then ``_``, then a number that no other variable of its
+module has, so no clause binds a variable twice. The emitted text is
+validated by golden files and a structural scan, not by compiling it.
 """
 from __future__ import annotations
 
@@ -76,11 +79,11 @@ def _atom(name: str) -> str:
     return f"'{name}'"
 
 
-def _var(name: str) -> str:
-    v = name[0].upper() + name[1:]
-    if v in ("From", "SendTime", "Deadline", "Sender", "KnownRebecs", "StateVars"):
-        return "V" + v
-    return v
+def _var(name: str, number: int) -> str:
+    """The variable of a Rebeca name: capitalized, then ``_`` and a number
+    that no other variable of the module has. No fixed variable (``From``,
+    ``StateVars``, ...) ends in ``_`` and digits."""
+    return f"{name[:1].upper()}{name[1:]}_{number}"
 
 
 _BINOPS = {
@@ -157,18 +160,12 @@ class _ClassEmitter:
         self.statevars = _atom(f"{name.lower()}_statevars")
         self.fun = _atom(name[0].lower() + name[1:])  # the stage functions
         self.counter = 0
-        self.param_vars: set[str] = set()  # the variables of the method's parameters
         self.lines: list[str] = []
-        self.sender_bound = False  # whether the method's body has bound Sender
 
-    def fresh(self, base: str) -> str:
-        """A variable that no earlier statement of the class has bound and no
-        parameter of the method takes (``size1`` is ``Size1`` too)."""
-        while True:
-            self.counter += 1
-            name = f"{base}{self.counter}"
-            if name not in self.param_vars:
-                return name
+    def fresh(self, name: str) -> str:
+        """A variable for ``name`` that no other of the module has."""
+        self.counter += 1
+        return _var(name, self.counter)
 
     # -- expressions -------------------------------------------------------
     # A scope maps each local to the Erlang variable that holds it now, and
@@ -186,21 +183,9 @@ class _ClassEmitter:
             return f"KnownRebecs#{self.knownrebecs}.{_atom(name)}"
         return _env(name)  # the checker rejects any other name
 
-    def target(self, stmt: SendStmt, scope: dict[str, str]) -> str:
-        if stmt.target == "self":
-            return "self()"
-        if stmt.target in self.info.known_types:
-            return f"KnownRebecs#{self.knownrebecs}.{_atom(stmt.target)}"
-        return scope[stmt.target]  # a rebec-valued local, as the checker requires
-
     # -- statements ----------------------------------------------------------
 
     def stmt(self, s: Stmt, scope: dict[str, str], indent: str) -> None:
-        # An after-send's helper sends as Sender; bind it before the first
-        # statement that holds one, so that it is visible after any branch.
-        if not self.sender_bound and _has_after_send(s):
-            self.lines.append(f"{indent}Sender = self(),")
-            self.sender_bound = True
         if isinstance(s, Assign):
             value = self.expr(s.value, scope)
             if s.name in self.info.state_types:
@@ -210,7 +195,7 @@ class _ClassEmitter:
                     f"#{self.statevars}{{{_atom(s.name)} = {value}}},")
                 scope[_STATEVARS] = nxt
             else:
-                nxt = scope[s.name] = self.fresh(_var(s.name))
+                nxt = scope[s.name] = self.fresh(s.name)
                 self.lines.append(f"{indent}{nxt} = {value},")
         elif isinstance(s, DelayStmt):
             self.lines.append(f"{indent}receive after {self.expr(s.amount, scope)} -> ok end,")
@@ -222,7 +207,8 @@ class _ClassEmitter:
             self.if_stmt(s, scope, indent)
 
     def send(self, s: SendStmt, scope: dict[str, str], indent: str) -> None:
-        target, tag = self.target(s, scope), _atom(s.method)
+        target = "self()" if s.target == "self" else self.ref(s.target, scope)
+        tag = _atom(s.method)
         args = "".join(f", {self.expr(a, scope)}" for a in s.args)
         if s.deadline is not None:
             dl = f"now() + {self.expr(s.deadline, scope)}"
@@ -231,13 +217,15 @@ class _ClassEmitter:
         if s.after is None:
             self.lines.append(f"{indent}{target} ! {{{{self(), now(), {dl}}}, {tag}{args}}},")
             return
+        # Inside the spawned helper self() is the helper, not the rebec.
+        sender = self.fresh("Sender")
         if s.target == "self":
-            # Inside the spawned helper self() is the helper, not the rebec.
-            target = "Sender"
+            target = sender
         after = self.expr(s.after, scope)
+        self.lines.append(f"{indent}{sender} = self(),")
         self.lines.append(f"{indent}spawn(fun() ->")
         self.lines.append(f"{indent}    receive after {after} ->")
-        self.lines.append(f"{indent}        {target} ! {{{{Sender, now(), {dl}}}, {tag}{args}}}")
+        self.lines.append(f"{indent}        {target} ! {{{{{sender}, now(), {dl}}}, {tag}{args}}}")
         self.lines.append(f"{indent}    end")
         self.lines.append(f"{indent}end),")
 
@@ -255,7 +243,7 @@ class _ClassEmitter:
                           if then_scope[name] != scope.get(name)
                           or else_scope[name] != scope.get(name))
         if threaded:
-            joins = [self.fresh("StateVars" if name == _STATEVARS else _var(name))
+            joins = [self.fresh("StateVars" if name == _STATEVARS else name)
                      for name in threaded]
             head = f"{_joined(joins)} = "
             ret_then = _joined([then_scope[name] for name in threaded])
@@ -301,8 +289,9 @@ class _ClassEmitter:
         out.append("%% Stage 1: wait for references to the known rebecs.")
         out.append(f"{fun}() ->")
         out.append("    receive")
-        pattern = "{" + ", ".join(_var(d.name) for d in cls.known_decls) + "}"
-        fields = ", ".join(f"{_atom(d.name)} = {_var(d.name)}" for d in cls.known_decls)
+        known = [(_atom(d.name), self.fresh(d.name)) for d in cls.known_decls]
+        pattern = "{" + ", ".join(var for _, var in known) + "}"
+        fields = ", ".join(f"{field} = {var}" for field, var in known)
         out.append(f"        {pattern} ->")
         out.append(f"            {fun}(#{self.knownrebecs}{{{fields}}})")
         out.append("    end.")
@@ -331,21 +320,21 @@ class _ClassEmitter:
 
     def initial_match(self, initial: Optional[MethodInfo], arity: int) -> str:
         fun = self.fun
-        init_fields = [d.name for d in self.cls.state_decls[:arity]]
-        extra = "".join(f", {_var(n)}Init" for n in init_fields)
+        inits = [(_atom(d.name), self.fresh(d.name)) for d in self.cls.state_decls[:arity]]
+        extra = "".join(f", {var}" for _, var in inits)
         lines = [f"        {{{{From, SendTime, Deadline}}, initial{extra}}} ->"]
-        record_fields = ", ".join(f"{_atom(n)} = {_var(n)}Init" for n in init_fields)
+        record_fields = ", ".join(f"{field} = {var}" for field, var in inits)
         lines.append(f"            StateVars = #{self.statevars}{{{record_fields}}},")
         scope = {_STATEVARS: "StateVars"}
         if initial is not None:  # main's rebecs take a parameterless initial
-            self.sender_bound, self.param_vars = False, set()
             lines.extend(self.body_lines(initial.definition.body, scope, "            "))
         lines.append(f"            {fun}(KnownRebecs, {scope[_STATEVARS]})")
         return "\n".join(lines)
 
     def serve_match(self, method: MethodDef) -> str:
         fun = self.fun
-        params = "".join(f", {_var(p.name)}" for p in method.params)
+        scope = {p.name: self.fresh(p.name) for p in method.params}
+        params = "".join(f", {scope[p.name]}" for p in method.params)
         lines = [f"        {{{{From, SendTime, Deadline}}, {_atom(method.name)}{params}}} ->"]
         lines.append("            %% The deadline is checked right before the body runs;")
         lines.append("            %% an expired message is purged unserved.")
@@ -353,21 +342,11 @@ class _ClassEmitter:
         lines.append("                false ->")
         lines.append(f"                    {fun}(KnownRebecs, StateVars);")
         lines.append("                true ->")
-        scope = {p.name: _var(p.name) for p in method.params}
-        self.param_vars = set(scope.values())
         scope[_STATEVARS] = "StateVars"
-        self.sender_bound = False
         lines.extend(self.body_lines(method.body, scope, "                    "))
         lines.append(f"                    {fun}(KnownRebecs, {scope[_STATEVARS]})")
         lines.append("            end")
         return "\n".join(lines)
-
-
-def _has_after_send(s: Stmt) -> bool:
-    """Whether ``s`` is, or has in a branch, a send with an ``after`` offset."""
-    if isinstance(s, IfStmt):
-        return any(map(_has_after_send, s.then_body + (s.else_body or [])))
-    return isinstance(s, SendStmt) and s.after is not None
 
 
 def emit(checked: CheckedModel) -> EmittedProgram:
@@ -378,7 +357,8 @@ def emit(checked: CheckedModel) -> EmittedProgram:
                                       next(iter(checked.new_targets.values())))
     files: dict[str, str] = {}
     # A class's module file may not overwrite another module's, nor take the
-    # name of a standard module that emitted code calls.
+    # name of a standard module that emitted code calls; its stage functions
+    # may not take the name of start/0 or now/0.
     taken = {"main.erl", "lists.erl", "rand.erl", "erlang.erl"}
     if checked.model.env_decls:
         taken.add("env.erl")
@@ -387,9 +367,12 @@ def emit(checked: CheckedModel) -> EmittedProgram:
         if fname in taken or fname in files:
             raise UnsupportedFeatureError(f"class {cls.name!r}, whose module file {fname}"
                                           " is already taken", cls.pos)
+        emitter = _ClassEmitter(checked.classes[cls.name])
+        if emitter.fun in ("start", "now"):
+            raise UnsupportedFeatureError(f"class {cls.name!r}, whose stage functions would"
+                                          f" clash with {emitter.fun}/0", cls.pos)
         arities = sorted({len(inst.init_args) for inst in checked.model.main
                           if inst.class_name == cls.name})
-        emitter = _ClassEmitter(checked.classes[cls.name])
         files[fname] = emitter.emit_module(arities)
 
     if checked.model.env_decls:
@@ -416,15 +399,15 @@ def _emit_main(checked: CheckedModel) -> str:
     out.append("%% Spawn every rebec, wire the known rebecs, kick off the initial")
     out.append("%% messages.")
     out.append("main() ->")
-    body = []
-    for inst in checked.model.main:
-        body.append(f"    {_var(inst.name)} = {_atom(inst.class_name.lower())}:start(),")
-    for inst in checked.model.main:
-        knowns = ", ".join(_var(a) for a in inst.known_args)
-        body.append(f"    {_var(inst.name)} ! {{{knowns}}},")
-    for inst in checked.model.main:  # each initializer is a literal or an env variable
+    insts = checked.model.main
+    var = {inst.name: _var(inst.name, i) for i, inst in enumerate(insts, 1)}
+    for inst in insts:
+        out.append(f"    {var[inst.name]} = {_atom(inst.class_name.lower())}:start(),")
+    for inst in insts:
+        knowns = ", ".join(var[a] for a in inst.known_args)
+        out.append(f"    {var[inst.name]} ! {{{knowns}}},")
+    for inst in insts:  # each initializer is a literal or an env variable
         args = "".join(f", {_expr(a, _env)}" for a in inst.init_args)
-        body.append(f"    {_var(inst.name)} ! {{{{main, now(), inf}}, initial{args}}},")
-    body.append("    ok.")
-    out.extend(body)
+        out.append(f"    {var[inst.name]} ! {{{{main, now(), inf}}, initial{args}}},")
+    out.append("    ok.")
     return _module_text(out)

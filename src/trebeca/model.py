@@ -460,7 +460,8 @@ EV_ENDED = "run_ended"
 class TraceEvent:
     """A single observation made during simulation or exploration. The
     program builds one for ``rebec_created``, ``delay_executed`` and
-    ``run_ended``; a message's events are ``MessageEvent``s.
+    ``run_ended``; a message's events are ``MessageEvent``s, which alone
+    carry the message's arguments and a selection's choices.
 
     ``time`` is the logical time at which the event happened: for
     ``msg_selected`` that is max(tt, receiver clock) — the instant the
@@ -479,8 +480,6 @@ class TraceEvent:
     tt: Optional[int] = None
     dl: Optional[str] = None  # decimal string or "inf"
     reason: Optional[str] = None  # run_ended only
-    args: tuple[str, ...] = ()  # canonical arg values, not serialized
-    choices: tuple = ()  # msg_selected only: nondet decisions taken, not serialized
     msg = None  # a MessageEvent's message; readers test ``ev.msg`` on either kind
 
 

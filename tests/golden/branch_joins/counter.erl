@@ -11,8 +11,8 @@ start() ->
 %% Stage 1: wait for references to the known rebecs.
 counter() ->
     receive
-        {Out} ->
-            counter(#counter_knownrebecs{out = Out})
+        {Out_1} ->
+            counter(#counter_knownrebecs{out = Out_1})
     end.
 
 %% Stage 2: serve the initial message, then enter the serve loop.
@@ -22,8 +22,8 @@ counter(KnownRebecs) ->
             StateVars = #counter_statevars{},
             self() ! {{self(), now(), inf}, step, 1},
             counter(KnownRebecs, StateVars);
-        {{From, SendTime, Deadline}, initial, TotalInit} ->
-            StateVars = #counter_statevars{total = TotalInit},
+        {{From, SendTime, Deadline}, initial, Total_2} ->
+            StateVars = #counter_statevars{total = Total_2},
             self() ! {{self(), now(), inf}, step, 1},
             counter(KnownRebecs, StateVars)
     end.
@@ -31,54 +31,55 @@ counter(KnownRebecs) ->
 %% Stage 3: serve messages forever.
 counter(KnownRebecs, StateVars) ->
     receive
-        {{From, SendTime, Deadline}, step, N} ->
+        {{From, SendTime, Deadline}, step, N_3} ->
             %% The deadline is checked right before the body runs;
             %% an expired message is purged unserved.
             case (Deadline =:= inf) orelse (now() =< Deadline) of
                 false ->
                     counter(KnownRebecs, StateVars);
                 true ->
-                    Last1 = N,
-                    Sender = self(),
-                    {StateVars11, Last12, Size13} = case (N > 2) of
+                    Last_4 = N_3,
+                    {StateVars_15, Last_16, Size_17} = case (N_3 > 2) of
                         true ->
-                            Size2 = (N * 2),
-                            StateVars3 = StateVars#counter_statevars{total = (StateVars#counter_statevars.total + Size2)},
-                            Last4 = Size2,
-                            {StateVars7, Last8} = case StateVars3#counter_statevars.busy of
+                            Size_5 = (N_3 * 2),
+                            StateVars_6 = StateVars#counter_statevars{total = (StateVars#counter_statevars.total + Size_5)},
+                            Last_7 = Size_5,
+                            {StateVars_11, Last_12} = case StateVars_6#counter_statevars.busy of
                                 true ->
+                                    Sender_8 = self(),
                                     spawn(fun() ->
                                         receive after 3 ->
-                                            KnownRebecs#counter_knownrebecs.out ! {{Sender, now(), now() + 5}, done, Last4}
+                                            KnownRebecs#counter_knownrebecs.out ! {{Sender_8, now(), now() + 5}, done, Last_7}
                                         end
                                     end),
-                                    {StateVars3, Last4};
+                                    {StateVars_6, Last_7};
                                 false ->
-                                    StateVars5 = StateVars3#counter_statevars{busy = true},
-                                    Last6 = (Last4 + 1),
-                                    {StateVars5, Last6}
+                                    StateVars_9 = StateVars_6#counter_statevars{busy = true},
+                                    Last_10 = (Last_7 + 1),
+                                    {StateVars_9, Last_10}
                             end,
-                            {StateVars7, Last8, Size2};
+                            {StateVars_11, Last_12, Size_5};
                         false ->
-                            Size9 = 1,
-                            Spare10 = (N + 1),
-                            KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, Spare10},
-                            {StateVars, Last1, Size9}
+                            Size_13 = 1,
+                            Spare_14 = (N_3 + 1),
+                            KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, Spare_14},
+                            {StateVars, Last_4, Size_13}
                     end,
-                    StateVars15 = case (Size13 > 1) of
+                    StateVars_20 = case (Size_17 > 1) of
                         true ->
-                            StateVars14 = StateVars11#counter_statevars{total = (StateVars11#counter_statevars.total - 1)},
+                            StateVars_18 = StateVars_15#counter_statevars{total = (StateVars_15#counter_statevars.total - 1)},
+                            Sender_19 = self(),
                             spawn(fun() ->
-                                receive after Size13 ->
-                                    Sender ! {{Sender, now(), inf}, step, Last12}
+                                receive after Size_17 ->
+                                    Sender_19 ! {{Sender_19, now(), inf}, step, Last_16}
                                 end
                             end),
-                            StateVars14;
+                            StateVars_18;
                         false ->
-                            StateVars11
+                            StateVars_15
                     end,
-                    KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, StateVars15#counter_statevars.total},
-                    counter(KnownRebecs, StateVars15)
+                    KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, StateVars_20#counter_statevars.total},
+                    counter(KnownRebecs, StateVars_20)
             end
     end.
 

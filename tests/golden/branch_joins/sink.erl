@@ -26,7 +26,7 @@ sink(KnownRebecs) ->
 %% Stage 3: serve messages forever.
 sink(KnownRebecs, StateVars) ->
     receive
-        {{From, SendTime, Deadline}, done, V} ->
+        {{From, SendTime, Deadline}, done, V_1} ->
             %% The deadline is checked right before the body runs;
             %% an expired message is purged unserved.
             case (Deadline =:= inf) orelse (now() =< Deadline) of

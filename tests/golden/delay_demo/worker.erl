@@ -11,8 +11,8 @@ start() ->
 %% Stage 1: wait for references to the known rebecs.
 worker() ->
     receive
-        {Out} ->
-            worker(#worker_knownrebecs{out = Out})
+        {Out_1} ->
+            worker(#worker_knownrebecs{out = Out_1})
     end.
 
 %% Stage 2: serve the initial message, then enter the serve loop.
@@ -20,10 +20,10 @@ worker(KnownRebecs) ->
     receive
         {{From, SendTime, Deadline}, initial} ->
             StateVars = #worker_statevars{},
-            Sender = self(),
+            Sender_2 = self(),
             spawn(fun() ->
                 receive after 2 ->
-                    Sender ! {{Sender, now(), inf}, work}
+                    Sender_2 ! {{Sender_2, now(), inf}, work}
                 end
             end),
             worker(KnownRebecs, StateVars)
@@ -40,14 +40,14 @@ worker(KnownRebecs, StateVars) ->
                     worker(KnownRebecs, StateVars);
                 true ->
                     receive after 10 -> ok end,
-                    StateVars1 = StateVars#worker_statevars{done = 1},
-                    Sender = self(),
+                    StateVars_3 = StateVars#worker_statevars{done = 1},
+                    Sender_4 = self(),
                     spawn(fun() ->
                         receive after 15 ->
-                            KnownRebecs#worker_knownrebecs.out ! {{Sender, now(), now() + 4}, finished}
+                            KnownRebecs#worker_knownrebecs.out ! {{Sender_4, now(), now() + 4}, finished}
                         end
                     end),
-                    worker(KnownRebecs, StateVars1)
+                    worker(KnownRebecs, StateVars_3)
             end
     end.
 

@@ -11,8 +11,8 @@ start() ->
 %% Stage 1: wait for references to the known rebecs.
 agent() ->
     receive
-        {Ts1, Ts2} ->
-            agent(#agent_knownrebecs{ts1 = Ts1, ts2 = Ts2})
+        {Ts1_1, Ts2_2} ->
+            agent(#agent_knownrebecs{ts1 = Ts1_1, ts2 = Ts2_2})
     end.
 
 %% Stage 2: serve the initial message, then enter the serve loop.
@@ -27,39 +27,39 @@ agent(KnownRebecs) ->
 %% Stage 3: serve messages forever.
 agent(KnownRebecs, StateVars) ->
     receive
-        {{From, SendTime, Deadline}, findTicket, Which} ->
+        {{From, SendTime, Deadline}, findTicket, Which_3} ->
             %% The deadline is checked right before the body runs;
             %% an expired message is purged unserved.
             case (Deadline =:= inf) orelse (now() =< Deadline) of
                 false ->
                     agent(KnownRebecs, StateVars);
                 true ->
-                    StateVars1 = StateVars#agent_statevars{attemptCount = (StateVars#agent_statevars.attemptCount + 1)},
-                    StateVars2 = StateVars1#agent_statevars{token = (StateVars1#agent_statevars.token + 1)},
-                    case (Which =:= 1) of
+                    StateVars_4 = StateVars#agent_statevars{attemptCount = (StateVars#agent_statevars.attemptCount + 1)},
+                    StateVars_5 = StateVars_4#agent_statevars{token = (StateVars_4#agent_statevars.token + 1)},
+                    case (Which_3 =:= 1) of
                         true ->
-                            KnownRebecs#agent_knownrebecs.ts1 ! {{self(), now(), now() + env:requestDeadline()}, requestTicket, StateVars2#agent_statevars.token},
+                            KnownRebecs#agent_knownrebecs.ts1 ! {{self(), now(), now() + env:requestDeadline()}, requestTicket, StateVars_5#agent_statevars.token},
                             ok;
                         false ->
-                            KnownRebecs#agent_knownrebecs.ts2 ! {{self(), now(), now() + env:requestDeadline()}, requestTicket, StateVars2#agent_statevars.token},
+                            KnownRebecs#agent_knownrebecs.ts2 ! {{self(), now(), now() + env:requestDeadline()}, requestTicket, StateVars_5#agent_statevars.token},
                             ok
                     end,
-                    Sender = self(),
+                    Sender_6 = self(),
                     spawn(fun() ->
                         receive after env:checkIssuedPeriod() ->
-                            Sender ! {{Sender, now(), inf}, checkTicket}
+                            Sender_6 ! {{Sender_6, now(), inf}, checkTicket}
                         end
                     end),
-                    agent(KnownRebecs, StateVars2)
+                    agent(KnownRebecs, StateVars_5)
             end;
-        {{From, SendTime, Deadline}, replyTicket, Tok} ->
+        {{From, SendTime, Deadline}, replyTicket, Tok_7} ->
             %% The deadline is checked right before the body runs;
             %% an expired message is purged unserved.
             case (Deadline =:= inf) orelse (now() =< Deadline) of
                 false ->
                     agent(KnownRebecs, StateVars);
                 true ->
-                    case (Tok =:= StateVars#agent_statevars.token) of
+                    case (Tok_7 =:= StateVars#agent_statevars.token) of
                         true ->
                             self() ! {{self(), now(), inf}, ticketIssued},
                             ok;
@@ -84,25 +84,26 @@ agent(KnownRebecs, StateVars) ->
                 false ->
                     agent(KnownRebecs, StateVars);
                 true ->
-                    Sender = self(),
-                    StateVars4 = case (StateVars#agent_statevars.attemptCount =:= 1) of
+                    StateVars_11 = case (StateVars#agent_statevars.attemptCount =:= 1) of
                         true ->
+                            Sender_8 = self(),
                             spawn(fun() ->
                                 receive after env:retryRequestPeriod() ->
-                                    Sender ! {{Sender, now(), inf}, findTicket, 2}
+                                    Sender_8 ! {{Sender_8, now(), inf}, findTicket, 2}
                                 end
                             end),
                             StateVars;
                         false ->
-                            StateVars3 = StateVars#agent_statevars{attemptCount = 0},
+                            StateVars_9 = StateVars#agent_statevars{attemptCount = 0},
+                            Sender_10 = self(),
                             spawn(fun() ->
                                 receive after env:newRequestPeriod() ->
-                                    Sender ! {{Sender, now(), inf}, findTicket, 1}
+                                    Sender_10 ! {{Sender_10, now(), inf}, findTicket, 1}
                                 end
                             end),
-                            StateVars3
+                            StateVars_9
                     end,
-                    agent(KnownRebecs, StateVars4)
+                    agent(KnownRebecs, StateVars_11)
             end
     end.
 

@@ -11,8 +11,8 @@ start() ->
 %% Stage 1: wait for references to the known rebecs.
 ticketService() ->
     receive
-        {A} ->
-            ticketService(#ticketservice_knownrebecs{a = A})
+        {A_1} ->
+            ticketService(#ticketservice_knownrebecs{a = A_1})
     end.
 
 %% Stage 2: serve the initial message, then enter the serve loop.
@@ -26,7 +26,7 @@ ticketService(KnownRebecs) ->
 %% Stage 3: serve messages forever.
 ticketService(KnownRebecs, StateVars) ->
     receive
-        {{From, SendTime, Deadline}, requestTicket, Tok} ->
+        {{From, SendTime, Deadline}, requestTicket, Tok_2} ->
             %% The deadline is checked right before the body runs;
             %% an expired message is purged unserved.
             case (Deadline =:= inf) orelse (now() =< Deadline) of
@@ -34,7 +34,7 @@ ticketService(KnownRebecs, StateVars) ->
                     ticketService(KnownRebecs, StateVars);
                 true ->
                     receive after lists:nth(rand:uniform(2), [env:serviceTime1(), env:serviceTime2()]) -> ok end,
-                    KnownRebecs#ticketservice_knownrebecs.a ! {{self(), now(), inf}, replyTicket, Tok},
+                    KnownRebecs#ticketservice_knownrebecs.a ! {{self(), now(), inf}, replyTicket, Tok_2},
                     ticketService(KnownRebecs, StateVars)
             end
     end.

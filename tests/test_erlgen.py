@@ -57,10 +57,10 @@ def test_delay_form():
 def test_after_send_spawn_shape():
     worker = emit_files((GOLDEN / "delay_demo.rebeca").read_text())["worker.erl"]
     match = re.search(
-        r"Sender = self\(\),\n"
+        r"(Sender_\d+) = self\(\),\n"
         r"\s*spawn\(fun\(\) ->\n"
         r"\s*receive after 15 ->\n"
-        r"\s*.*! \{\{Sender, now\(\), now\(\) \+ 4\}, finished\}\n"
+        r"\s*.*! \{\{\1, now\(\), now\(\) \+ 4\}, finished\}\n"
         r"\s*end\n"
         r"\s*end\),",
         worker,
@@ -150,8 +150,8 @@ reactiveclass B { knownrebecs {} statevars { int w; } msgsrv initial() {} }
 main { A a(b):(x); B b():(x); }
 """
     main = emit_files(src)["main.erl"]
-    assert "A ! {{main, now(), inf}, initial, env:x()}," in main
-    assert "B ! {{main, now(), inf}, initial, env:x()}," in main
+    assert "A_1 ! {{main, now(), inf}, initial, env:x()}," in main
+    assert "B_2 ! {{main, now(), inf}, initial, env:x()}," in main
     assert "KnownRebecs" not in main
 
 
@@ -195,14 +195,14 @@ def test_names_that_read_otherwise_in_erlang_are_quoted_atoms():
                  "-record(case_knownrebecs, {'Peer'}).",
                  "-record(case_statevars, {'End' = 0}).",
                  "self() ! {{self(), now(), inf}, 'Go', env:'Rate'()},",
-                 "{{From, SendTime, Deadline}, 'Go', N} ->",
+                 "{{From, SendTime, Deadline}, 'Go', N_2} ->",
                  "self() ! {{self(), now(), inf}, 'end'},",
                  "{{From, SendTime, Deadline}, 'end'} ->",
-                 "StateVars#case_statevars{'End' = (StateVars#case_statevars.'End' + N)}",
-                 "KnownRebecs#case_knownrebecs.'Peer' ! {{Sender, now(), inf}, 'Go', 1}"):
+                 "StateVars#case_statevars{'End' = (StateVars#case_statevars.'End' + N_2)}",
+                 "KnownRebecs#case_knownrebecs.'Peer' ! {{Sender_4, now(), inf}, 'Go', 1}"):
         assert text in case, text
     assert "-export(['Rate'/0])." in env and "\n'Rate'() -> 0." in env
-    assert "C = 'case':start()," in main
+    assert "C_1 = 'case':start()," in main
 
 
 @pytest.mark.parametrize("source, message", [
@@ -216,7 +216,13 @@ def test_names_that_read_otherwise_in_erlang_are_quoted_atoms():
     ("env int k;\nreactiveclass Env { knownrebecs {} statevars {} msgsrv initial() {} }\n"
      "main { Env e():(); }",
      "class 'Env', whose module file env.erl is already taken at 2:15"),
-], ids=["main", "same-lower-case", "env"])
+    # Stage functions named start or now would clash with start/0 or now/0;
+    # a class cannot be named now, a keyword of Rebeca.
+    *[(f"reactiveclass {name} {{ knownrebecs {{}} statevars {{}} msgsrv initial() {{}} }}\n"
+       f"main {{ {name} r():(); }}",
+       f"class {name!r}, whose stage functions would clash with {name.lower()}/0 at 1:15")
+      for name in ("Start", "start", "Now")],
+], ids=["main", "same-lower-case", "env", "stage-Start", "stage-start", "stage-Now"])
 def test_a_class_whose_module_file_is_taken_is_refused(source, message, tmp_path):
     with pytest.raises(UnsupportedFeatureError) as exc:
         emit(load_model(source))
@@ -228,18 +234,37 @@ def test_a_class_whose_module_file_is_taken_is_refused(source, message, tmp_path
 
 
 def _bindings(clause: str) -> list[str]:
-    """The variables a serve clause binds: its parameters, then every
-    ``Var = ...`` match and every variable of a tuple match, in order."""
-    head = re.match(r"\s*\{\{From, SendTime, Deadline\}, \w+((?:, \w+)*)\} ->", clause)
-    bound = [p for p in head.group(1).split(", ") if p]
-    for lhs in re.findall(r"^\s*(\{[A-Z][\w, ]*\}|[A-Z]\w*) = ", clause, re.M):
+    """The variables a clause binds, in order: those of its receive pattern
+    (its first line, when that ends in ``->``), then every ``Var = ...``
+    match and every variable of a tuple match. ``_`` binds nothing."""
+    head, _, body = clause.lstrip().partition("\n")
+    if not head.endswith(" ->"):
+        head, body = "", clause
+    bound = re.findall(r"(?<![\w'])[A-Z_]\w*", re.sub(r"'[^']*'", "", head))
+    for lhs in re.findall(r"^\s*(\{[A-Z_][\w, ]*\}|[A-Z_]\w*) = ", body, re.M):
         bound += lhs.strip("{}").split(", ")
-    return bound
+    return [v for v in bound if v != "_"]
+
+
+def _clauses(text: str):
+    """(variables bound by the function head, clause) for every receive
+    clause of a module's stage functions and for main/0's body."""
+    for block in text.split("\n\n"):
+        head = re.search(r"^\S.*\((.*)\) ->$", block, re.M)
+        if head is None:
+            continue
+        params = re.findall(r"[A-Z_]\w*", head.group(1))
+        body = block[head.end() + 1:]
+        if body.startswith("    receive\n"):
+            for clause in re.split(r"^(?=        \S)", body, flags=re.M)[1:]:
+                yield params, clause
+        elif head.group(0).startswith("main()"):
+            yield params, body
 
 
 @pytest.mark.parametrize("param, body, params_var", [
-    ("size1", "size = size1 + 1; total = size; t = total;", "Size1"),
-    ("stateVars1", "t = stateVars1 + 1; if (t > 2) { t = 0; } else { t = 1; }", "StateVars1"),
+    ("size1", "size = size1 + 1; total = size; t = total;", "Size1_1"),
+    ("stateVars1", "t = stateVars1 + 1; if (t > 2) { t = 0; } else { t = 1; }", "StateVars1_1"),
 ], ids=["local", "statevars"])
 def test_a_parameter_and_a_fresh_variable_never_share_a_name(param, body, params_var):
     source = ("reactiveclass A { knownrebecs {} statevars { int t; }\n"
@@ -248,7 +273,7 @@ def test_a_parameter_and_a_fresh_variable_never_share_a_name(param, body, params
     text = emit_files(source)["a.erl"]
     clause = text[text.index("{{From, SendTime, Deadline}, go"):]
     bound = _bindings(clause)
-    assert bound[0] == params_var
+    assert bound[:4] == ["From", "SendTime", "Deadline", params_var]
     assert len(bound) == len(set(bound)), bound
 
 
@@ -264,3 +289,53 @@ def test_a_class_named_after_a_called_standard_module_is_refused(name, tmp_path)
     model.write_text(source)
     assert main_cli(["emit", str(model), "--out", str(tmp_path / "o")]) == 4
     assert not (tmp_path / "o").exists()
+
+
+def _class_model(params: str, body: str) -> str:
+    return ("reactiveclass A { knownrebecs {} statevars {}\n"
+            "  msgsrv initial() { self.go(1, 2); }\n"
+            f"  msgsrv go({params}) {{ {body} }} }}\nmain {{ A a():(); }}")
+
+
+# One model per way that spelling a variable from a Rebeca name could give
+# two bindings one variable.
+CLASHING_NAMES = {
+    "parameters from and vFrom": _class_model("int from, int vFrom", ""),
+    "parameters x and X": _class_model("int x, int X", ""),
+    "parameter _": _class_model("int _, int y", "y = _ + 1;"),
+    "local x1, then x": _class_model("int a, int b", "x1 = 0; " + "y = 1; " * 9 + "x = 1;"),
+    "known rebecs and initializers": (
+        "reactiveclass A { knownrebecs { A peer; A Peer; } statevars { int x; int X; }\n"
+        "  msgsrv initial() {} }\nmain { A a(a, a):(1, 2); }"),
+    "main instances a and A": (
+        "reactiveclass B { knownrebecs {} statevars {} msgsrv initial() {} }\n"
+        "main { B a():(); B A():(); }"),
+}
+
+
+@pytest.mark.parametrize("label", [*CLASHING_NAMES, "emitted corpus"])
+def test_every_clause_binds_each_variable_once(label):
+    if label == "emitted corpus":
+        programs = [(label, files) for label, _, files in emitted_corpus()]
+    else:
+        programs = [(label, emit_files(CLASHING_NAMES[label]))]
+    for label, files in programs:
+        for fname, text in files.items():
+            # The anonymous variable only discards now(); as a parameter it
+            # would leave the body reading an unbound variable.
+            assert len(re.findall(r"(?<![\w'])_(?![\w'])", text)) == \
+                text.count("_ = now(),"), (label, fname)
+            clauses = list(_clauses(text))
+            if fname != "env.erl":  # main/0, or stage 1 and at least one initial
+                assert len(clauses) >= (1 if fname == "main.erl" else 2), (label, fname)
+            for params, clause in clauses:
+                bound = params + _bindings(clause)
+                assert len(bound) == len(set(bound)), (label, fname, bound)
+
+
+def test_no_module_defines_a_function_twice():
+    for label, _, files in emitted_corpus():
+        for fname, text in files.items():
+            defined = [(name, len(re.findall(r"[^, ]+", args))) for name, args in
+                       re.findall(r"^([a-z'][\w']*)\(([^)]*)\) ->", text, re.M)]
+            assert len(defined) == len(set(defined)), (label, fname, defined)
