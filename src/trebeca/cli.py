@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import erlgen, monitors
 from .explorer import ExploreBounds, explore
@@ -134,10 +134,13 @@ def _collect_env(args) -> dict:
     return bindings
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, pieces: Iterable[str]) -> None:
+    """Write a document piece by piece, so its whole text is never held;
+    a failed write can leave a partial file."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:  # as Path.write_text opens it
+            fh.writelines(pieces)
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         raise _Failed(EXIT_IO) from exc
@@ -184,7 +187,7 @@ def cmd_run(args) -> int:
         print(f"{args.model}: runtime error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
     if args.trace:
-        _write_file(args.trace, trace.to_jsonl())
+        _write_file(args.trace, trace.jsonl_pieces())
     print(f"run ended: reason={trace.end_reason} events={len(trace.events)}",
           file=sys.stderr)
     if spec is None:
@@ -219,9 +222,9 @@ def cmd_explore(args) -> int:
     for branch in result.error_branches:
         print(f"{args.model}: runtime error: {branch.message}", file=sys.stderr)
     if args.graph:
-        _write_file(args.graph, result.to_json())
+        _write_file(args.graph, result.json_pieces())
     if args.dot:
-        _write_file(args.dot, result.to_dot())
+        _write_file(args.dot, result.dot_pieces())
     code = EXIT_OK
     if spec is not None:
         verdict = monitors.check_graph(result, spec)
@@ -366,7 +369,7 @@ def cmd_sweep(args) -> int:
                                           *[""] * len(clause_names), ""])
                         continue
                     rel = f"traces/point{index:04d}_seed{seed:04d}.jsonl"
-                    (out_dir / rel).write_text(trace.to_jsonl(), encoding="utf-8")
+                    _write_file(str(out_dir / rel), trace.jsonl_pieces())
                     statuses = ([c.status for c in monitors.check_trace(trace, spec).clauses]
                                 if spec else [])
                     for count, status in zip(counts, statuses):

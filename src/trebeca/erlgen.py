@@ -4,8 +4,9 @@ Every reactive class becomes a module whose process walks three stages:
 wait for the known-rebec references, serve the initial message, then loop
 serving messages. Message sends become ``!`` expressions tagged with
 ``{Sender, SendTime, Deadline}``; a send with an ``after`` offset binds its
-own ``Sender_N = self()`` right before it spawns a helper that sleeps in an
-empty receive and then sends as ``Sender_N``; ``delay(t)`` becomes an empty
+computed arguments, its deadline and its own ``Sender_N = self()`` right
+before it spawns a helper that sleeps in an empty receive and then sends
+them as ``Sender_N``; ``delay(t)`` becomes an empty
 receive with a timeout. Every variable spelled from a Rebeca name is the
 name capitalized, then ``_``, then a number that no other variable of its
 module has, so no clause binds a variable twice. The emitted text is
@@ -209,25 +210,41 @@ class _ClassEmitter:
     def send(self, s: SendStmt, scope: dict[str, str], indent: str) -> None:
         target = "self()" if s.target == "self" else self.ref(s.target, scope)
         tag = _atom(s.method)
-        args = "".join(f", {self.expr(a, scope)}" for a in s.args)
-        if s.deadline is not None:
-            dl = f"now() + {self.expr(s.deadline, scope)}"
-        else:
-            dl = "inf"
         if s.after is None:
+            args = "".join(f", {self.expr(a, scope)}" for a in s.args)
+            dl = "inf" if s.deadline is None else f"now() + {self.expr(s.deadline, scope)}"
             self.lines.append(f"{indent}{target} ! {{{{self(), now(), {dl}}}, {tag}{args}}},")
             return
+        # The simulator fixes a send's arguments and deadline when the send
+        # statement runs, so they are bound here, not computed in the helper
+        # after its sleep.
+        args = "".join([f", {self.at_send(a, 'Arg', scope, indent)}" for a in s.args])
+        dl = "inf"
+        if s.deadline is not None:
+            dl = self.fresh("Deadline")
+            self.lines.append(f"{indent}{dl} = now() + {self.expr(s.deadline, scope)},")
+        after = self.at_send(s.after, "After", scope, indent)
         # Inside the spawned helper self() is the helper, not the rebec.
         sender = self.fresh("Sender")
         if s.target == "self":
             target = sender
-        after = self.expr(s.after, scope)
         self.lines.append(f"{indent}{sender} = self(),")
         self.lines.append(f"{indent}spawn(fun() ->")
         self.lines.append(f"{indent}    receive after {after} ->")
         self.lines.append(f"{indent}        {target} ! {{{{{sender}, now(), {dl}}}, {tag}{args}}}")
         self.lines.append(f"{indent}    end")
         self.lines.append(f"{indent}end),")
+
+    def at_send(self, e: Expr, name: str, scope: dict[str, str], indent: str) -> str:
+        """The text of ``e`` for a spawned helper to read: a literal or a
+        name reads the same there, any other expression is bound to a fresh
+        variable here (``now()``, ``?(...)`` and ``self()`` would not)."""
+        text = self.expr(e, scope)
+        if isinstance(e, (IntLit, BoolLit, VarRef, SenderExpr)):
+            return text
+        var = self.fresh(name)
+        self.lines.append(f"{indent}{var} = {text},")
+        return var
 
     def if_stmt(self, s: IfStmt, scope: dict[str, str], indent: str) -> None:
         cond = self.expr(s.cond, scope)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .interp import ExecError, Resolver
 from .model import (
@@ -138,72 +138,84 @@ class ExploreResult:
             out[e.src].append(e)
         return out
 
-    def to_json(self) -> str:
+    def json_pieces(self) -> Iterator[str]:
         """The graph document (README "Graph JSON") exactly as
-        ``json.dumps(doc, indent=2)`` writes it, without building ``doc``."""
-        nodes = [
-            f'    {{\n      "id": {i},\n      "key": {json_str(n.key)},\n'
-            f'      "depth": {n.depth},\n      "earliest_time": {n.earliest_time},\n'
-            f'      "terminal": {json_str(n.terminal)}\n    }}'
-            for i, n in enumerate(self.nodes)
-        ]
+        ``json.dumps(doc, indent=2)`` writes it, in pieces, without
+        building ``doc``: a header, one piece per node, and per edge its own
+        fields followed by its decision's block."""
+        bounds = self.bounds
+        yield (f'{{\n  "root": 0,\n  "truncated": {"true" if self.truncated else "false"},\n'
+               f'  "bounds": {{\n    "horizon": {json_int(bounds.horizon)},\n'
+               f'    "max_steps": {json_int(bounds.max_steps)},\n'
+               f'    "max_states": {json_int(bounds.max_states)}\n  }},\n  "nodes": ')
+        # Each item starts with what separates it from the one before.
+        sep = "[\n"
+        for i, n in enumerate(self.nodes):
+            yield (f'{sep}    {{\n      "id": {i},\n      "key": {json_str(n.key)},\n'
+                   f'      "depth": {n.depth},\n      "earliest_time": {n.earliest_time},\n'
+                   f'      "terminal": {json_str(n.terminal)}\n    }}')
+            sep = ",\n"
+        yield ("\n  ]" if self.nodes else "[]") + ',\n  "edges": '
         # Memo hits share their Decision objects, so each block is written
-        # once per object; the edges keep every decision alive meanwhile.
+        # once per object and handed on by reference for every edge that
+        # shares it; the edges keep every decision alive meanwhile.
         blocks: dict[int, str] = {}
-        edges = []
+        sep = "[\n"
         for e in self.edges:
             block = blocks.get(id(e.decision))
             if block is None:
                 block = blocks[id(e.decision)] = _decision_json(e.decision)
-            edges.append(f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
-                         f'      "time": {e.time},\n{block}')
+            yield (f'{sep}    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
+                   f'      "time": {e.time},\n')
+            yield block
+            sep = ",\n"
+        yield "\n  ]" if self.edges else "[]"
         # Only a graph with faults has the member, so fault-free graphs keep
         # their bytes.
-        errors = [f'    {{\n      "src": {b.src},\n      "error": {json_str(b.message)},\n'
-                  f'{_decision_json(b.decision)}' for b in self.error_branches]
-        return (
-            f'{{\n  "root": 0,\n  "truncated": {"true" if self.truncated else "false"},\n'
-            f'  "bounds": {{\n    "horizon": {json_int(self.bounds.horizon)},\n'
-            f'    "max_steps": {json_int(self.bounds.max_steps)},\n'
-            f'    "max_states": {json_int(self.bounds.max_states)}\n  }},\n'
-            f'  "nodes": {_json_array(nodes, "  ")},\n'
-            f'  "edges": {_json_array(edges, "  ")}'
-            + (f',\n  "error_branches": {_json_array(errors, "  ")}' if errors else "")
-            + "\n}\n"
-        )
+        if self.error_branches:
+            sep = ',\n  "error_branches": [\n'
+            for b in self.error_branches:
+                yield f'{sep}    {{\n      "src": {b.src},\n      "error": {json_str(b.message)},\n'
+                yield _decision_json(b.decision)
+                sep = ",\n"
+            yield "\n  ]"
+        yield "\n}\n"
 
-    def to_dot(self) -> str:
-        lines = ["digraph exploration {"]
+    def to_json(self) -> str:
+        """The graph document as one string: ``json_pieces`` joined."""
+        return "".join(self.json_pieces())
+
+    def dot_pieces(self) -> Iterator[str]:
+        """The Graphviz rendering of the graph, one line per piece."""
+        yield "digraph exploration {\n"
         for i, n in enumerate(self.nodes):
             shape = "doublecircle" if n.terminal else "circle"
             label = f"{i}" + (f"\\n{n.terminal}" if n.terminal else "")
-            lines.append(f'  n{i} [shape={shape}, label="{label}"];')
+            yield f'  n{i} [shape={shape}, label="{label}"];\n'
         for e in self.edges:
             tt, receiver, method = e.decision.message[:3]
-            lines.append(f'  n{e.src} -> n{e.dst} [label="{receiver}.{method}@{tt}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  n{e.src} -> n{e.dst} [label="{receiver}.{method}@{tt}"];\n'
+        yield "}\n"
+
+    def to_dot(self) -> str:
+        """The Graphviz rendering as one string: ``dot_pieces`` joined."""
+        return "".join(self.dot_pieces())
 
 
 def _decision_json(decision: Decision) -> str:
     """An edge's or error branch's ``"message"`` and ``"choices"`` members
     and its closing brace."""
     tt, receiver, method, args, sender, dl = decision.message
-    arg_items = [f"          {json_str(a)}" for a in args]
-    choice_items = [
+    args_json = ("[\n" + ",\n".join(f"          {json_str(a)}" for a in args) + "\n        ]"
+                 if args else "[]")
+    choices_json = ("[\n" + ",\n".join(
         f"        [\n          {json_str(site)},\n          {arity},\n"
-        f"          {idx}\n        ]"
-        for site, arity, idx in decision.choices
-    ]
+        f"          {idx}\n        ]" for site, arity, idx in decision.choices) + "\n      ]"
+        if decision.choices else "[]")
     return (f'      "message": [\n        {tt},\n        {json_str(receiver)},\n'
-            f'        {json_str(method)},\n        {_json_array(arg_items, "        ")},\n'
+            f'        {json_str(method)},\n        {args_json},\n'
             f'        {json_str(sender)},\n        {json_str(dl)}\n      ],\n'
-            f'      "choices": {_json_array(choice_items, "      ")}\n    }}')
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """A JSON array of written, indented items; ``pad`` indents its ``]``."""
-    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+            f'      "choices": {choices_json}\n    }}')
 
 
 class StalePathError(Exception):

@@ -11,7 +11,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as escape
-from typing import Optional
+from typing import Iterator, Optional
 
 from .interp import Resolver, exec_method, make_rebec_env
 from .model import (
@@ -51,7 +51,7 @@ END_PARTIAL = "partial"
 END_TRUNCATED = "truncated"
 TRUNCATED_REASONS = frozenset({END_HORIZON, END_MAX_STEPS, END_PARTIAL, END_TRUNCATED})
 
-_JSONL_BLOCK = 256  # trace lines that Trace.to_jsonl joins at a time
+_JSONL_BLOCK = 256  # trace lines in one piece of Trace.jsonl_pieces
 
 
 def require_bounds(missing: str, **bounds: Optional[int]) -> None:
@@ -96,13 +96,13 @@ class Trace:
     def selected(self) -> list[MessageEvent]:
         return [ev for ev in self.events if ev.kind == EV_SELECTED]
 
-    def to_jsonl(self) -> str:
+    def jsonl_pieces(self) -> Iterator[str]:
         """One JSON object per event, fields in fixed order, exactly as
         ``json.dumps(record, separators=(",", ":"))`` writes it; only
-        ``run_ended`` adds its ``reason``."""
-        # A block of lines at a time: a whole trace's lines, each an object
-        # of its own, would take more memory than the text they join into.
-        events, blocks = self.events, []
+        ``run_ended`` adds its ``reason``. Each piece is a block of lines:
+        a whole trace's lines, each an object of its own, would take more
+        memory than the text they join into."""
+        events = self.events
         for first in range(0, len(events), _JSONL_BLOCK):
             lines = []
             for step, ev in enumerate(events[first:first + _JSONL_BLOCK], first):
@@ -122,8 +122,11 @@ class Trace:
                 if ev.kind == EV_ENDED:
                     line += f',"reason":{json_str(ev.reason)}'
                 lines.append(line + "}\n")
-            blocks.append("".join(lines))
-        return "".join(blocks)
+            yield "".join(lines)
+
+    def to_jsonl(self) -> str:
+        """The JSON Lines trace as one string: ``jsonl_pieces`` joined."""
+        return "".join(self.jsonl_pieces())
 
 
 # ---------------------------------------------------------------------------

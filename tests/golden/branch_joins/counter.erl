@@ -39,47 +39,48 @@ counter(KnownRebecs, StateVars) ->
                     counter(KnownRebecs, StateVars);
                 true ->
                     Last_4 = N_3,
-                    {StateVars_15, Last_16, Size_17} = case (N_3 > 2) of
+                    {StateVars_16, Last_17, Size_18} = case (N_3 > 2) of
                         true ->
                             Size_5 = (N_3 * 2),
                             StateVars_6 = StateVars#counter_statevars{total = (StateVars#counter_statevars.total + Size_5)},
                             Last_7 = Size_5,
-                            {StateVars_11, Last_12} = case StateVars_6#counter_statevars.busy of
+                            {StateVars_12, Last_13} = case StateVars_6#counter_statevars.busy of
                                 true ->
-                                    Sender_8 = self(),
+                                    Deadline_8 = now() + 5,
+                                    Sender_9 = self(),
                                     spawn(fun() ->
                                         receive after 3 ->
-                                            KnownRebecs#counter_knownrebecs.out ! {{Sender_8, now(), now() + 5}, done, Last_7}
+                                            KnownRebecs#counter_knownrebecs.out ! {{Sender_9, now(), Deadline_8}, done, Last_7}
                                         end
                                     end),
                                     {StateVars_6, Last_7};
                                 false ->
-                                    StateVars_9 = StateVars_6#counter_statevars{busy = true},
-                                    Last_10 = (Last_7 + 1),
-                                    {StateVars_9, Last_10}
+                                    StateVars_10 = StateVars_6#counter_statevars{busy = true},
+                                    Last_11 = (Last_7 + 1),
+                                    {StateVars_10, Last_11}
                             end,
-                            {StateVars_11, Last_12, Size_5};
+                            {StateVars_12, Last_13, Size_5};
                         false ->
-                            Size_13 = 1,
-                            Spare_14 = (N_3 + 1),
-                            KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, Spare_14},
-                            {StateVars, Last_4, Size_13}
+                            Size_14 = 1,
+                            Spare_15 = (N_3 + 1),
+                            KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, Spare_15},
+                            {StateVars, Last_4, Size_14}
                     end,
-                    StateVars_20 = case (Size_17 > 1) of
+                    StateVars_21 = case (Size_18 > 1) of
                         true ->
-                            StateVars_18 = StateVars_15#counter_statevars{total = (StateVars_15#counter_statevars.total - 1)},
-                            Sender_19 = self(),
+                            StateVars_19 = StateVars_16#counter_statevars{total = (StateVars_16#counter_statevars.total - 1)},
+                            Sender_20 = self(),
                             spawn(fun() ->
-                                receive after Size_17 ->
-                                    Sender_19 ! {{Sender_19, now(), inf}, step, Last_16}
+                                receive after Size_18 ->
+                                    Sender_20 ! {{Sender_20, now(), inf}, step, Last_17}
                                 end
                             end),
-                            StateVars_18;
+                            StateVars_19;
                         false ->
-                            StateVars_15
+                            StateVars_16
                     end,
-                    KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, StateVars_20#counter_statevars.total},
-                    counter(KnownRebecs, StateVars_20)
+                    KnownRebecs#counter_knownrebecs.out ! {{self(), now(), inf}, done, StateVars_21#counter_statevars.total},
+                    counter(KnownRebecs, StateVars_21)
             end
     end.
 

@@ -41,10 +41,11 @@ worker(KnownRebecs, StateVars) ->
                 true ->
                     receive after 10 -> ok end,
                     StateVars_3 = StateVars#worker_statevars{done = 1},
-                    Sender_4 = self(),
+                    Deadline_4 = now() + 4,
+                    Sender_5 = self(),
                     spawn(fun() ->
                         receive after 15 ->
-                            KnownRebecs#worker_knownrebecs.out ! {{Sender_4, now(), now() + 4}, finished}
+                            KnownRebecs#worker_knownrebecs.out ! {{Sender_5, now(), Deadline_4}, finished}
                         end
                     end),
                     worker(KnownRebecs, StateVars_3)

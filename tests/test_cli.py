@@ -6,7 +6,11 @@ import pytest
 
 import trebeca
 from conftest import TICKET_ENV
+from test_golden import BUNDLED_CASES, RUN_CASES, run_trace
 from trebeca.cli import main
+from trebeca.explorer import ExploreBounds, explore
+from trebeca.parser import load_model
+from trebeca.scheduler import SchedulePolicy, run
 
 TICKET = str(trebeca.bundled("ticket_service.rebeca"))
 TICKET_ENV_FILE = str(trebeca.bundled("ticket_service.env"))
@@ -280,6 +284,9 @@ def test_sweep_writes_a_faulting_run_as_a_row(tmp_path, capsys):
     ]
     assert sorted(p.name for p in (out / "traces").iterdir()) == [
         "point0000_seed0000.jsonl", "point0002_seed0000.jsonl"]
+    trace = run(load_model(model.read_text()), {"d": 2}, 0, SchedulePolicy(horizon=5))
+    assert (out / "traces/point0002_seed0000.jsonl").read_bytes() == \
+        trace.to_jsonl().encode("utf-8")
     assert (out / "summary.csv").read_text().splitlines() == [
         "point,d,seeds,runtime_errors,EVENTUALLY selected a.initial [pass/fail/inconclusive]",
         "0,1,1,0,1/0/0", "1,0,1,1,0/0/0", "2,2,1,0,1/0/0"]
@@ -522,3 +529,54 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus-flag"])
     assert exc.value.code == 64
+
+
+def bound_args(horizon=None, max_steps=None, max_states=None):
+    flags = {"--horizon": horizon, "--max-steps": max_steps, "--max-states": max_states}
+    return [arg for flag, value in flags.items() if value is not None
+            for arg in (flag, str(value))]
+
+
+# ``initial`` faults on one of its choices, ``m(0)`` on both of its own.
+FAULTING = ("reactiveclass A { knownrebecs {} statevars { int n; }"
+            " msgsrv initial() { n = 1 / ?(0, 1); self.m(?(0, 1)); }"
+            " msgsrv m(int d) { n = ?(4, 6) / d; } }"
+            " main { A a():(); }")
+
+# The golden explorations, one of FAULTING, which has error branches, and
+# one with no edges.
+FILE_CASES = {
+    **BUNDLED_CASES,
+    "faulting_h5": (None, {}, ExploreBounds(horizon=5), "literal"),
+    "ticket_steps0": ("ticket_service.rebeca", TICKET_ENV, ExploreBounds(max_steps=0), "literal"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FILE_CASES))
+def test_explore_writes_the_library_graph_and_dot(label, tmp_path):
+    name, env, bounds, check = FILE_CASES[label]
+    if name is None:
+        model = tmp_path / "faulting.rebeca"
+        model.write_text(FAULTING)
+    else:
+        model = trebeca.bundled(name)
+    result = explore(load_model(model.read_text()), env, bounds, deadline_check=check)
+    assert bool(result.error_branches) == (label == "faulting_h5")
+    assert (result.edges == []) == (label == "ticket_steps0")
+    graph, dot = tmp_path / "out" / "graph.json", tmp_path / "out" / "graph.dot"
+    code = main(["explore", str(model), *env_args(env), *bound_args(**vars(bounds)),
+                 "--deadline-check", check, "--graph", str(graph), "--dot", str(dot)])
+    assert code == (1 if result.error_branches else 0)
+    assert graph.read_bytes() == result.to_json().encode("utf-8")
+    assert dot.read_bytes() == result.to_dot().encode("utf-8")
+
+
+@pytest.mark.parametrize("label", sorted(RUN_CASES))
+def test_run_writes_the_library_trace(label, tmp_path):
+    name, env, seed, policy = RUN_CASES[label]
+    trace = tmp_path / "out" / "run.jsonl"
+    code = main(["run", str(trebeca.bundled(name)), *env_args(env), "--seed", str(seed),
+                 *bound_args(policy.horizon, policy.max_steps),
+                 "--deadline-check", policy.deadline_check, "--trace", str(trace)])
+    assert code == 0
+    assert trace.read_bytes() == run_trace(label).to_jsonl().encode("utf-8")

@@ -57,15 +57,35 @@ def test_delay_form():
 def test_after_send_spawn_shape():
     worker = emit_files((GOLDEN / "delay_demo.rebeca").read_text())["worker.erl"]
     match = re.search(
-        r"(Sender_\d+) = self\(\),\n"
+        r"(Deadline_\d+) = now\(\) \+ 4,\n"
+        r"\s*(Sender_\d+) = self\(\),\n"
         r"\s*spawn\(fun\(\) ->\n"
         r"\s*receive after 15 ->\n"
-        r"\s*.*! \{\{\1, now\(\), now\(\) \+ 4\}, finished\}\n"
+        r"\s*.*! \{\{\2, now\(\), \1\}, finished\}\n"
         r"\s*end\n"
         r"\s*end\),",
         worker,
     )
     assert match, "after-send must sleep in a spawned helper before sending"
+
+
+def test_an_after_send_binds_its_computed_values_before_the_spawn():
+    # The simulator fixes a send's arguments and deadline when the send
+    # statement runs, so the helper may not read now() or draw ?(...) after
+    # its sleep; a literal or a name reads the same in the helper.
+    source = ("reactiveclass A { knownrebecs {} statevars { int n; }\n"
+              "  msgsrv initial() { self.go(now(), ?(1, 2), n) after(5) deadline(3); }\n"
+              "  msgsrv go(int t, int c, int m) {} }\nmain { A a():(); }")
+    text = emit_files(source)["a.erl"]
+    assert re.search(
+        r"\n\s*(Arg_\d+) = now\(\),\n"
+        r"\s*(Arg_\d+) = lists:nth\(rand:uniform\(2\), \[1, 2\]\),\n"
+        r"\s*(Deadline_\d+) = now\(\) \+ 3,\n"
+        r"\s*(Sender_\d+) = self\(\),\n"
+        r"\s*spawn\(fun\(\) ->\n"
+        r"\s*receive after 5 ->\n"
+        r"\s*\4 ! \{\{\4, now\(\), \3\}, go, \1, \2, StateVars#a_statevars\.n\}\n",
+        text), text
 
 
 def test_three_stage_skeleton():
