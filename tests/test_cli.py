@@ -390,6 +390,30 @@ def test_env_value_errors_are_positioned(tmp_path, capsys, argv, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["run", TICKET, "--env-file", "FILE", "--horizon", "5"],
+     "requestDeadline=2\ncheckIssuedPeriod\n", "FILE:2: expected name=value"),
+    (["sweep", TICKET, "FILE", "--out", "OUT"], "horizon: 5\nrequestDeadline [2]\n",
+     "FILE:2: expected 'name: value'"),
+    (["run", TICKET, "--env", "requestDeadline", "--horizon", "5"], "",
+     "--env expects name=value, got 'requestDeadline'"),
+    (["sweep", TICKET, "FILE", "--out", "OUT"], "horizon: 5\nrequestDeadline: 2\n",
+     "FILE:2: scalar env values must be written as [v]"),
+    (["sweep", TICKET, "FILE", "--out", "OUT"], "# no lists\nhorizon: 5\n",
+     "FILE: sweep file declares no env variable lists"),
+], ids=["env-file-form", "sweep-form", "env-flag-form", "sweep-scalar-env", "sweep-no-lists"])
+def test_each_input_file_diagnostic_has_its_text_and_place(tmp_path, capsys, argv, text,
+                                                           message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == (
+        f"trebeca: error: {message.replace('FILE', str(path))}\n")
+    assert not out.exists()
+
+
 def test_sweep_writes_each_run_before_the_next_starts(tmp_path, monkeypatch):
     spec = tmp_path / "sweep.txt"
     spec.write_text("seeds: [1, 0]\nhorizon: 10\nrequestDeadline: [2]\n"

@@ -55,6 +55,22 @@ def test_parse_errors_have_positions():
     assert exc.value.errors[0].pos[0] == 1
 
 
+@pytest.mark.parametrize("text, rendered", [
+    ("# kinds\nNEVER moved a.b\n",
+     "<input>:2:1: error: expected '<selected|purged|sent> rebec.method', found 'moved a.b'"),
+    ("\nNEVER sent a.b.c\n", "<input>:2:1: error: event target must be rebec.method,"
+                             " found 'a.b.c'"),
+    ("NEVER sent *.*\nEVENTUALLY selected a.b WITHIN -1\n",
+     "<input>:2:1: error: WITHIN bound must be non-negative"),
+    ("# order\n\nALWAYS-PRECEDES selected a.b\n",
+     "<input>:3:1: error: expected ALWAYS-PRECEDES(event_a, event_b)"),
+], ids=["event-kind", "event-target", "negative-within", "precedes-form"])
+def test_each_monitor_diagnostic_has_its_text_and_line(text, rendered):
+    with pytest.raises(SourceError) as exc:
+        parse_monitor(text)
+    assert [e.render() for e in exc.value.errors] == [rendered]
+
+
 def test_validate_monitor_warns_on_unknown_names(ticket_model):
     spec = parse_monitor("EVENTUALLY selected nobody.nothing")
     warnings = validate_monitor(spec, ticket_model)

@@ -6,8 +6,8 @@ import pytest
 import trebeca
 from conftest import TICKET_ENV, bundled_text
 from trebeca.explorer import ExploreBounds, explore
-from trebeca.model import EV_SELECTED, IntLit, pretty_print
-from trebeca.parser import SourceError, load_model, parse_model
+from trebeca.model import EV_SELECTED, EnvDecl, IntLit, pretty_print
+from trebeca.parser import SourceError, load_model, parse_model, validate_model
 from trebeca.scheduler import SchedulePolicy, run
 
 MINIMAL = "reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {} } main { A a():(); }"
@@ -160,6 +160,72 @@ def test_reserved_names_cannot_be_shadowed():
     src = MINIMAL.replace("statevars {}", "statevars { int sender; }")
     errs = errors_of(src)
     assert errs and "'sender'" in errs[0].message
+
+
+_EMPTY_A = "reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {} }"
+_MAIN_A = "main { A a():(); }"
+
+
+@pytest.mark.parametrize("source, pos, message", [
+    (f"{_EMPTY_A} env int x; {_MAIN_A}", (1, 69),
+     "env declarations must precede classes and main"),
+    (f"{_MAIN_A} {_EMPTY_A}", (1, 20), "reactive classes must precede main"),
+    (f"{_EMPTY_A} {_MAIN_A} {_MAIN_A}", (1, 88), "duplicate main block"),
+    (f"reactiveclass A {{ knownrebecs {{}} statevars {{}} statevars {{}} }} {_MAIN_A}",
+     (1, 47), "duplicate statevars block"),
+    ("reactiveclass A { knownrebecs {} statevars {}"
+     f" msgsrv initial() {{ self.initial() after(1) after(2); }} }} {_MAIN_A}",
+     (1, 66), "duplicate after clause"),
+    (f"env int x; env boolean x; {_EMPTY_A} {_MAIN_A}", (1, 24),
+     "duplicate env variable 'x'"),
+    (f"{_EMPTY_A} {_EMPTY_A} {_MAIN_A}", (1, 83), "duplicate class 'A'"),
+    ("reactiveclass A { knownrebecs { A p; A p; } statevars {} msgsrv initial() {} }"
+     " main { A a(a, a):(); }", (1, 40), "duplicate known rebec 'p'"),
+    ("reactiveclass A { knownrebecs {} statevars { int v; boolean v; }"
+     f" msgsrv initial() {{}} }} {_MAIN_A}", (1, 61), "duplicate variable 'v'"),
+    ("env int v; reactiveclass A { knownrebecs {} statevars { int v; }"
+     f" msgsrv initial() {{}} }} {_MAIN_A}", (1, 61),
+     "state variable 'v' shadows an env variable"),
+    ("reactiveclass A { knownrebecs {} statevars {} msgsrv initial() {}"
+     f" msgsrv go(int p, int p) {{}} }} {_MAIN_A}", (1, 88), "duplicate parameter 'p'"),
+    ("reactiveclass A { knownrebecs {} statevars { int v; } msgsrv initial() {}"
+     f" msgsrv go(int v) {{}} }} {_MAIN_A}", (1, 89),
+     "parameter 'v' shadows a class variable"),
+    (f"{_EMPTY_A} main {{ }}", (1, 1), "main block declares no rebecs"),
+    (f"{_EMPTY_A} main {{ A a():(); A a():(); }}", (1, 88), "duplicate instance name 'a'"),
+    ("reactiveclass A { knownrebecs {} statevars { int v; } msgsrv initial() {} }"
+     " main { A a():(1, 2); }", (1, 86),
+     "instance 'a' passes 2 state value(s), class declares 1"),
+    ("reactiveclass A { knownrebecs {} statevars { int v; } msgsrv initial() {} }"
+     " main { A a():(true); }", (1, 91), "state variable 'v' is int, initializer is boolean"),
+    ("reactiveclass A { knownrebecs {} statevars {}"
+     f" msgsrv initial() {{ x = 1 + true; }} }} {_MAIN_A}", (1, 74),
+     "operand of '+' must be numeric, found boolean"),
+    ("reactiveclass A { knownrebecs {} statevars {}"
+     f" msgsrv initial() {{ s = sender; s.initial(); }} }} {_MAIN_A}", (1, 78),
+     "unknown class '?'"),
+    ("reactiveclass A { knownrebecs {} statevars {}"
+     f" msgsrv initial() {{ r = new Z(); }} }} {_MAIN_A}", (1, 66),
+     "unknown class 'Z' in new"),
+], ids=["env-after-class", "class-after-main", "duplicate-main", "duplicate-statevars",
+        "duplicate-after", "duplicate-env", "duplicate-class", "duplicate-known",
+        "duplicate-variable", "state-shadows-env", "duplicate-parameter",
+        "parameter-shadows", "empty-main", "duplicate-instance", "too-many-initializers",
+        "initializer-type", "non-numeric-operand", "sender-local-target",
+        "unknown-new-class"])
+def test_each_diagnostic_has_its_text_and_position(source, pos, message):
+    assert (pos, message) in [(e.pos, e.message) for e in errors_of(source)]
+
+
+def test_a_reserved_name_is_refused_in_a_hand_built_model():
+    # The tokenizer reads self, now and sender as keywords, so only a model
+    # built without the parser can declare one.
+    model = parse_model(MINIMAL)
+    model.env_decls.append(EnvDecl("now", "int", (1, 5)))
+    with pytest.raises(SourceError) as exc:
+        validate_model(model)
+    assert [(e.pos, e.message) for e in exc.value.errors] == [
+        ((1, 5), "env variable shadows reserved name 'now'")]
 
 
 def test_send_target_must_be_rebec_valued():
