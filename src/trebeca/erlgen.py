@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+from .interp import DEFAULTS
 from .model import (
     Assign,
     BoolLit,
@@ -36,6 +37,7 @@ from .model import (
     Stmt,
     UnaryOp,
     VarRef,
+    canon_value,
 )
 from .parser import CheckedModel, ClassInfo, MethodInfo
 
@@ -93,8 +95,6 @@ _BINOPS = {
     "<": "<", "<=": "=<", ">": ">", ">=": ">=",
 }
 
-_DEFAULTS = {"int": "0", "time": "0", "boolean": "false"}
-
 
 # The scope key of the Erlang variable that holds the state-variable record;
 # it sorts before every identifier.
@@ -142,8 +142,9 @@ def _expr(e: Expr, ref: Callable[[str], str]) -> str:
     if isinstance(e, VarRef):
         return ref(e.name)
     if isinstance(e, ChoiceExpr):
-        options = ", ".join(_expr(o, ref) for o in e.options)
-        return f"lists:nth(rand:uniform({len(e.options)}), [{options}])"
+        # A case runs only the alternative drawn; a list would run them all.
+        options = "; ".join(f"{i} -> {_expr(o, ref)}" for i, o in enumerate(e.options, 1))
+        return f"(case rand:uniform({len(e.options)}) of {options} end)"
     if isinstance(e, UnaryOp):
         inner = _expr(e.operand, ref)
         return f"(not {inner})" if e.op == "!" else f"(-{inner})"
@@ -296,8 +297,8 @@ class _ClassEmitter:
         out.append("")
         known_fields = ", ".join(_atom(d.name) for d in cls.known_decls)
         out.append(f"-record({self.knownrebecs}, {{{known_fields}}}).")
-        state_fields = ", ".join(
-            f"{_atom(d.name)} = {_DEFAULTS[d.type]}" for d in cls.state_decls)
+        state_fields = ", ".join(f"{_atom(name)} = {canon_value(DEFAULTS[t])}"
+                                 for name, t in self.info.state_types.items())
         out.append(f"-record({self.statevars}, {{{state_fields}}}).")
         out.append("")
         out.append("start() ->")
@@ -373,9 +374,9 @@ def emit(checked: CheckedModel) -> EmittedProgram:
         raise UnsupportedFeatureError("new (rebec creation)",
                                       next(iter(checked.new_targets.values())))
     files: dict[str, str] = {}
-    # A class's module file may not overwrite another module's, nor take the
-    # name of a standard module that emitted code calls; its stage functions
-    # may not take the name of start/0 or now/0.
+    # A class's module file may not overwrite another module's, nor replace
+    # a standard module that the node or emitted code calls; its stage
+    # functions may not take the name of start/0 or now/0.
     taken = {"main.erl", "lists.erl", "rand.erl", "erlang.erl"}
     if checked.model.env_decls:
         taken.add("env.erl")
@@ -399,14 +400,12 @@ def emit(checked: CheckedModel) -> EmittedProgram:
 
 
 def _emit_env(checked: CheckedModel) -> str:
-    names = [d.name for d in checked.model.env_decls]
     out = ["-module(env)."]
-    out.append("-export([" + ", ".join(f"{_atom(n)}/0" for n in names) + "]).")
+    out.append("-export([" + ", ".join(f"{_atom(n)}/0" for n in checked.env_types) + "]).")
     out.append("")
     out.append("%% Model parameters: set the values before running a simulation.")
-    for decl in checked.model.env_decls:
-        default = "false" if decl.type == "boolean" else "0"
-        out.append(f"{_atom(decl.name)}() -> {default}.")
+    for name, t in checked.env_types.items():
+        out.append(f"{_atom(name)}() -> {canon_value(DEFAULTS[t])}.")
     return "\n".join(out) + "\n"
 
 

@@ -14,6 +14,7 @@ from typing import Iterator, Optional
 
 from .interp import ExecError, Resolver
 from .model import (
+    EV_SENT,
     Event,
     Message,
     MessageEvent,
@@ -222,30 +223,6 @@ class StalePathError(Exception):
     """A decision path no longer matches the graph (model or bindings changed)."""
 
 
-def _enumerate_decisions(base: SystemState, msg: Message):
-    """Run ``msg``'s method under every nondeterministic-choice vector.
-
-    Yields (decision, state-after, step-events tuple) per vector, and
-    (decision, None, error-text) for vectors whose execution faults.
-    """
-    pending: list[list[int]] = [[]]
-    while pending:
-        prefix = pending.pop()
-        work = base.clone()
-        resolver = Resolver(prefix)
-        try:
-            events = tuple(execute_selected(work, msg, resolver))
-        except ExecError as exc:
-            work, events = None, str(exc)
-        taken = resolver.taken
-        # Queue the unexplored siblings of every choice made past the prefix.
-        for p in range(len(prefix), len(taken)):
-            _site, arity, idx = taken[p]
-            for alt in range(idx + 1, arity):
-                pending.append([t[2] for t in taken[:p]] + [alt])
-        yield Decision(message=msg.key, choices=tuple(taken)), work, events
-
-
 def transition_key(state: SystemState, msg: Message):
     """The memo key of serving ``msg`` in ``state``: its receiver's record
     and the message, all that a message server reads (``_local_transitions``)."""
@@ -253,16 +230,19 @@ def transition_key(state: SystemState, msg: Message):
 
 
 def _local_transitions(memo: dict, base: SystemState, msg: Message):
-    """``_enumerate_decisions``, run once per receiver record and message.
+    """Serve ``msg`` in ``base`` under every nondeterministic-choice vector.
+
+    Yields (decision, state-after, step-events tuple) per vector, and
+    (decision, None, error-text) for vectors whose execution faults.
 
     A message server reads only its receiver's record, the message, the env
     bindings and the model, and writes only the receiver, the bag and new
     rebecs. So every branch that serves ``msg`` in a state with an equal
     ``transition_key`` is that state minus ``msg``, plus the stored receiver
-    record and sent messages.
+    record and the messages that the branch's ``msg_sent`` events name.
 
     ``new`` numbers its rebec by the state's live rebec count, and a fault's
-    text may depend on it, so ``memo`` stores an enumeration only when every
+    text may depend on it, so ``memo`` stores the vectors only when every
     branch completes with as many rebecs as ``base``. The miss and every
     later hit yield the same Decision and events tuple objects, which become
     the edges' own, so ``check_graph`` and ``to_json`` do their work once per
@@ -271,12 +251,27 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
     key = transition_key(base, msg)
     outcomes = memo.get(key)
     if outcomes is None:
-        results = list(_enumerate_decisions(base, msg))
+        results = []
+        pending: list[list[int]] = [[]]
+        while pending:
+            prefix = pending.pop()
+            work = base.clone()
+            resolver = Resolver(prefix)
+            try:
+                events = tuple(execute_selected(work, msg, resolver))
+            except ExecError as exc:
+                work, events = None, str(exc)
+            taken = resolver.taken
+            # Queue the unexplored siblings of every choice made past the prefix.
+            for p in range(len(prefix), len(taken)):
+                _site, arity, idx = taken[p]
+                for alt in range(idx + 1, arity):
+                    pending.append([t[2] for t in taken[:p]] + [alt])
+            results.append((Decision(msg.key, tuple(taken)), work, events))
         if all(work is not None and len(work.envs) == len(base.envs)
                for _, work, _ in results):
-            queued = {id(m) for m in base.bag}
             memo[key] = [(decision, work.envs[msg.receiver],
-                          [m for m in work.bag if id(m) not in queued], events)
+                          [ev.msg for ev in events if ev.kind == EV_SENT], events)
                          for decision, work, events in results]
         yield from results
         return

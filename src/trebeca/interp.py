@@ -168,20 +168,15 @@ _BINARY: dict[str, Callable[[Code, Code], Code]] = {
 
 
 Scope = dict[str, str]  # each local in scope, parameters included, to its type
-_INTS = ("int", "time")
-
-
-def types_compatible(declared: str, actual: str) -> bool:
-    """``int`` and ``time`` mix; every other type matches only itself."""
-    return declared == actual or (declared in _INTS and actual in _INTS)
 
 
 class _Compiler:
     """Type-checks and compiles the body of one method of one class in one
     walk: an expression gives its type and its code, a statement the scope
-    after it and its code. A type is ``int``, ``boolean``, ``time`` or
-    ``rebec:C`` (``rebec:?`` for ``sender``); ``None`` marks an expression
-    whose error is already reported.
+    after it and its code. A type is ``int`` (the checker's type of a
+    declared ``time``), ``boolean`` or ``rebec:C`` (``rebec:?`` for
+    ``sender``); ``None`` marks an expression whose error is already
+    reported.
 
     ``checker`` gives ``classes`` (every ClassInfo by class name),
     ``env_types``, ``new_targets`` (each class some ``new`` creates, mapped
@@ -211,21 +206,25 @@ class _Compiler:
                 body.append(code)
         return scope, tuple(body)
 
-    def lookup(self, name: str, scope: Scope) -> tuple[Optional[str], Optional[Code]]:
-        """The type of a name in a body and the code that reads it: a local
-        (a parameter shadows an env variable), else a state variable, a known
-        rebec (typed ``rebec-known``) or an env variable (``env``); the last
-        two a body may not assign. ``(None, None)`` for an unknown name."""
+    def lookup(self, name: str,
+               scope: Scope) -> tuple[Optional[str], Optional[Code], Optional[str]]:
+        """The type of a name in a body, the code that reads it and what
+        forbids a write to it: a local (a parameter shadows an env variable),
+        else a state variable, a ``known rebec`` (``rebec:C``) or an ``env
+        variable``, which a body may not assign; ``(None, None, None)`` else."""
         if name in scope:
             slot = self.slots[name]
-            return scope[name], lambda fr: fr.locals[slot]
-        if name in self.class_info.state_types:
-            return self.class_info.state_types[name], lambda fr: fr.vars[name]
-        if name in self.class_info.known_types:
-            return "rebec-known", lambda fr: fr.env.knowns[name]
+            return scope[name], lambda fr: fr.locals[slot], None
+        info = self.class_info
+        if name in info.state_types:
+            return info.state_types[name], lambda fr: fr.vars[name], None
+        if name in info.known_types:
+            return (f"rebec:{info.known_types[name]}", lambda fr: fr.env.knowns[name],
+                    "known rebec")
         if name in self.env_types:
-            return "env", lambda fr: fr.state.env_bindings[name]
-        return None, None
+            return (self.env_types[name], lambda fr: fr.state.env_bindings[name],
+                    "env variable")
+        return None, None, None
 
     # -- expressions --------------------------------------------------------
 
@@ -234,16 +233,12 @@ class _Compiler:
             value = e.value
             return "int" if isinstance(e, IntLit) else "boolean", lambda fr: value
         if isinstance(e, VarRef):
-            t, code = self.lookup(e.name, scope)
+            t, code, _ = self.lookup(e.name, scope)
             if t is None:
                 self.error(e.pos, f"unknown name {e.name!r}")
-            elif t == "rebec-known":
-                t = f"rebec:{self.class_info.known_types[e.name]}"
-            elif t == "env":
-                t = self.env_types[e.name]
             return t, code
         if isinstance(e, NowExpr):
-            return "time", lambda fr: fr.now
+            return "int", lambda fr: fr.now
         if isinstance(e, SelfExpr):
             return f"rebec:{self.class_info.definition.name}", lambda fr: RebecRef(fr.env.rebec_id)
         if isinstance(e, SenderExpr):
@@ -261,7 +256,7 @@ class _Compiler:
     def expect(self, e: Expr, want: str, scope: Scope, at: Optional[Pos], what: str) -> Code:
         """The code of ``e``; an error unless its type fits ``want``."""
         t, code = self.expr(e, scope, at)
-        if t is not None and not types_compatible(want, t):
+        if t is not None and t != want:
             self.error(e.pos, f"{what} must be {want}, found {t}")
         return code
 
@@ -270,17 +265,17 @@ class _Compiler:
         op = e.op
         if op in ("==", "!="):
             # ``sender`` (``rebec:?``) has no static class: it compares with any rebec.
-            if lt is not None and rt is not None and not types_compatible(lt, rt) and not (
+            if lt is not None and rt is not None and lt != rt and not (
                     "rebec:?" in (lt, rt) and lt[:6] == rt[:6] == "rebec:"):
                 self.error(e.pos, f"cannot compare {lt} with {rt}")
             return "boolean", _BINARY[op](left, right)
         if op in ("&&", "||"):
-            want, fits, result = "boolean", ("boolean",), "boolean"
+            want, fit, result = "boolean", "boolean", "boolean"
         else:  # arithmetic and ordering need numeric operands
-            want, fits = "numeric", _INTS
+            want, fit = "numeric", "int"
             result = "boolean" if op in ("<", "<=", ">", ">=") else "int"
         for t, side in ((lt, e.left), (rt, e.right)):
-            if t is not None and t not in fits:
+            if t is not None and t != fit:
                 self.error(side.pos, f"operand of {op!r} must be {want}, found {t}")
         if op in ("/", "%"):
             return result, self.division(op, left, right, e.pos or at)
@@ -353,17 +348,15 @@ class _Compiler:
         ``new``: a body may not write a reserved name, a known rebec, an env
         variable or a variable of another type. Returns the scope after the
         write; the first write to a fresh name declares a local."""
-        declared, _ = self.lookup(name, scope)
+        declared, _, fixed = self.lookup(name, scope)
         if declared is None:
             if name in RESERVED_NAMES:
                 self.error(pos, f"cannot assign to reserved name {name!r}")
             elif t is not None:
                 scope = {**scope, name: t}
-        elif declared == "rebec-known":
-            self.error(pos, f"cannot assign to known rebec {name!r}")
-        elif declared == "env":
-            self.error(pos, f"cannot assign to env variable {name!r}")
-        elif t is not None and not types_compatible(declared, t):
+        elif fixed is not None:
+            self.error(pos, f"cannot assign to {fixed} {name!r}")
+        elif t is not None and declared != t:
             self.error(pos, f"cannot assign {t} value to {declared} variable {name!r}")
         return scope
 
@@ -397,26 +390,18 @@ class _Compiler:
 
     def send(self, s: SendStmt, scope: Scope) -> Optional[Code]:
         target, method, pos, server = s.target, self.method, s.pos, s.method
-        # A target is self, a known rebec or a local; unlike lookup, knowns come
-        # first, which differs only for a name that has already drawn an error.
-        # Each names a live rebec: main binds every known rebec (new's classes
-        # declare none), a local holds self, a known or a new rebec, none is removed.
+        # A target is self, a known rebec or a rebec-valued local; each names a
+        # live rebec: main binds every known rebec (new's classes declare none),
+        # a local holds self, a known or a new rebec, and none is removed.
         if target == "self":
-            target_class = self.class_info.definition.name
-            receiver = lambda fr: fr.env.rebec_id
-        elif target in self.class_info.known_types:
-            target_class = self.class_info.known_types[target]
-            if target_class not in self.classes:
-                self.error(pos, f"known rebec {target!r} has unknown class {target_class!r}")
-                return None
-            receiver = lambda fr: fr.env.knowns[target].rebec_id
-        elif scope.get(target, "").startswith("rebec:"):
-            target_class, slot = scope[target].split(":", 1)[1], self.slots[target]
-            receiver = lambda fr: fr.locals[slot].rebec_id
+            target_class, read = self.class_info.definition.name, None
         else:
-            self.error(pos, f"send target {target!r} is not self, a known rebec,"
-                            " or a rebec-valued local")
-            return None
+            t, read, _ = self.lookup(target, scope)
+            if t is None or not t.startswith("rebec:"):
+                self.error(pos, f"send target {target!r} is not self, a known rebec,"
+                                " or a rebec-valued local")
+                return None
+            target_class = t[6:]
         if target_class not in self.classes:
             self.error(pos, f"unknown class {target_class!r}")
             return None
@@ -450,7 +435,8 @@ class _Compiler:
                     raise ExecError(f"deadline offset must be positive, got {rel}",
                                     rebec_id, method, pos)
                 dl = _advance(fr, rel, method, pos)
-            msg = Message(receiver(fr), server, values, rebec_id, tt, dl)
+            msg = Message(rebec_id if read is None else read(fr).rebec_id, server, values,
+                          rebec_id, tt, dl)
             fr.state.add_message(msg)
             fr.events.append(msg.event(EV_SENT, fr.now))
         return send
@@ -501,16 +487,16 @@ def compile_method(method_info, class_info, checker) -> CompiledMethod:
                           (None,) * (len(compiler.slots) - len(method.params)))
 
 
-_DEFAULTS = {"int": 0, "boolean": False, "time": 0}
+# The initial value of a variable of each checked base type.
+DEFAULTS: dict[str, Value] = {"int": 0, "boolean": False}
 
 
 def make_rebec_env(rebec_id: str, class_info, now: int, knowns: dict[str, RebecRef],
                    values: Sequence[Value] = ()) -> RebecEnv:
     """The first record of a rebec of ``class_info``'s class: ``values``
     initialize a prefix of its state variables, defaults the rest."""
-    decls = class_info.definition.state_decls
-    state_vars = {decl.name: _DEFAULTS[decl.type] for decl in decls}
-    state_vars.update(zip([decl.name for decl in decls], values))
+    state_vars = {name: DEFAULTS[t] for name, t in class_info.state_types.items()}
+    state_vars.update(zip(class_info.state_types, values))
     return RebecEnv(rebec_id, class_info.definition.name, now, state_vars,
                     MappingProxyType(knowns))
 

@@ -438,8 +438,8 @@ class SystemState:
         it lies in the prefix of least time tags, in practice within the
         first few messages, where a scan beats a bisection of the bag."""
         bag = self.bag
-        for i, queued in enumerate(bag):
-            if queued is msg:
+        for i, m in enumerate(bag):
+            if m is msg:
                 del bag[i]
                 return
         raise ValueError("selected message is not in the bag")

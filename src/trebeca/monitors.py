@@ -12,7 +12,7 @@ without a match reports inconclusive unless the bound already decides it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Optional
 
@@ -57,6 +57,7 @@ class Clause:
     event: EventPattern
     within: Optional[int] = None  # EVENTUALLY only
     before: Optional[EventPattern] = None  # PRECEDES: the required earlier event
+    line: int = field(default=1, compare=False)  # in the monitor file
 
     def __str__(self) -> str:
         if self.op == EVENTUALLY:
@@ -109,11 +110,11 @@ def parse_monitor(text: str) -> MonitorSpec:
                     continue
             event = _parse_event(body, lineno, errors)
             if event:
-                clauses.append(Clause(op=EVENTUALLY, event=event, within=within))
+                clauses.append(Clause(op=EVENTUALLY, event=event, within=within, line=lineno))
         elif line.startswith("NEVER "):
             event = _parse_event(line[len("NEVER "):], lineno, errors)
             if event:
-                clauses.append(Clause(op=NEVER, event=event))
+                clauses.append(Clause(op=NEVER, event=event, line=lineno))
         elif line.startswith("ALWAYS-PRECEDES"):
             body = line[len("ALWAYS-PRECEDES"):].strip()
             if not (body.startswith("(") and body.endswith(")")) or "," not in body:
@@ -124,7 +125,7 @@ def parse_monitor(text: str) -> MonitorSpec:
             first = _parse_event(first_text, lineno, errors)
             second = _parse_event(second_text, lineno, errors)
             if first and second:
-                clauses.append(Clause(op=PRECEDES, event=second, before=first))
+                clauses.append(Clause(op=PRECEDES, event=second, before=first, line=lineno))
         else:
             errors.append(ParseError((lineno, 1), f"unknown clause {line.split()[0]!r}"))
     if errors:
@@ -137,15 +138,15 @@ def validate_monitor(spec: MonitorSpec, checked) -> list[ParseError]:
     instance_names = {inst.name for inst in checked.model.main}
     method_names = {m for info in checked.classes.values() for m in info.methods}
     warnings: list[ParseError] = []
-    for i, clause in enumerate(spec.clauses, start=1):
+    for clause in spec.clauses:
         events = [clause.event] + ([clause.before] if clause.before else [])
         for ev in events:
             if "*" not in ev.rebec and "?" not in ev.rebec and ev.rebec not in instance_names:
-                warnings.append(ParseError((i, 1),
+                warnings.append(ParseError((clause.line, 1),
                                            f"rebec {ev.rebec!r} is not an instance in main",
                                            severity="warning"))
             if "*" not in ev.method and "?" not in ev.method and ev.method not in method_names:
-                warnings.append(ParseError((i, 1),
+                warnings.append(ParseError((clause.line, 1),
                                            f"method {ev.method!r} is not declared by any class",
                                            severity="warning"))
     return warnings

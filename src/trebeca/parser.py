@@ -15,7 +15,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .interp import CompiledMethod, compile_method, types_compatible
+from .interp import CompiledMethod, compile_method
 from .model import (
     BINARY_PREC,
     Assign,
@@ -646,6 +646,11 @@ class CheckedModel:
     new_targets: dict[str, Pos]  # class -> position of its first new, in source order
 
 
+def _checked_type(declared: str) -> str:
+    """The checker's type of a declared base type: ``time`` is ``int``."""
+    return "int" if declared == "time" else declared
+
+
 class _Checker:
     def __init__(self, model: Model):
         self.model = model
@@ -668,7 +673,7 @@ class _Checker:
                 self.error(env.pos, f"duplicate env variable {env.name!r}")
             if env.name in RESERVED_NAMES:
                 self.error(env.pos, f"env variable shadows reserved name {env.name!r}")
-            self.env_types[env.name] = "int" if env.type == "time" else env.type
+            self.env_types[env.name] = _checked_type(env.type)
 
         for cls in self.model.classes:
             if cls.name in self.classes:
@@ -718,7 +723,7 @@ class _Checker:
                 self.error(d.pos, f"duplicate variable {d.name!r}")
             if d.name in self.env_types:
                 self.error(d.pos, f"state variable {d.name!r} shadows an env variable")
-            state_types[d.name] = d.type
+            state_types[d.name] = _checked_type(d.type)
         methods: dict[str, MethodInfo] = {}
         for m in cls.methods:
             if m.name in methods:
@@ -735,7 +740,7 @@ class _Checker:
                 seen_params.add(p.name)
             methods[m.name] = MethodInfo(
                 definition=m,
-                param_types=["int" if p.type == "time" else p.type for p in m.params],
+                param_types=[_checked_type(p.type) for p in m.params],
             )
         return ClassInfo(definition=cls, known_types=known_types,
                          state_types=state_types, methods=methods)
@@ -788,12 +793,13 @@ class _Checker:
             readers = self.init_readers[inst.name] = []
             for arg, decl in zip(inst.init_args, state_decls):
                 t, read = self.init_arg(arg)
+                declared = _checked_type(decl.type)
                 if t is None:
                     self.error(getattr(arg, "pos", inst.pos),
                                "state initializers must be literals or env variables")
-                elif not types_compatible(decl.type, t):
+                elif t != declared:
                     self.error(getattr(arg, "pos", inst.pos),
-                               f"state variable {decl.name!r} is {decl.type},"
+                               f"state variable {decl.name!r} is {declared},"
                                f" initializer is {t}")
                 readers.append(read)
 

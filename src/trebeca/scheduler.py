@@ -277,7 +277,7 @@ def check_env_value(checked: CheckedModel, name: str, value: Value) -> None:
 def build_initial_state(checked: CheckedModel,
                         env_bindings: dict) -> tuple[SystemState, list[Event]]:
     """Instantiate the main block under checked bindings: every rebec starts
-    at time 0 with its initial message queued at time tag 0 and no deadline."""
+    at time 0 with its initial message sent at time tag 0 and no deadline."""
     env_bindings = normalize_env_bindings(checked, env_bindings)
     state = SystemState(checked, env_bindings)
     events: list[Event] = []

@@ -33,7 +33,7 @@ ticketService(KnownRebecs, StateVars) ->
                 false ->
                     ticketService(KnownRebecs, StateVars);
                 true ->
-                    receive after lists:nth(rand:uniform(2), [env:serviceTime1(), env:serviceTime2()]) -> ok end,
+                    receive after (case rand:uniform(2) of 1 -> env:serviceTime1(); 2 -> env:serviceTime2() end) -> ok end,
                     KnownRebecs#ticketservice_knownrebecs.a ! {{self(), now(), inf}, replyTicket, Tok_2},
                     ticketService(KnownRebecs, StateVars)
             end

@@ -108,6 +108,15 @@ def test_run_monitor_inconclusive_and_fail(capsys):
     os.unlink(bounded)
 
 
+def test_a_monitor_warning_points_at_its_clause_line(tmp_path, capsys):
+    mon = tmp_path / "w.monitor"
+    mon.write_text("# comments and a blank line come first\n# then the clause\n\n"
+                   "NEVER selected nobody.initial\n")
+    assert main(["run", PING, "--max-steps", "3", "--monitor", str(mon)]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"{mon}:4:1: warning: rebec 'nobody' is not an instance in main")
+
+
 def test_run_json_output(capsys):
     code = main(["run", TICKET, *env_args(), "--seed", "0", "--horizon", "15",
                  "--monitor", ISSUED_MON, "--json"])

@@ -9,6 +9,7 @@ from conftest import bundled_text
 from gen import generate_model
 from trebeca.cli import main as main_cli
 from trebeca.erlgen import UnsupportedFeatureError, emit
+from trebeca.explorer import ExploreBounds, explore
 from trebeca.parser import load_model, validate_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,7 +80,7 @@ def test_an_after_send_binds_its_computed_values_before_the_spawn():
     text = emit_files(source)["a.erl"]
     assert re.search(
         r"\n\s*(Arg_\d+) = now\(\),\n"
-        r"\s*(Arg_\d+) = lists:nth\(rand:uniform\(2\), \[1, 2\]\),\n"
+        r"\s*(Arg_\d+) = \(case rand:uniform\(2\) of 1 -> 1; 2 -> 2 end\),\n"
         r"\s*(Deadline_\d+) = now\(\) \+ 3,\n"
         r"\s*(Sender_\d+) = self\(\),\n"
         r"\s*spawn\(fun\(\) ->\n"
@@ -177,8 +178,23 @@ main { A a(b):(x); B b():(x); }
 
 def test_nondeterministic_choice_emits_random_selection():
     files = emit_files(bundled_text("ticket_service.rebeca"))
-    assert "lists:nth(rand:uniform(2), [env:serviceTime1(), env:serviceTime2()])" \
+    assert "(case rand:uniform(2) of 1 -> env:serviceTime1(); 2 -> env:serviceTime2() end)" \
         in files["ticketservice.erl"]
+
+
+def test_a_choice_runs_only_the_alternative_drawn():
+    # Erlang evaluates every element of a list, so a choice emitted as a list
+    # would divide by zero on every run; the explorer takes the 0 branch.
+    source = ("reactiveclass A { knownrebecs {} statevars { int d; int x; }\n"
+              "  msgsrv initial() { x = ?(1 / d, 0); } }\nmain { A a():(); }")
+    text = emit_files(source)["a.erl"]
+    assert ("StateVars_1 = StateVars#a_statevars{x = (case rand:uniform(2) of"
+            " 1 -> (1 div StateVars#a_statevars.d); 2 -> 0 end)},") in text
+    result = explore(load_model(source), {}, ExploreBounds(max_steps=5))
+    assert (len(result.edges), len(result.error_branches)) == (1, 1)
+    for label, _, files in emitted_corpus():
+        for fname, text in files.items():
+            assert "lists:" not in text, (label, fname)
 
 
 def test_env_module_lists_every_parameter():

@@ -217,6 +217,19 @@ def test_each_diagnostic_has_its_text_and_position(source, pos, message):
     assert (pos, message) in [(e.pos, e.message) for e in errors_of(source)]
 
 
+def test_time_is_int_in_every_diagnostic():
+    src = ("env time T;\nreactiveclass A { knownrebecs {} statevars { time t; boolean b; }\n"
+           "  msgsrv initial() { t = b; b = T; b = now(); }\n"
+           "  msgsrv go(time p) { b = p; } }\nmain { A a():(true); }")
+    assert [e.render() for e in errors_of(src)] == [
+        "<input>:3:22: error: cannot assign boolean value to int variable 't'",
+        "<input>:3:29: error: cannot assign int value to boolean variable 'b'",
+        "<input>:3:36: error: cannot assign int value to boolean variable 'b'",
+        "<input>:4:23: error: cannot assign int value to boolean variable 'b'",
+        "<input>:5:15: error: state variable 't' is int, initializer is boolean",
+    ]
+
+
 def test_a_reserved_name_is_refused_in_a_hand_built_model():
     # The tokenizer reads self, now and sender as keywords, so only a model
     # built without the parser can declare one.
