@@ -8,8 +8,11 @@ that graph.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .interp import ExecError, Resolver
@@ -56,17 +59,37 @@ def trace_decisions(trace: Trace) -> list[Decision]:
     return [Decision(ev.msg.key, ev.choices) for ev in trace.selected()]
 
 
-def state_key(state: SystemState) -> str:
+def state_key(state: SystemState, parts: Optional[list] = None,
+              receiver: Optional[str] = None) -> str:
     """Canonical serialization: equal keys iff structurally equal states.
 
     ``new`` numbers a rebec by the live rebec count, so the key needs no
-    counter of its own. The key joins the fragments each rebec record and
-    each message caches, so it costs a sort of the ids, not a rendering of
-    every value; the bag is already in canonical order.
+    counter of its own. The key joins the fragment each rebec record caches,
+    in sorted-id order, and the text each message caches, in bag order,
+    which is canonical.
+
+    ``parts`` is a fresh list ``[ids, records]``: the sorted rebec ids and
+    their record keys of the state's parent, and ``receiver`` the rebec that
+    the step from the parent served. A step changes only its receiver's
+    record and appends the rebecs it creates to ``envs``, so only those are
+    looked up and put in their bisected places, and ``parts`` is left
+    holding this state's own ids and record keys. The root's parent parts
+    are ``[[], []]``: every rebec counts as created, as without ``parts``.
     """
     envs = state.envs
-    return ("|".join([envs[rid].key() for rid in sorted(envs)]) + "#"
-            + ";".join([m.text for m in state.bag]))
+    ids, records = parts or ([], [])
+    records = records.copy()
+    if receiver is not None:
+        records[bisect_left(ids, receiver)] = envs[receiver].key()
+    if len(envs) > len(ids):
+        ids = ids.copy()
+        for rid in islice(envs, len(ids), None):
+            i = bisect_left(ids, rid)
+            ids.insert(i, rid)
+            records.insert(i, envs[rid].key())
+    if parts is not None:
+        parts[:] = ids, records
+    return "|".join(records) + "#" + ";".join([m.text for m in state.bag])
 
 
 @dataclass
@@ -81,7 +104,7 @@ class ExploreBounds:
                        max_states=self.max_states)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     src: int
     dst: int
@@ -90,7 +113,7 @@ class Edge:
     events: tuple[Event, ...]  # the step's own, msg_selected first
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A state of the graph. Its terminal, its error branches and every one
     of its out-edges come after its ``purge_events``."""
@@ -133,8 +156,9 @@ class ExploreResult:
     def terminals(self) -> list[tuple[int, str]]:
         return [(i, n.terminal) for i, n in enumerate(self.nodes) if n.terminal]
 
-    def out_edges(self) -> dict[int, list[Edge]]:
-        out: dict[int, list[Edge]] = {i: [] for i in range(len(self.nodes))}
+    def out_edges(self) -> list[list[Edge]]:
+        """Each node's out-edges in edge order, indexed by node id."""
+        out: list[list[Edge]] = [[] for _ in self.nodes]
         for e in self.edges:
             out[e.src].append(e)
         return out
@@ -296,25 +320,13 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
 
     keys: dict[str, int] = {}
     nodes: list[Node] = []
-    frontier: deque[tuple[int, SystemState]] = deque()  # interned, not yet expanded
+    # interned, not yet expanded: id, state and its key parts (state_key)
+    frontier: deque[tuple[int, SystemState, list]] = deque()
     edges: list[Edge] = []
     error_branches: list[ErrorBranch] = []
     memo: dict = {}  # transition_key -> stored outcomes (_local_transitions)
 
-    def intern_state(st: SystemState, depth: int, time: int) -> int:
-        # FIFO order interns every key first at its least depth; ``time``, the
-        # step's, lowers the node's earliest time.
-        key = state_key(st)
-        nid = keys.get(key)
-        if nid is None:
-            nid = keys[key] = len(nodes)
-            nodes.append(Node(key=key, depth=depth, earliest_time=time))
-            frontier.append((nid, st))
-        elif time < nodes[nid].earliest_time:
-            nodes[nid].earliest_time = time
-        return nid
-
-    def expand(nid: int, state: SystemState) -> None:
+    def expand(nid: int, state: SystemState, parts: list) -> None:
         node = nodes[nid]
         depth = node.depth
         if bounds.max_steps is not None and depth >= bounds.max_steps:
@@ -327,21 +339,36 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
             node.terminal = end
             return
         for msg in candidates:
+            receiver = msg.receiver
             for decision, result_state, payload in _local_transitions(memo, state, msg):
                 if result_state is None:
                     error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
                 time = payload[0].time
-                dst = intern_state(result_state, depth + 1, time)
+                # FIFO order interns every key first at its least depth; the
+                # step's time lowers the node's earliest time.
+                child_parts = [*parts]
+                key = state_key(result_state, child_parts, receiver)
+                dst = keys.get(key)
+                if dst is None:
+                    dst = keys[key] = len(nodes)
+                    nodes.append(Node(key, depth + 1, earliest_time=time))
+                    frontier.append((dst, result_state, child_parts))
+                elif time < nodes[dst].earliest_time:
+                    nodes[dst].earliest_time = time
                 edges.append(Edge(nid, dst, decision, time, payload))
 
     def over_budget() -> bool:
         return bounds.max_states is not None and len(nodes) >= bounds.max_states
 
-    intern_state(root_state, 0, 0)
+    root_parts: list = [[], []]
+    root_key = state_key(root_state, root_parts)
+    keys[root_key] = 0
+    nodes.append(Node(root_key, 0))
+    frontier.append((0, root_state, root_parts))
     while frontier and not over_budget():
         expand(*frontier.popleft())
-    for nid, _ in frontier:
+    for nid, _, _ in frontier:
         nodes[nid].terminal = END_TRUNCATED
 
     result = ExploreResult(
@@ -355,20 +382,42 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
     return result
 
 
+# An edge's place among its source's out-edges. A source and a decision fix
+# the destination, so this orders them totally.
+_decision_order = attrgetter("decision.message", "decision.choices")
+
+
 def _canonicalize(result: ExploreResult) -> None:
-    """Renumber nodes as (depth, key) and sort edges so the result is
-    byte-identical however the frontier was scheduled."""
-    order = sorted(range(len(result.nodes)),
-                   key=lambda i: (result.nodes[i].depth, result.nodes[i].key))
+    """Renumber nodes as (depth, key) and order edges by source, then
+    decision, so the result is byte-identical however the frontier was
+    scheduled.
+
+    The FIFO search interns nodes in nondecreasing depth, so each depth is a
+    run of ids that sorts by key alone. Each node's out-edges sort by
+    decision alone and are written at the node's new place."""
+    nodes = result.nodes
+    keys = [n.key for n in nodes]
+    depths = [n.depth for n in nodes]
+    order: list[int] = []
+    lo = 0
+    while lo < len(nodes):
+        hi = bisect_right(depths, depths[lo], lo)
+        order += sorted(range(lo, hi), key=keys.__getitem__)
+        lo = hi
     # Root keeps id 0: it is the unique depth-0 node.
-    remap = {old: new for new, old in enumerate(order)}
-    result.nodes = [result.nodes[old] for old in order]
+    remap = [0] * len(order)
+    for new, old in enumerate(order):
+        remap[old] = new
+    runs = result.out_edges()
+    for run in runs:
+        run.sort(key=_decision_order)
+    result.nodes = [nodes[old] for old in order]
+    result.edges = list(chain.from_iterable(map(runs.__getitem__, order)))
     for e in result.edges:
         e.src = remap[e.src]
         e.dst = remap[e.dst]
     for b in result.error_branches:
         b.src = remap[b.src]
-    result.edges.sort(key=lambda e: (e.src, e.decision.message, e.decision.choices, e.dst))
     result.error_branches.sort(key=lambda b: (b.src, b.decision.message, b.decision.choices))
 
 

@@ -367,9 +367,9 @@ def test_one_path_fires_a_memoized_transition_twice(monkeypatch):
     bags = []
     state_key = explorer.state_key
 
-    def recording_key(state):
+    def recording_key(state, *args):
         bags.append(list(state.bag))
-        return state_key(state)
+        return state_key(state, *args)
 
     monkeypatch.setattr(explorer, "state_key", recording_key)
     res = explore(checked, {}, ExploreBounds(horizon=5))

@@ -3,6 +3,7 @@
 The helpers take a model count so the acceptance suite can rerun them at
 its own scale; the plain tests keep counts modest for everyday runs.
 """
+import dataclasses
 import random
 from collections import Counter
 from unittest import mock
@@ -11,7 +12,14 @@ from conftest import bundled_text, explore_without_memo, graph_outputs
 from gen import generate_model
 from test_golden import BUNDLED_CASES, RUN_CASES, run_trace
 from trebeca import explorer, monitors, scheduler
-from trebeca.explorer import ExploreBounds, explore, follow, trace_decisions
+from trebeca.explorer import (
+    Edge,
+    ErrorBranch,
+    ExploreBounds,
+    explore,
+    follow,
+    trace_decisions,
+)
 from trebeca.interp import ExecError
 from trebeca.model import (
     EV_CREATED,
@@ -98,9 +106,10 @@ def budget_truncated(result) -> bool:
     return any(reason == "truncated" for _, reason in result.terminals())
 
 
-def check_order_independence(count: int, min_compared: int) -> None:
-    compared = 0
-    rng = random.Random(99)
+def shuffled_ties(seed: int):
+    """A patch, reusable, under which each step's candidates come in an
+    order drawn from one generator seeded with ``seed``."""
+    rng = random.Random(seed)
     min_tt_candidates = scheduler.min_tt_candidates
 
     def shuffled_candidates(state):
@@ -108,13 +117,19 @@ def check_order_independence(count: int, min_compared: int) -> None:
         rng.shuffle(candidates)
         return candidates
 
+    return mock.patch.object(scheduler, "min_tt_candidates", shuffled_candidates)
+
+
+def check_order_independence(count: int, min_compared: int) -> None:
+    compared = 0
+    shuffled_order = shuffled_ties(99)
     for seed in range(count):
         model, checked = checked_model(seed)
         bounds = ExploreBounds(horizon=6, max_states=4000)
         base = explore(checked, env_for(model), bounds)
         if budget_truncated(base):
             continue
-        with mock.patch.object(scheduler, "min_tt_candidates", shuffled_candidates):
+        with shuffled_order:
             shuffled = explore(checked, env_for(model), bounds)
         assert base.key_set() == shuffled.key_set(), f"seed {seed}"
         compared += 1
@@ -302,6 +317,95 @@ def check_sends_reach_live_rebecs(count: int) -> None:
     assert seen["to a new rebec", True] > 0 and seen["from a new rebec", True] > 0
 
 
+def every_exploration():
+    """(label, checked model, env, bounds, deadline check) for every golden
+    exploration and for generated seeds 0-119 at horizon 6, capped at 4,000
+    states: small models, tie-heavy rows and spawn chains."""
+    for label, (name, env, bounds, mode) in BUNDLED_CASES.items():
+        yield label, load_model(bundled_text(name)), env, bounds, mode
+    for seed in range(120):
+        model, checked = checked_model(seed)
+        yield (f"seed {seed}", checked, env_for(model),
+               ExploreBounds(horizon=6, max_states=4000), CHECK_LITERAL)
+
+
+def scratch_state_key(state) -> str:
+    """A state key rendered from scratch: every rebec id sorted, every
+    record asked for its key, then the bag's texts."""
+    envs = state.envs
+    return ("|".join([envs[rid].key() for rid in sorted(envs)]) + "#"
+            + ";".join([m.text for m in state.bag]))
+
+
+def check_keys_from_parents() -> None:
+    """Every key the explorer builds from its parent's parts equals the
+    rendering from scratch."""
+    state_key = explorer.state_key
+    seen = Counter()
+    label = ""
+
+    def checked_key(state, parts=None, receiver=None):
+        parent_ids = parts[0] if parts else []
+        key = state_key(state, parts, receiver)
+        assert key == scratch_state_key(state), label
+        seen["keys"] += 1
+        # A step that created rebecs; the root's parent has no rebecs.
+        seen["spawns"] += bool(parent_ids) and len(state.envs) > len(parent_ids)
+        return key
+
+    with mock.patch.object(explorer, "state_key", checked_key):
+        for label, checked, env, bounds, mode in every_exploration():
+            explore(checked, env, bounds, deadline_check=mode)
+    assert seen["keys"] > 100_000 and seen["spawns"] > 10_000, seen
+
+
+def old_canonicalize(result) -> None:
+    """The renumbering and global edge sort that ``explorer._canonicalize``
+    did before it sorted nodes level by level and edges node by node."""
+    order = sorted(range(len(result.nodes)),
+                   key=lambda i: (result.nodes[i].depth, result.nodes[i].key))
+    remap = {old: new for new, old in enumerate(order)}
+    result.nodes = [result.nodes[old] for old in order]
+    for e in result.edges:
+        e.src = remap[e.src]
+        e.dst = remap[e.dst]
+    for b in result.error_branches:
+        b.src = remap[b.src]
+    result.edges.sort(key=lambda e: (e.src, e.decision.message, e.decision.choices, e.dst))
+    result.error_branches.sort(key=lambda b: (b.src, b.decision.message, b.decision.choices))
+
+
+def check_graph_bytes_ignore_tie_order() -> None:
+    """``to_json()`` is byte-identical with shuffled candidates wherever no
+    state cap cut the search, and ``_canonicalize`` agrees with the old
+    global sort on every search."""
+    canonicalize = explorer._canonicalize
+    shuffled_order = shuffled_ties(27)
+
+    def both(result):
+        copy = dataclasses.replace(
+            result, nodes=list(result.nodes),
+            edges=[Edge(e.src, e.dst, e.decision, e.time, e.events) for e in result.edges],
+            error_branches=[ErrorBranch(b.src, b.decision, b.message)
+                            for b in result.error_branches])
+        canonicalize(result)
+        old_canonicalize(copy)
+        assert graph_outputs(copy) == graph_outputs(result), label
+
+    compared = skipped = 0
+    for label, checked, env, bounds, mode in every_exploration():
+        with mock.patch.object(explorer, "_canonicalize", both):
+            base = explore(checked, env, bounds, deadline_check=mode)
+        if budget_truncated(base):
+            skipped += 1
+            continue
+        with shuffled_order:
+            shuffled = explore(checked, env, bounds, deadline_check=mode)
+        assert shuffled.to_json() == base.to_json(), label
+        compared += 1
+    assert (compared, skipped) == (121, 7)
+
+
 def test_runs_satisfy_semantic_invariants():
     check_many_runs(300)
 
@@ -332,3 +436,11 @@ def test_graph_verdicts_match_a_fold_per_edge():
 
 def test_sends_reach_live_rebecs():
     check_sends_reach_live_rebecs(120)
+
+
+def test_keys_built_from_parents_match_a_rendering_from_scratch():
+    check_keys_from_parents()
+
+
+def test_graph_bytes_do_not_depend_on_tie_order():
+    check_graph_bytes_ignore_tie_order()
