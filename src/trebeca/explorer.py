@@ -24,6 +24,7 @@ from .model import (
     SystemState,
     json_int,
     json_str,
+    message_sort_key,
 )
 from .parser import CheckedModel
 from .scheduler import (
@@ -60,7 +61,8 @@ def trace_decisions(trace: Trace) -> list[Decision]:
 
 
 def state_key(state: SystemState, parts: Optional[list] = None,
-              receiver: Optional[str] = None) -> str:
+              msg: Optional[Message] = None, record=None, sent=(),
+              work: Optional[SystemState] = None) -> str:
     """Canonical serialization: equal keys iff structurally equal states.
 
     ``new`` numbers a rebec by the live rebec count, so the key needs no
@@ -68,19 +70,28 @@ def state_key(state: SystemState, parts: Optional[list] = None,
     in sorted-id order, and the text each message caches, in bag order,
     which is canonical.
 
-    ``parts`` is a fresh list ``[ids, records]``: the sorted rebec ids and
-    their record keys of the state's parent, and ``receiver`` the rebec that
-    the step from the parent served. A step changes only its receiver's
-    record and appends the rebecs it creates to ``envs``, so only those are
-    looked up and put in their bisected places, and ``parts`` is left
-    holding this state's own ids and record keys. The root's parent parts
-    are ``[[], []]``: every rebec counts as created, as without ``parts``.
+    Without ``msg`` it renders ``state``. With it, it is the key of ``state``
+    less ``msg`` (in its bag) with the receiver's new ``record``, the messages
+    ``sent`` (largest first) and the rebecs that ``work``, the successor if
+    built, created. ``parts``, a fresh list ``[ids, records, texts]`` of
+    ``state``'s sorted rebec ids, record keys and bag texts (``[[], [], []]``
+    for the root), is left holding the key's own: less ``msg``'s text at its
+    bag index ``i``, plus each sent text at its ``bisect_right`` in the bag
+    less one past ``i`` (equal sort keys have equal texts).
     """
-    envs = state.envs
-    ids, records = parts or ([], [])
+    ids, records, texts = parts or ([], [], [])
     records = records.copy()
-    if receiver is not None:
-        records[bisect_left(ids, receiver)] = envs[receiver].key()
+    if msg is None:
+        texts = [m.text for m in state.bag]
+    else:
+        records[bisect_left(ids, msg.receiver)] = record.key()
+        bag = state.bag
+        i = bisect_left(bag, msg.sort_key, key=message_sort_key)
+        texts = texts[:i] + texts[i + 1:]
+        for m in sent:  # largest first, so no insertion moves a later one's place
+            j = bisect_right(bag, m.sort_key, key=message_sort_key)
+            texts.insert(j - (i < j), m.text)
+    envs = (state if work is None else work).envs
     if len(envs) > len(ids):
         ids = ids.copy()
         for rid in islice(envs, len(ids), None):
@@ -88,8 +99,8 @@ def state_key(state: SystemState, parts: Optional[list] = None,
             ids.insert(i, rid)
             records.insert(i, envs[rid].key())
     if parts is not None:
-        parts[:] = ids, records
-    return "|".join(records) + "#" + ";".join([m.text for m in state.bag])
+        parts[:] = ids, records, texts
+    return "|".join(records) + "#" + ";".join(texts)
 
 
 @dataclass
@@ -253,17 +264,19 @@ def transition_key(state: SystemState, msg: Message):
     return state.envs[msg.receiver].key(), msg.sort_key
 
 
-def _local_transitions(memo: dict, base: SystemState, msg: Message):
+def _local_transitions(memo: dict, base: SystemState, msg: Message) -> list:
     """Serve ``msg`` in ``base`` under every nondeterministic-choice vector.
 
-    Yields (decision, state-after, step-events tuple) per vector, and
-    (decision, None, error-text) for vectors whose execution faults.
+    Returns (decision, record, sent, step-events tuple, state-after) per
+    vector: the receiver's new record and the messages that its ``msg_sent``
+    events name, largest ``sort_key`` first. A vector whose execution faults
+    gives (decision, None, (), error-text, None).
 
     A message server reads only its receiver's record, the message, the env
     bindings and the model, and writes only the receiver, the bag and new
     rebecs. So every branch that serves ``msg`` in a state with an equal
     ``transition_key`` is that state minus ``msg``, plus the stored receiver
-    record and the messages that the branch's ``msg_sent`` events name.
+    record and sent messages, and a hit has no state-after.
 
     ``new`` numbers its rebec by the state's live rebec count, and a fault's
     text may depend on it, so ``memo`` stores the vectors only when every
@@ -274,38 +287,34 @@ def _local_transitions(memo: dict, base: SystemState, msg: Message):
     """
     key = transition_key(base, msg)
     outcomes = memo.get(key)
-    if outcomes is None:
-        results = []
-        pending: list[list[int]] = [[]]
-        while pending:
-            prefix = pending.pop()
-            work = base.clone()
-            resolver = Resolver(prefix)
-            try:
-                events = tuple(execute_selected(work, msg, resolver))
-            except ExecError as exc:
-                work, events = None, str(exc)
-            taken = resolver.taken
-            # Queue the unexplored siblings of every choice made past the prefix.
-            for p in range(len(prefix), len(taken)):
-                _site, arity, idx = taken[p]
-                for alt in range(idx + 1, arity):
-                    pending.append([t[2] for t in taken[:p]] + [alt])
-            results.append((Decision(msg.key, tuple(taken)), work, events))
-        if all(work is not None and len(work.envs) == len(base.envs)
-               for _, work, _ in results):
-            memo[key] = [(decision, work.envs[msg.receiver],
-                          [ev.msg for ev in events if ev.kind == EV_SENT], events)
-                         for decision, work, events in results]
-        yield from results
-        return
-    for decision, record, sent, events in outcomes:
+    if outcomes is not None:
+        return outcomes
+    results = []
+    pending: list[list[int]] = [[]]
+    while pending:
+        prefix = pending.pop()
         work = base.clone()
-        work.remove_message(msg)
-        work.envs[msg.receiver] = record
-        for m in sent:
-            work.add_message(m)
-        yield decision, work, events
+        resolver = Resolver(prefix)
+        try:
+            events = tuple(execute_selected(work, msg, resolver))
+        except ExecError as exc:
+            results.append((Decision(msg.key, tuple(resolver.taken)), None, (), str(exc), None))
+        else:
+            # Stable: equal copies keep send order, so adding these rebuilds the body's bag.
+            sent = sorted([ev.msg for ev in events if ev.kind == EV_SENT],
+                          key=message_sort_key, reverse=True)
+            results.append((Decision(msg.key, tuple(resolver.taken)),
+                            work.envs[msg.receiver], sent, events, work))
+        taken = resolver.taken
+        # Queue the unexplored siblings of every choice made past the prefix.
+        for p in range(len(prefix), len(taken)):
+            _site, arity, idx = taken[p]
+            for alt in range(idx + 1, arity):
+                pending.append([t[2] for t in taken[:p]] + [alt])
+    if all(work is not None and len(work.envs) == len(base.envs)
+           for *_, work in results):
+        memo[key] = [branch[:4] + (None,) for branch in results]
+    return results
 
 
 def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
@@ -338,35 +347,39 @@ def explore(checked: CheckedModel, env_bindings: dict, bounds: ExploreBounds,
         if end is not None:
             node.terminal = end
             return
+        if purge_events:
+            parts[2] = [m.text for m in state.bag]
         for msg in candidates:
-            receiver = msg.receiver
-            for decision, result_state, payload in _local_transitions(memo, state, msg):
-                if result_state is None:
+            for decision, record, sent, payload, work in _local_transitions(memo, state, msg):
+                if record is None:
                     error_branches.append(ErrorBranch(nid, decision, payload))
                     continue
                 time = payload[0].time
                 # FIFO order interns every key first at its least depth; the
                 # step's time lowers the node's earliest time.
                 child_parts = [*parts]
-                key = state_key(result_state, child_parts, receiver)
+                key = state_key(state, child_parts, msg, record, sent, work)
                 dst = keys.get(key)
                 if dst is None:
+                    if work is None:
+                        work = state.clone()
+                        work.remove_message(msg)
+                        work.envs[msg.receiver] = record
+                        for m in sent:
+                            work.add_message(m)
                     dst = keys[key] = len(nodes)
                     nodes.append(Node(key, depth + 1, earliest_time=time))
-                    frontier.append((dst, result_state, child_parts))
+                    frontier.append((dst, work, child_parts))
                 elif time < nodes[dst].earliest_time:
                     nodes[dst].earliest_time = time
                 edges.append(Edge(nid, dst, decision, time, payload))
 
-    def over_budget() -> bool:
-        return bounds.max_states is not None and len(nodes) >= bounds.max_states
-
-    root_parts: list = [[], []]
+    root_parts: list = [[], [], []]
     root_key = state_key(root_state, root_parts)
     keys[root_key] = 0
     nodes.append(Node(root_key, 0))
     frontier.append((0, root_state, root_parts))
-    while frontier and not over_budget():
+    while frontier and (bounds.max_states is None or len(nodes) < bounds.max_states):
         expand(*frontier.popleft())
     for nid, _, _ in frontier:
         nodes[nid].terminal = END_TRUNCATED
@@ -446,16 +459,16 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
     Each decision must name a candidate of the scheduler's next step under
     the result's deadline mode and horizon, and a path may not be longer
     than its max-steps bound. The final run_ended reason is what the
-    scheduler would do next: a path ending where the run ends (empty bag,
-    all expired, horizon) ends the same way a simulation would, anything
-    else is marked partial.
+    scheduler would do next, as in a simulation: max-steps, unpurged, after
+    max-steps decisions; else the end where the run ends (empty bag, all
+    expired, horizon), and partial anywhere else.
     """
     state, events = build_initial_state(result.checked, result.env_bindings)
     trace = Trace(events)
     horizon, max_steps = result.bounds.horizon, result.bounds.max_steps
-    for step, decision in enumerate(path):
-        if max_steps is not None and step >= max_steps:
-            raise StalePathError(f"the run ends ({END_MAX_STEPS}) before {decision.message}")
+    if max_steps is not None and len(path) > max_steps:
+        raise StalePathError(f"the run ends ({END_MAX_STEPS}) before {path[max_steps].message}")
+    for decision in path:
         purge_events, end, candidates = prepare_step(state, result.deadline_check, horizon)
         if end is not None:
             raise StalePathError(f"the run ends ({end}) before {decision.message}")
@@ -471,6 +484,9 @@ def replay(result: ExploreResult, path: list[Decision]) -> Trace:
             raise StalePathError(f"stale decision vector: recorded {decision.choices},"
                                  f" the body took {tuple(resolver.taken)}")
         events += purge_events + step_events
+    if len(path) == max_steps:
+        trace.end(END_MAX_STEPS, horizon)
+        return trace
     purge_events, end, _ = prepare_step(state, result.deadline_check, horizon)
     if end is None:
         end = END_PARTIAL  # the purges belong to a step the path does not take

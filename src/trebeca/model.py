@@ -393,8 +393,8 @@ class SystemState:
 
     ``floors`` is a value, like a record: lowering an entry builds a new
     dict. ``clone`` shares it and the records, which nothing writes, and
-    copies the ``envs`` dict and the bag list, so a clone costs
-    O(rebecs + bag) pointer copies.
+    copies the ``envs`` dict and the bag list: O(rebecs + bag) pointer
+    copies, which the explorer pays per body it runs and per new key.
     """
 
     __slots__ = ("envs", "bag", "floors", "late", "env_bindings", "checked")
@@ -408,8 +408,7 @@ class SystemState:
         self.checked = checked
 
     def clone(self) -> "SystemState":
-        # Not through __init__, whose empty containers would be replaced at
-        # once: the explorer clones a state on every edge.
+        # Not through __init__, whose empty containers would be replaced at once.
         st = SystemState.__new__(SystemState)
         st.envs = dict(self.envs)
         st.bag = list(self.bag)

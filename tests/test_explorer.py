@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import TICKET_ENV, bundled_text, explore_without_memo, graph_outputs
+from conftest import SENSOR_NAMES, TICKET_ENV, bundled_text, explore_without_memo, graph_outputs
 from test_golden import RUN_CASES
 from test_properties import checked_model, env_for
 from test_writers import reference_graph_json
@@ -22,12 +22,13 @@ from trebeca.explorer import (
     trace_decisions,
 )
 from trebeca.interp import Resolver
-from trebeca.model import EV_PURGED, EV_SELECTED, EV_SENT, RebecEnv
+from trebeca.model import EV_PURGED, EV_SELECTED, EV_SENT, RebecEnv, SystemState
+from trebeca.monitors import PASS, check_graph, check_trace, parse_monitor
 from trebeca.parser import load_model
 from trebeca.scheduler import (
     CHECK_EFFECTIVE,
     CHECK_LITERAL,
-    END_HORIZON,
+    END_MAX_STEPS,
     SchedulePolicy,
     build_initial_state,
     execute_selected,
@@ -145,6 +146,31 @@ def test_replay_rejects_a_path_past_max_steps(ticket_model):
     with pytest.raises(StalePathError, match="max-steps"):
         replay(res, path)
     assert len(replay(res, path[:3]).selected()) == 3
+
+
+def test_a_path_of_max_steps_decisions_ends_max_steps_with_no_purge():
+    """Replay checks the step budget before it purges, as ``run`` does and
+    as the graph does at a node of depth max-steps."""
+    checked = load_model(bundled_text("deadline_miss.rebeca"))
+    res = explore(checked, {}, ExploreBounds(max_steps=1))
+    spec = parse_monitor("NEVER purged s.work")
+    clause = check_graph(res, spec).clauses[0]
+    assert clause.exists_status == clause.forall_status == PASS
+    trace = replay(res, clause.exists_witness)
+    assert trace.end_reason == END_MAX_STEPS
+    assert all(ev.kind != EV_PURGED for ev in trace.events)
+    assert check_trace(trace, spec).clauses[0].status == PASS
+    cut = 0
+    for label, (name, env, seed, policy) in RUN_CASES.items():
+        checked = load_model(bundled_text(name))
+        trace = run(checked, env, seed, policy)
+        if trace.end_reason != END_MAX_STEPS:
+            continue
+        bounds = ExploreBounds(horizon=policy.horizon, max_steps=policy.max_steps, max_states=1)
+        res = explore(checked, env, bounds, deadline_check=policy.deadline_check)
+        assert replay(res, trace_decisions(trace)).to_jsonl() == trace.to_jsonl(), label
+        cut += 1
+    assert cut == 2
 
 
 def test_order_independence_of_reachable_keys(ticket_model, monkeypatch):
@@ -365,13 +391,14 @@ def test_one_path_fires_a_memoized_transition_twice(monkeypatch):
         " main { A a(b):(); B b():(); }")
     runs = _count_method_runs(monkeypatch)
     bags = []
-    state_key = explorer.state_key
+    prepare_step = explorer.prepare_step
 
-    def recording_key(state, *args):
+    def recording_prepare(state, *args):
         bags.append(list(state.bag))
-        return state_key(state, *args)
+        return prepare_step(state, *args)
 
-    monkeypatch.setattr(explorer, "state_key", recording_key)
+    # With no step or state bound, every state the explorer interns is purged.
+    monkeypatch.setattr(explorer, "prepare_step", recording_prepare)
     res = explore(checked, {}, ExploreBounds(horizon=5))
     # The second go reuses the first one's stored hit message.
     assert runs["go"] == 1
@@ -380,6 +407,28 @@ def test_one_path_fires_a_memoized_transition_twice(monkeypatch):
                                                                     ExploreBounds(horizon=5)))
     assert [t for _, t in res.terminals()] == ["empty-bag"]
     assert res.nodes[res.terminals()[0][0]].key.split("#")[0].endswith("b:B:0:n=2:")
+
+
+def test_a_state_is_built_once_per_new_key(sensor_model, monkeypatch):
+    """Every edge's key comes before its state: a state is cloned only for
+    a message server run or for a key that is new, and the key of every
+    edge and of the root passes through ``state_key`` once."""
+    runs = _count_method_runs(monkeypatch)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(explorer, "state_key", counting("keys", explorer.state_key))
+    monkeypatch.setattr(SystemState, "clone", counting("clones", SystemState.clone))
+    res = explore(sensor_model, dict(zip(SENSOR_NAMES, (2, 1, 1, 1, 4, 7))),
+                  ExploreBounds(horizon=18, max_states=5000))
+    assert len(res.edges) > 2 * len(res.nodes) > 2 * 1000
+    assert calls["clones"] <= len(res.nodes) - 1 + sum(runs.values()), calls
+    assert calls["keys"] == len(res.edges) + 1
 
 
 def test_edges_share_their_steps_events():
@@ -424,7 +473,4 @@ def test_a_message_event_refers_to_the_message_that_was_sent(label):
     bounds = ExploreBounds(horizon=policy.horizon, max_steps=policy.max_steps, max_states=1)
     replayed = replay(explore(checked, env, bounds, deadline_check=policy.deadline_check),
                       decisions)
-    # A run cut by its step budget replays as a partial path.
-    assert replayed.events[:-1] == trace.events[:-1]
-    if trace.end_reason == END_HORIZON:
-        assert replayed.events == trace.events
+    assert replayed.events == trace.events

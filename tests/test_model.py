@@ -261,8 +261,8 @@ def test_a_bag_filled_in_reverse_gives_the_same_candidates():
 
 
 def test_every_reached_bag_is_in_canonical_order(monkeypatch):
-    """Every state the golden explorations intern, and every state the
-    golden runs step from, holds its bag in ``sort_key`` order."""
+    """Every state the golden explorations intern and expand, and every
+    state the golden runs step from, holds its bag in ``sort_key`` order."""
     from test_golden import BUNDLED_CASES, RUN_CASES
 
     checked = []
@@ -273,7 +273,7 @@ def test_every_reached_bag_is_in_canonical_order(monkeypatch):
             return fn(state, *args)
         return watched
 
-    monkeypatch.setattr(explorer, "state_key", watch(explorer.state_key))
+    monkeypatch.setattr(explorer, "prepare_step", watch(explorer.prepare_step))
     monkeypatch.setattr(scheduler, "prepare_step", watch(scheduler.prepare_step))
     for name, env, bounds, check in BUNDLED_CASES.values():
         explore(load_model(bundled_text(name)), env, bounds, deadline_check=check)

@@ -6,6 +6,7 @@ its own scale; the plain tests keep counts modest for everyday runs.
 import dataclasses
 import random
 from collections import Counter
+from itertools import chain
 from unittest import mock
 
 from conftest import bundled_text, explore_without_memo, graph_outputs
@@ -337,26 +338,68 @@ def scratch_state_key(state) -> str:
             + ";".join([m.text for m in state.bag]))
 
 
+# Equal copies in the bag, and purges that leave messages to serve: each go
+# takes two ticks, so the copy still queued misses its deadline.
+EQUAL_COPIES = (
+    "reactiveclass A { knownrebecs {} statevars {}"
+    " msgsrv initial() { self.go() deadline(1); self.go() deadline(1);"
+    " self.go() after(1); self.go() after(1); }"
+    " msgsrv go() { delay(2); self.go() after(1); } }"
+    " main { A a():(); }")
+
+
+def built_successor(parent, msg, record, sent):
+    """What serving ``msg`` in ``parent`` leads to, built from a clone."""
+    succ = parent.clone()
+    succ.remove_message(msg)
+    succ.envs[msg.receiver] = record
+    for m in sent:
+        succ.add_message(m)
+    return succ
+
+
 def check_keys_from_parents() -> None:
     """Every key the explorer builds from its parent's parts equals the
-    rendering from scratch."""
+    rendering from scratch of the state it names: the root, a memo miss's
+    executed state, or a memo hit's successor built from a clone. Keys are
+    built from parents whose purge removed messages and from bags holding
+    equal copies."""
     state_key = explorer.state_key
+    prepare_step = explorer.prepare_step
     seen = Counter()
     label = ""
+    purged = None  # the state being expanded, if its purge removed messages
 
-    def checked_key(state, parts=None, receiver=None):
+    def watched_prepare(state, *args):
+        nonlocal purged
+        out = prepare_step(state, *args)
+        purged = state if out[0] else None
+        return out
+
+    def checked_key(state, parts=None, msg=None, record=None, sent=(), work=None):
         parent_ids = parts[0] if parts else []
-        key = state_key(state, parts, receiver)
-        assert key == scratch_state_key(state), label
+        key = state_key(state, parts, msg, record, sent, work)
+        succ = (state if msg is None else work if work is not None
+                else built_successor(state, msg, record, sent))
+        assert key == scratch_state_key(succ), label
         seen["keys"] += 1
         # A step that created rebecs; the root's parent has no rebecs.
-        seen["spawns"] += bool(parent_ids) and len(state.envs) > len(parent_ids)
+        seen["spawns"] += bool(parent_ids) and len(succ.envs) > len(parent_ids)
+        seen["after a purge"] += state is purged
+        bag = succ.bag
+        seen["equal copies"] += any(a.sort_key == b.sort_key for a, b in zip(bag, bag[1:]))
         return key
 
-    with mock.patch.object(explorer, "state_key", checked_key):
-        for label, checked, env, bounds, mode in every_exploration():
+    copies = load_model(EQUAL_COPIES)
+    explorations = chain(every_exploration(), [
+        (f"equal copies {mode}", copies, {}, ExploreBounds(horizon=8), mode)
+        for mode in (CHECK_LITERAL, CHECK_EFFECTIVE)])
+    with mock.patch.object(explorer, "state_key", checked_key), \
+            mock.patch.object(explorer, "prepare_step", watched_prepare):
+        for label, checked, env, bounds, mode in explorations:
             explore(checked, env, bounds, deadline_check=mode)
     assert seen["keys"] > 100_000 and seen["spawns"] > 10_000, seen
+    assert seen["after a purge"] > 0 and seen["equal copies"] > 0, seen
 
 
 def old_canonicalize(result) -> None:
