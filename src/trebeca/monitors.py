@@ -11,10 +11,10 @@ without a match reports inconclusive unless the bound already decides it.
 """
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
-from typing import Optional
+from fnmatch import translate
+from typing import Callable, Optional
 
 from .explorer import Decision, ExploreResult
 from .model import EV_ENDED, EV_PURGED, EV_SELECTED, EV_SENT, Event
@@ -32,19 +32,45 @@ PRECEDES = "always-precedes"
 _KIND_TO_EVENT = {"selected": EV_SELECTED, "purged": EV_PURGED, "sent": EV_SENT}
 
 
+def _is_wildcard(pattern: str) -> bool:
+    """Whether a rebec or method pattern uses a shell-style wildcard: ``*``,
+    ``?``, ``[seq]`` or ``[!seq]``."""
+    return "*" in pattern or "?" in pattern or "[" in pattern
+
+
+def _name_test(pattern: str) -> Callable[[str], object]:
+    """A test that is truthy on a name exactly where ``fnmatchcase(name,
+    pattern)`` is true: ``==`` for a plain name, else the regex that
+    ``fnmatchcase`` itself compiles."""
+    if not _is_wildcard(pattern):
+        return pattern.__eq__
+    return re.compile(translate(pattern)).match
+
+
 @dataclass(frozen=True)
 class EventPattern:
     kind: str  # "selected" | "purged" | "sent"
-    rebec: str  # instance pattern, * wildcards
+    rebec: str  # instance pattern, shell-style wildcards (_is_wildcard)
     method: str
+    # The event kind and both name tests, compiled once.
+    _event_kind: str = field(init=False, repr=False, compare=False)
+    _rebec_test: Callable[[str], object] = field(init=False, repr=False, compare=False)
+    _method_test: Callable[[str], object] = field(init=False, repr=False, compare=False)
 
-    def matches(self, ev: Event) -> bool:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_event_kind", _KIND_TO_EVENT[self.kind])
+        object.__setattr__(self, "_rebec_test", _name_test(self.rebec))
+        object.__setattr__(self, "_method_test", _name_test(self.method))
+
+    def matches(self, ev: Event) -> object:
+        """Truthy exactly when ``ev`` is of this kind and both its names
+        match as ``fnmatchcase`` matches them."""
         return (
-            ev.kind == _KIND_TO_EVENT[self.kind]
+            ev.kind == self._event_kind
             and ev.rebec is not None
-            and fnmatchcase(ev.rebec, self.rebec)
+            and self._rebec_test(ev.rebec)
             and ev.method is not None
-            and fnmatchcase(ev.method, self.method)
+            and self._method_test(ev.method)
         )
 
     def __str__(self) -> str:
@@ -141,11 +167,11 @@ def validate_monitor(spec: MonitorSpec, checked) -> list[ParseError]:
     for clause in spec.clauses:
         events = [clause.event] + ([clause.before] if clause.before else [])
         for ev in events:
-            if "*" not in ev.rebec and "?" not in ev.rebec and ev.rebec not in instance_names:
+            if not _is_wildcard(ev.rebec) and ev.rebec not in instance_names:
                 warnings.append(ParseError((clause.line, 1),
                                            f"rebec {ev.rebec!r} is not an instance in main",
                                            severity="warning"))
-            if "*" not in ev.method and "?" not in ev.method and ev.method not in method_names:
+            if not _is_wildcard(ev.method) and ev.method not in method_names:
                 warnings.append(ParseError((clause.line, 1),
                                            f"method {ev.method!r} is not declared by any class",
                                            severity="warning"))
@@ -289,7 +315,7 @@ def _fold_shared(folds: dict, clause: Clause, st: int, events) -> int:
     holds every events object while ``check_graph`` runs, so no id is reused
     meanwhile.
     """
-    key = (st, id(events))
+    key = id(events) * 4 + st
     nxt = folds.get(key)
     if nxt is None:
         nxt = folds[key] = _fold_events(clause, st, events)
@@ -308,31 +334,38 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
     clause is decided once those purges are folded in, and is inconclusive
     otherwise.
 
-    Each product node folds its node's purges once, then judges its
-    terminal, its faults and its out-edges from there. Each clause folds an
-    edge's (automaton state, events object) pair once, however many product
-    states and edges share it (``_fold_shared``).
+    A product state is the int ``nid * 4 + st``. Each one folds its node's
+    purges once, then judges its terminal, its faults and its out-edges
+    from there; a decided state (GOOD or BAD) folds nothing, since ``_step``
+    keeps it. Each clause folds an edge's (automaton state, events object)
+    pair once, however many product states and edges share it
+    (``_fold_shared``).
     """
     out_edges = result.out_edges()
     faulted = {branch.src for branch in result.error_branches}
     horizon = result.bounds.horizon
+    nodes = result.nodes
+    size = len(nodes) * 4
     verdicts = []
     for clause in spec.clauses:
-        folds: dict[tuple[int, int], int] = {}
-        root_state = _fold_events(clause, _ST_OPEN, result.root_events)
-        start = (result.root, root_state)
-        # parents: product node -> (previous product node, edge taken)
-        parents: dict[tuple[int, int], Optional[tuple[tuple[int, int], object]]] = {start: None}
-        # product node -> one successor per out-edge, for the cycle search.
-        successors: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        queue = deque([start])
-        path_outcomes: dict[str, tuple[int, int]] = {}  # status -> product node
-        while queue:
-            prod = queue.popleft()
-            succs = successors[prod] = []
-            nid, st = prod
-            node = result.nodes[nid]
-            if node.purge_events:
+        folds: dict[int, int] = {}
+        start = result.root * 4 + _fold_events(clause, _ST_OPEN, result.root_events)
+        # Indexed by product state: the previous product state on its BFS
+        # path (-1 for the start, -2 while unreached) and the edge taken.
+        parent = [-2] * size
+        via: list = [None] * size
+        parent[start] = -1
+        # Each product state's successors, one per out-edge, then -1, in
+        # BFS order; first[prod] is where its run starts.
+        successors: list[int] = []
+        first = [0] * size
+        queue = [start]
+        path_outcomes: dict[str, int] = {}  # status -> product state
+        for prod in queue:  # grows as it is walked
+            first[prod] = len(successors)
+            nid, st = divmod(prod, 4)
+            node = nodes[nid]
+            if node.purge_events and st not in _DECIDED:
                 st = _fold_events(clause, st, node.purge_events)
             if node.terminal is not None:
                 # The bound refinement only applies where the horizon itself
@@ -341,23 +374,29 @@ def check_graph(result: ExploreResult, spec: MonitorSpec) -> GraphVerdict:
                 path_outcomes.setdefault(_end_status(clause, st, node.terminal, bound), prod)
             if nid in faulted:
                 path_outcomes.setdefault(_DECIDED.get(st, INCONCLUSIVE), prod)
+            decided = st in _DECIDED
             for edge in out_edges[nid]:
-                nxt = (edge.dst, _fold_shared(folds, clause, st, edge.events))
-                succs.append(nxt)
-                if nxt not in parents:
-                    parents[nxt] = (prod, edge)
+                nxt = edge.dst * 4 + (st if decided else
+                                      _fold_shared(folds, clause, st, edge.events))
+                successors.append(nxt)
+                if parent[nxt] == -2:
+                    parent[nxt] = prod
+                    via[nxt] = edge
                     queue.append(nxt)
+            successors.append(-1)
         # A cycle inside the bounds is a real infinite run (zero-time loop):
         # it never decides the clause, so EVENTUALLY fails along it and the
-        # safety clauses hold along it.
-        undecided = FAIL if clause.op == EVENTUALLY else PASS
-        for prod in _cycle_states(successors, start):
-            path_outcomes.setdefault(_DECIDED.get(prod[1], undecided), prod)
+        # safety clauses hold along it. Its target adds PASS or FAIL only,
+        # so once both are outcomes there is nothing left to find.
+        if PASS not in path_outcomes or FAIL not in path_outcomes:
+            undecided = FAIL if clause.op == EVENTUALLY else PASS
+            for prod in _cycle_states(successors, first, start):
+                path_outcomes.setdefault(_DECIDED.get(prod % 4, undecided), prod)
 
         exists_status = _aggregate(path_outcomes, prefer=(PASS, INCONCLUSIVE, FAIL))
         forall_status = _aggregate(path_outcomes, prefer=(FAIL, INCONCLUSIVE, PASS))
-        exists_witness = _path_to(parents, path_outcomes.get(PASS))
-        forall_witness = _path_to(parents, path_outcomes.get(FAIL))
+        exists_witness = _path_to(parent, via, path_outcomes.get(PASS))
+        forall_witness = _path_to(parent, via, path_outcomes.get(FAIL))
         verdicts.append(GraphClauseVerdict(
             clause=clause, exists_status=exists_status, forall_status=forall_status,
             exists_witness=exists_witness, forall_witness=forall_witness,
@@ -372,22 +411,20 @@ def _aggregate(outcomes: dict, prefer: tuple[str, ...]) -> str:
     return prefer[-1]
 
 
-def _path_to(parents, prod) -> Optional[list[Decision]]:
-    if prod is None or prod not in parents:
+def _path_to(parent: list[int], via: list, prod: Optional[int]) -> Optional[list[Decision]]:
+    if prod is None:
         return None
     path = []
-    cur = prod
-    while parents[cur] is not None:
-        prev, edge = parents[cur]
-        path.append(edge.decision)
-        cur = prev
+    while parent[prod] >= 0:
+        path.append(via[prod].decision)
+        prod = parent[prod]
     path.reverse()
     return path
 
 
-def _cycle_states(successors: dict, start) -> list:
+def _cycle_states(successors: list[int], first: list[int], start: int) -> list[int]:
     """The target of every back edge of a depth-first search of the product
-    graph from ``start``.
+    graph from ``start``, over ``check_graph``'s flat successor runs.
 
     That is all ``check_graph`` needs of the cycles. ``_step`` never leaves
     GOOD, BAD or SEEN, so the automaton state changes at most once along a
@@ -396,19 +433,24 @@ def _cycle_states(successors: dict, start) -> list:
     each automaton state found on a cycle, though not every product state.
     """
     targets = []
-    on_path, done = {start}, set()
-    work = [(start, iter(successors[start]))]
-    while work:
-        prod, it = work[-1]
-        for nxt in it:
-            if nxt in on_path:
+    marks = bytearray(len(first))  # 1 on the search path, 2 done
+    marks[start] = 1
+    path = [start]
+    at = [first[start]]  # per path entry, the index of its next successor
+    while path:
+        i = at[-1]
+        nxt = successors[i]
+        while nxt >= 0 and marks[nxt]:
+            if marks[nxt] == 1:
                 targets.append(nxt)
-            elif nxt not in done:
-                on_path.add(nxt)
-                work.append((nxt, iter(successors[nxt])))
-                break
+            i += 1
+            nxt = successors[i]
+        if nxt < 0:
+            marks[path.pop()] = 2
+            at.pop()
         else:
-            work.pop()
-            on_path.remove(prod)
-            done.add(prod)
+            at[-1] = i + 1
+            marks[nxt] = 1
+            path.append(nxt)
+            at.append(first[nxt])
     return targets

@@ -19,6 +19,9 @@ SENSOR_ENV = dict(zip(SENSOR_NAMES, (1, 4, 2, 3, 2, 4)))
 TICKET_NAMES = ["requestDeadline", "checkIssuedPeriod", "retryRequestPeriod",
                 "newRequestPeriod", "serviceTime1", "serviceTime2"]
 
+BUNDLED_MONITORS = ("ticket_issued.monitor", "ticket_not_issued.monitor",
+                    "mission_failed.monitor", "mission_success.monitor")
+
 
 def bundled_text(name: str) -> str:
     return trebeca.bundled(name).read_text(encoding="utf-8")

@@ -1,6 +1,11 @@
+from collections import Counter
+from fnmatch import fnmatchcase
+
 import pytest
 
-from conftest import TICKET_ENV, bundled_text
+from conftest import BUNDLED_MONITORS, TICKET_ENV, bundled_text
+from test_golden import RUN_CASES, run_trace
+from trebeca import monitors
 from trebeca.explorer import ExploreBounds, explore, follow, replay
 from trebeca.model import EV_PURGED
 from trebeca.monitors import (
@@ -14,6 +19,23 @@ from trebeca.monitors import (
 )
 from trebeca.parser import SourceError, load_model
 from trebeca.scheduler import SchedulePolicy, run
+
+
+# Models whose graphs loop at time 0, by the name of the loop's shape.
+ZERO_TIME_LOOPS = {
+    "spin": ("reactiveclass A { knownrebecs {} statevars {} "
+             "msgsrv initial() { self.spin(); } msgsrv spin() { self.spin(); } }"
+             " main { A a():(); }"),
+    "two rebecs": ("reactiveclass P { knownrebecs { Q q; } statevars {} "
+                   "msgsrv initial() { q.back(); } msgsrv go() { q.back(); } }\n"
+                   "reactiveclass Q { knownrebecs { P p; } statevars {} "
+                   "msgsrv initial() {} msgsrv back() { p.go(); } }\n"
+                   "main { P p(q):(); Q q(p):(); }"),
+    "after a choice": ("reactiveclass A { knownrebecs {} statevars {} msgsrv initial()"
+                       " { if (?(0, 1) == 1) { self.mark(); } else { self.spin(); } }"
+                       " msgsrv mark() { self.spin(); } msgsrv spin() { self.spin(); } }"
+                       " main { A a():(); }"),
+}
 
 
 def test_parse_single_eventually():
@@ -75,6 +97,47 @@ def test_validate_monitor_warns_on_unknown_names(ticket_model):
     spec = parse_monitor("EVENTUALLY selected nobody.nothing")
     warnings = validate_monitor(spec, ticket_model)
     assert len(warnings) == 2
+
+
+def test_a_bracket_pattern_is_a_wildcard(sensor_model):
+    # sensor[01] matches sensor0 and sensor1, adm[i]n matches admin and
+    # checkAc[k] matches checkAck, so none of them warns; sensor2 does.
+    spec = parse_monitor("# sensors\nEVENTUALLY selected sensor[01].report\n"
+                         "NEVER purged adm[i]n.checkAc[k]\n\nNEVER selected sensor2.report\n")
+    assert [w.render() for w in validate_monitor(spec, sensor_model)] == [
+        "<input>:5:1: warning: rebec 'sensor2' is not an instance in main"]
+
+
+NAME_PATTERNS = ["admin", "*", "sensor?", "sensor[01]", "sensor[!0]", "a[", "a[]", "[]a]",
+                 "a+b", "(x)", "$", "a.b", "x|y", "\\d", "^a", "{1}", "*[0-9]"]
+NAMES = ["admin", "sensor0", "sensor1", "sensor2", "sensor", "a[", "a", "a+b", "aab", "(x)",
+         "x", "$", "", "a.b", "axb", "x|y", "\\d", "1", "^a", "{1}", "]a", "a]", "s\n1"]
+
+
+@pytest.mark.parametrize("pattern", NAME_PATTERNS)
+def test_a_name_test_is_fnmatchcase(pattern):
+    test = monitors._name_test(pattern)
+    assert [bool(test(name)) for name in NAMES] == [fnmatchcase(n, pattern) for n in NAMES]
+
+
+def test_event_patterns_match_bundled_traces_as_fnmatchcase():
+    # Every bundled monitor's patterns, and wildcards over the same names.
+    spec = parse_monitor("".join(bundled_text(name) for name in BUNDLED_MONITORS)
+                         + "NEVER selected *.*\nNEVER selected sensor[01].do*\n"
+                         "ALWAYS-PRECEDES(sent [!s]*.[a-m]*, selected adm?n.rep[aeiou]rt)\n")
+    patterns = [ev for clause in spec.clauses
+                for ev in (clause.event, clause.before) if ev is not None]
+    hits = Counter()
+    for label in RUN_CASES:
+        for ev in run_trace(label).events:
+            for p in patterns:
+                want = (ev.kind == monitors._KIND_TO_EVENT[p.kind]
+                        and ev.rebec is not None and fnmatchcase(ev.rebec, p.rebec)
+                        and ev.method is not None and fnmatchcase(ev.method, p.method))
+                assert bool(p.matches(ev)) == want, (label, ev, p)
+                hits[str(p)] += want
+    # Each wildcard form matched some event.
+    assert all(hits[str(p)] for p in patterns[-4:]), hits
 
 
 def trace_for(seed, horizon=25, env=TICKET_ENV, model_name="ticket_service.rebeca"):
@@ -203,10 +266,7 @@ def test_graph_forall_witness_replays_to_a_failing_trace(ticket_model):
 
 
 def test_zero_time_loop_detected_as_divergence():
-    checked = load_model(
-        "reactiveclass A { knownrebecs {} statevars {} "
-        "msgsrv initial() { self.spin(); } msgsrv spin() { self.spin(); } }"
-        " main { A a():(); }")
+    checked = load_model(ZERO_TIME_LOOPS["spin"])
     res = explore(checked, {}, ExploreBounds(horizon=5))
     assert not res.truncated  # the loop folds into finitely many states
     spec = parse_monitor("EVENTUALLY selected a.never\nNEVER selected a.missing\n")
@@ -216,12 +276,7 @@ def test_zero_time_loop_detected_as_divergence():
 
 
 def test_two_rebec_zero_time_cycle():
-    checked = load_model(
-        "reactiveclass P { knownrebecs { Q q; } statevars {} "
-        "msgsrv initial() { q.back(); } msgsrv go() { q.back(); } }\n"
-        "reactiveclass Q { knownrebecs { P p; } statevars {} "
-        "msgsrv initial() {} msgsrv back() { p.go(); } }\n"
-        "main { P p(q):(); Q q(p):(); }")
+    checked = load_model(ZERO_TIME_LOOPS["two rebecs"])
     res = explore(checked, {}, ExploreBounds(horizon=5))
     spec = parse_monitor("EVENTUALLY selected p.never\nNEVER purged *.*\n")
     gv = check_graph(res, spec)
@@ -232,11 +287,7 @@ def test_two_rebec_zero_time_cycle():
 def test_one_graph_cycle_reached_at_two_automaton_states():
     # Both branches reach the state whose bag holds only spin; it loops on
     # itself, once after mark was selected and once without it.
-    checked = load_model(
-        "reactiveclass A { knownrebecs {} statevars {} msgsrv initial()"
-        " { if (?(0, 1) == 1) { self.mark(); } else { self.spin(); } }"
-        " msgsrv mark() { self.spin(); } msgsrv spin() { self.spin(); } }"
-        " main { A a():(); }")
+    checked = load_model(ZERO_TIME_LOOPS["after a choice"])
     res = explore(checked, {}, ExploreBounds(horizon=5))
     assert not res.truncated and not res.terminals()
     spec = parse_monitor("EVENTUALLY selected a.mark\nNEVER selected a.mark\n"

@@ -5,13 +5,14 @@ its own scale; the plain tests keep counts modest for everyday runs.
 """
 import dataclasses
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import chain
 from unittest import mock
 
-from conftest import bundled_text, explore_without_memo, graph_outputs
+from conftest import BUNDLED_MONITORS, bundled_text, explore_without_memo, graph_outputs
 from gen import generate_model
 from test_golden import BUNDLED_CASES, RUN_CASES, run_trace
+from test_monitors import ZERO_TIME_LOOPS
 from trebeca import explorer, monitors, scheduler
 from trebeca.explorer import (
     Edge,
@@ -229,8 +230,6 @@ def check_memo_oracle(count: int) -> None:
     assert runs["memo"] < runs["all-miss"]
 
 
-BUNDLED_MONITORS = ("ticket_issued.monitor", "ticket_not_issued.monitor",
-                    "mission_failed.monitor", "mission_success.monitor")
 # Wildcard clauses that every model can decide, whatever its names.
 ANY_MONITOR = ("EVENTUALLY purged *.*\nNEVER purged *.*\nEVENTUALLY sent *.* WITHIN 2\n"
                "ALWAYS-PRECEDES(purged *.*, selected *.*)\n")
@@ -449,6 +448,130 @@ def check_graph_bytes_ignore_tie_order() -> None:
     assert (compared, skipped) == (121, 7)
 
 
+def old_check_graph(result, spec):
+    """``monitors.check_graph`` as it was before product states became ints:
+    tuple states, a ``parents`` dict, a dict of successor lists and the
+    set-based cycle search, with every state folding its purges and edges."""
+    out_edges = result.out_edges()
+    faulted = {branch.src for branch in result.error_branches}
+    horizon = result.bounds.horizon
+    verdicts = []
+    for clause in spec.clauses:
+        folds = {}
+        start = (result.root, monitors._fold_events(clause, monitors._ST_OPEN,
+                                                    result.root_events))
+        parents = {start: None}
+        successors = {}
+        queue = deque([start])
+        path_outcomes = {}
+        while queue:
+            prod = queue.popleft()
+            succs = successors[prod] = []
+            nid, st = prod
+            node = result.nodes[nid]
+            if node.purge_events:
+                st = monitors._fold_events(clause, st, node.purge_events)
+            if node.terminal is not None:
+                bound = horizon if node.terminal == scheduler.END_HORIZON else None
+                path_outcomes.setdefault(
+                    monitors._end_status(clause, st, node.terminal, bound), prod)
+            if nid in faulted:
+                path_outcomes.setdefault(monitors._DECIDED.get(st, monitors.INCONCLUSIVE), prod)
+            for edge in out_edges[nid]:
+                nxt = (edge.dst, monitors._fold_shared(folds, clause, st, edge.events))
+                succs.append(nxt)
+                if nxt not in parents:
+                    parents[nxt] = (prod, edge)
+                    queue.append(nxt)
+        undecided = monitors.FAIL if clause.op == monitors.EVENTUALLY else monitors.PASS
+        for prod in old_cycle_states(successors, start):
+            path_outcomes.setdefault(monitors._DECIDED.get(prod[1], undecided), prod)
+        verdicts.append((
+            monitors._aggregate(path_outcomes, prefer=(monitors.PASS, monitors.INCONCLUSIVE,
+                                                       monitors.FAIL)),
+            monitors._aggregate(path_outcomes, prefer=(monitors.FAIL, monitors.INCONCLUSIVE,
+                                                       monitors.PASS)),
+            old_path_to(parents, path_outcomes.get(monitors.PASS)),
+            old_path_to(parents, path_outcomes.get(monitors.FAIL))))
+    return verdicts
+
+
+def old_path_to(parents, prod):
+    if prod is None or prod not in parents:
+        return None
+    path = []
+    cur = prod
+    while parents[cur] is not None:
+        prev, edge = parents[cur]
+        path.append(edge.decision)
+        cur = prev
+    path.reverse()
+    return path
+
+
+def old_cycle_states(successors, start):
+    targets = []
+    on_path, done = {start}, set()
+    work = [(start, iter(successors[start]))]
+    while work:
+        prod, it = work[-1]
+        for nxt in it:
+            if nxt in on_path:
+                targets.append(nxt)
+            elif nxt not in done:
+                on_path.add(nxt)
+                work.append((nxt, iter(successors[nxt])))
+                break
+        else:
+            work.pop()
+            on_path.remove(prod)
+            done.add(prod)
+    return targets
+
+
+def check_graph_verdicts_match_the_tuple_search() -> None:
+    """``check_graph`` gives the statuses and witnesses of the old tuple
+    search on every golden exploration and generated seeds 0-119 (as
+    ``every_exploration``), and on the zero-time loops. It skips the cycle
+    search on some clause, and runs it, finding targets, on every clause of
+    every loop."""
+    cycle_states = monitors._cycle_states
+    searched = []
+
+    def counted(*args):
+        targets = cycle_states(*args)
+        searched.append(len(targets))
+        return targets
+
+    def compare(label, result, spec):
+        searched.clear()
+        with mock.patch.object(monitors, "_cycle_states", counted):
+            got = [(c.exists_status, c.forall_status, c.exists_witness, c.forall_witness)
+                   for c in monitors.check_graph(result, spec).clauses]
+        assert got == old_check_graph(result, spec), label
+        return list(searched)
+
+    bundled_spec = monitors.parse_monitor(
+        "".join(bundled_text(name) for name in BUNDLED_MONITORS) + ANY_MONITOR)
+    graphs = clauses = skipped = 0
+    for label, checked, env, bounds, mode in every_exploration():
+        if label.startswith("seed "):
+            spec = monitors.parse_monitor(generated_monitor(checked.model, int(label[5:])))
+        else:
+            spec = bundled_spec
+        searches = compare(label, explore(checked, env, bounds, deadline_check=mode), spec)
+        graphs += 1
+        clauses += len(spec.clauses)
+        skipped += len(spec.clauses) - len(searches)
+    assert graphs == 128 and 0 < skipped < clauses, (graphs, skipped, clauses)
+    loop_spec = monitors.parse_monitor(
+        ANY_MONITOR + "EVENTUALLY selected *.mark\nNEVER selected *.mark\n")
+    for label, text in ZERO_TIME_LOOPS.items():
+        result = explore(load_model(text), {}, ExploreBounds(horizon=5))
+        searches = compare(label, result, loop_spec)
+        assert len(searches) == len(loop_spec.clauses) and all(searches), (label, searches)
+
+
 def test_runs_satisfy_semantic_invariants():
     check_many_runs(300)
 
@@ -487,3 +610,7 @@ def test_keys_built_from_parents_match_a_rendering_from_scratch():
 
 def test_graph_bytes_do_not_depend_on_tie_order():
     check_graph_bytes_ignore_tie_order()
+
+
+def test_graph_verdicts_match_the_tuple_search():
+    check_graph_verdicts_match_the_tuple_search()
